@@ -4,9 +4,10 @@ Moves: blowups (outer on a vertex, inner on an edge), blowdowns of
 superfluous (-1)-vertices, snc-minimalization, elementary flows on
 0-vertices, standard-form search, barks and half-point attachments.
 
-Every mutating operation accepts an optional ``log`` list and appends
-JSON-serializable move entries to it; ``replay`` applies such a log to
-the original graph and must reproduce the output exactly.
+Every move returns a new graph, leaving its input unchanged.  Moves
+accept an optional ``log`` list and append JSON-serializable move
+entries to it; ``replay`` applies such a log to the original graph and
+must reproduce the output exactly.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ from .graphs import (
     classify_segments,
     connected_components,
     is_negative_definite,
+    reweighted,
 )
 
 
@@ -45,9 +47,10 @@ class OnEdge:
     v: str
 
 
-def fresh_id(g: WeightedGraph, prefix: str = "E") -> str:
+def fresh_id(taken, prefix: str = "E") -> str:
+    """The first of prefix1, prefix2, ... not in the taken ids."""
     i = 1
-    while f"{prefix}{i}" in g.vertices:
+    while f"{prefix}{i}" in taken:
         i += 1
     return f"{prefix}{i}"
 
@@ -64,36 +67,32 @@ def _require_divisor(g: WeightedGraph, op: str) -> None:
 def blow_up(g: WeightedGraph, center, log: list | None = None,
             new_id: str | None = None) -> WeightedGraph:
     _require_divisor(g, "blow_up")
-    out = g.copy()
-    eid = new_id or fresh_id(g)
+    eid = new_id or fresh_id(g.vertices)
     if eid in g.vertices:
         raise DomainError(f"new vertex id {eid!r} already in use")
     if isinstance(center, OnVertex):
         vid = center.vertex
-        if vid not in out.vertices:
+        if vid not in g.vertices:
             raise DomainError(f"blow_up center vertex {vid!r} not found")
-        out.vertices[eid] = Vertex(eid, -1)
-        out.add_weight(vid, -1)
-        out.edges.append(Edge(eid, vid))
+        deltas = {vid: -1}
+        edges = [*g.edges, Edge(eid, vid)]
         entry = {"move": "blowup", "center": {"vertex": vid}, "new_id": eid}
     elif isinstance(center, OnEdge):
         target = Edge(center.u, center.v)
-        found = next((e for e in out.edges if (e.u, e.v) == (target.u, target.v)), None)
-        if found is None:
+        if target not in g.edges_at(target.u):
             raise DomainError(
                 f"blow_up center edge ({center.u!r},{center.v!r}) not found"
             )
-        out.edges.remove(found)
-        out.vertices[eid] = Vertex(eid, -1)
-        out.add_weight(found.u, -1)
-        out.add_weight(found.v, -1)
-        out.edges.append(Edge(eid, found.u))
-        out.edges.append(Edge(eid, found.v))
+        deltas = {target.u: -1, target.v: -1}
+        edges = [e for e in g.edges if e != target]
+        edges += [Edge(eid, target.u), Edge(eid, target.v)]
         entry = {"move": "blowup", "center": {"edge": [target.u, target.v]},
                  "new_id": eid}
     else:
         raise DomainError(f"unknown blowup center {center!r}")
-    out.resort_edges()
+    out = WeightedGraph(
+        "divisor", reweighted(g.vertices.values(), deltas) + [Vertex(eid, -1)], edges
+    )
     if log is not None:
         log.append(entry)
     return out
@@ -112,21 +111,19 @@ def blow_down(g: WeightedGraph, vid: str, log: list | None = None) -> WeightedGr
     if beta > 2:
         raise DomainError(f"blow_down: branching number of {vid!r} is {beta} > 2")
     nbrs = g.neighbors(vid)
+    edges = [e for e in g.edges if vid not in (e.u, e.v)]
     if len(nbrs) == 2:
         a, b = nbrs
-        if any((e.u, e.v) == (min(a, b), max(a, b)) for e in g.edges):
+        if b in g.neighbors(a):
             raise DomainError(
                 f"blow_down: neighbors of {vid!r} are already adjacent; "
                 "the image would not be snc"
             )
-    out = g.copy()
-    del out.vertices[vid]
-    out.edges = [e for e in out.edges if vid not in (e.u, e.v)]
-    for n in nbrs:
-        out.add_weight(n, 1)
-    if len(nbrs) == 2:
-        out.edges.append(Edge(nbrs[0], nbrs[1]))
-    out.resort_edges()
+        edges.append(Edge(a, b))
+    vertices = reweighted(
+        (x for x in g.vertices.values() if x.id != vid), dict.fromkeys(nbrs, 1)
+    )
+    out = WeightedGraph("divisor", vertices, edges)
     if log is not None:
         log.append({"move": "blowdown", "vertex": vid})
     return out
@@ -146,7 +143,7 @@ def is_superfluous(g: WeightedGraph, vid: str) -> bool:
         return False  # loop or double edge (plumbing input)
     if len(nbrs) == 2:
         a, b = nbrs
-        if any((e.u, e.v) == (min(a, b), max(a, b)) for e in g.edges):
+        if b in g.neighbors(a):
             return False
     return True
 
@@ -215,9 +212,9 @@ def elementary_flow(g: WeightedGraph, zero_vertex: str, toward: str,
             log.extend(sub)
         return out
     other = next(n for n in nbrs if n != toward)
-    out = g.copy()
-    out.add_weight(toward, 1)
-    out.add_weight(other, -1)
+    out = WeightedGraph(
+        "divisor", reweighted(g.vertices.values(), {toward: 1, other: -1}), g.edges
+    )
     if log is not None:
         log.append({"move": "flow", "vertex": zero_vertex, "toward": toward})
     return out
@@ -429,13 +426,8 @@ def bark(g: WeightedGraph, twig: list) -> dict:
                 f"bark: twig vertex {vid!r} has weight {v.weight} > -2; "
                 "twig not admissible"
             )
-    adj = {
-        (min(e.u, e.v), max(e.u, e.v))
-        for e in g.edges
-        if not e.is_loop
-    }
     for a, b in zip(twig, twig[1:]):
-        if (min(a, b), max(a, b)) not in adj:
+        if b not in g.neighbors(a):
             raise DomainError(f"bark: {a!r} and {b!r} are not adjacent")
     tip = twig[0]
     tip_inside = [n for n in g.neighbors(tip) if n in twig]

@@ -82,10 +82,7 @@ class LabeledFamilyGraph:
         return [vid for vid in self.graph.sorted_ids() if not vid.startswith("A")]
 
     def d_part(self) -> WeightedGraph:
-        keep = set(self.d_part_ids())
-        vs = [v for vid, v in self.graph.vertices.items() if vid in keep]
-        es = [e for e in self.graph.edges if e.u in keep and e.v in keep]
-        return WeightedGraph("divisor", vs, es)
+        return self.graph.induced(self.d_part_ids())
 
 
 def _tid(j: int, i: int) -> str:
@@ -145,7 +142,7 @@ def build_by_blowups(params: FamilyParams) -> tuple[LabeledFamilyGraph, list]:
             g = divisor.blow_up(g, divisor.OnVertex(prev), log, new_id=new_id)
             prev = new_id
     # restore the curve-name labels lost on exceptional vertices
-    relabel = []
+    vertices = []
     for vid, v in g.vertices.items():
         if v.label is None:
             if vid.startswith("A"):
@@ -153,9 +150,9 @@ def build_by_blowups(params: FamilyParams) -> tuple[LabeledFamilyGraph, list]:
             else:
                 j, i = vid[1], int(vid.split("_")[1])
                 label = f"T_{{{j},{i}}}"
-            relabel.append(Vertex(vid, v.weight, v.genus, v.boundary, label))
-    for v in relabel:
-        g.replace_vertex(v)
+            v = Vertex(vid, v.weight, v.genus, v.boundary, label)
+        vertices.append(v)
+    g = WeightedGraph("divisor", vertices, g.edges)
     return LabeledFamilyGraph(g, params.d1, params.d2), log
 
 

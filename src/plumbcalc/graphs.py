@@ -83,10 +83,12 @@ class WeightedGraph:
     kind="divisor" enforces: no loops, no multi-edges, all signs +1.
     Equality is exact (same vertices, same edge multiset), which is what
     replay verification needs; use graphs_isomorphic for structural
-    comparison.
+    comparison.  A graph is never changed after it is built: every
+    operation returns a new graph, so the constructor's checks and its
+    incidence index cover every graph.
     """
 
-    __slots__ = ("kind", "vertices", "edges")
+    __slots__ = ("kind", "vertices", "edges", "_at")
 
     def __init__(self, kind: str, vertices, edges):
         if kind not in ("divisor", "plumbing"):
@@ -96,10 +98,14 @@ class WeightedGraph:
             if v.id in vs:
                 raise DomainError(f"duplicate vertex id {v.id!r}")
             vs[v.id] = v
-        es = sorted(edges, key=_edge_key)
+        es = tuple(sorted(edges, key=_edge_key))
+        at: dict[str, list[Edge]] = {vid: [] for vid in vs}
         for e in es:
             if e.u not in vs or e.v not in vs:
                 raise DomainError(f"edge ({e.u!r},{e.v!r}) references missing vertex")
+            at[e.u].append(e)
+            if not e.is_loop:
+                at[e.v].append(e)
         if kind == "divisor":
             seen = set()
             for e in es:
@@ -115,37 +121,32 @@ class WeightedGraph:
         self.kind = kind
         self.vertices = vs
         self.edges = es
+        self._at = {vid: tuple(x) for vid, x in at.items()}
 
     # -- basic accessors ----------------------------------------------------
 
     def sorted_ids(self) -> list[str]:
         return sorted(self.vertices)
 
-    def edges_at(self, vid: str) -> list[Edge]:
-        return [e for e in self.edges if vid in (e.u, e.v)]
+    def edges_at(self, vid: str) -> tuple:
+        """Edges meeting the vertex in edge order, a loop listed once; read
+        from the incidence index the constructor builds."""
+        return self._at.get(vid, ())
 
     def neighbors(self, vid: str) -> list[str]:
         """Distinct neighbors, loops excluded, sorted."""
-        out = set()
-        for e in self.edges_at(vid):
-            if not e.is_loop:
-                out.add(e.other(vid))
-        return sorted(out)
+        return sorted({e.other(vid) for e in self._at.get(vid, ()) if not e.is_loop})
 
-    def copy(self) -> "WeightedGraph":
-        return WeightedGraph(self.kind, list(self.vertices.values()), list(self.edges))
-
-    def replace_vertex(self, v: Vertex) -> None:
-        if v.id not in self.vertices:
-            raise DomainError(f"no vertex {v.id!r}")
-        self.vertices[v.id] = v
-
-    def add_weight(self, vid: str, delta: int) -> None:
-        v = self.vertices[vid]
-        self.vertices[vid] = Vertex(v.id, v.weight + delta, v.genus, v.boundary, v.label)
-
-    def resort_edges(self) -> None:
-        self.edges.sort(key=_edge_key)
+    def induced(self, ids) -> "WeightedGraph":
+        """The subgraph on the given vertex ids with every edge between them."""
+        keep = set(ids)
+        if not keep <= self.vertices.keys():
+            raise DomainError(f"no vertices {sorted(keep - self.vertices.keys())}")
+        return WeightedGraph(
+            self.kind,
+            [v for v in self.vertices.values() if v.id in keep],
+            [e for e in self.edges if e.u in keep and e.v in keep],
+        )
 
     def __eq__(self, other):
         """Structural equality: ids, weights, decorations, edge multiset.
@@ -194,6 +195,9 @@ class WeightedGraph:
         for k in ("kind", "vertices", "edges"):
             if k not in data:
                 raise DomainError(f"graph JSON missing field {k!r}")
+        for k in ("vertices", "edges"):
+            if not isinstance(data[k], list):
+                raise DomainError(f"graph field {k!r} must be a list")
         vs = []
         for row in data["vertices"]:
             if not isinstance(row, dict):
@@ -203,10 +207,12 @@ class WeightedGraph:
                 raise DomainError(f"unknown vertex fields: {sorted(extra)}")
             if "id" not in row or "weight" not in row:
                 raise DomainError("vertex entries need id and weight")
-            if not isinstance(row["weight"], int) or isinstance(row["weight"], bool):
-                raise DomainError("vertex weight must be an integer")
-            vs.append(Vertex(row["id"], row["weight"], row.get("genus", 0),
-                             row.get("boundary", 0), row.get("label")))
+            label = row.get("label")
+            if label is not None and not isinstance(label, str):
+                raise DomainError("vertex label must be a string or null")
+            vs.append(Vertex(row["id"], _int_field(row, "vertex", "weight"),
+                             _int_field(row, "vertex", "genus", 0),
+                             _int_field(row, "vertex", "boundary", 0), label))
         es = []
         for row in data["edges"]:
             if not isinstance(row, dict):
@@ -216,7 +222,9 @@ class WeightedGraph:
                 raise DomainError(f"unknown edge fields: {sorted(extra)}")
             if "u" not in row or "v" not in row:
                 raise DomainError("edge entries need u and v")
-            es.append(Edge(row["u"], row["v"], row.get("sign", 1)))
+            if not isinstance(row["u"], str) or not isinstance(row["v"], str):
+                raise DomainError("edge endpoints must be strings")
+            es.append(Edge(row["u"], row["v"], _int_field(row, "edge", "sign", 1)))
         return WeightedGraph(data["kind"], vs, es)
 
     @staticmethod
@@ -246,6 +254,13 @@ class WeightedGraph:
         return "\n".join(lines) + "\n"
 
 
+def _int_field(row: dict, owner: str, key: str, default: int | None = None) -> int:
+    x = row.get(key, default)
+    if not isinstance(x, int) or isinstance(x, bool):
+        raise DomainError(f"{owner} {key} must be an integer")
+    return x
+
+
 def canonical_json(obj) -> str:
     return json.dumps(obj, sort_keys=True, indent=2) + "\n"
 
@@ -254,17 +269,23 @@ def canonical_json(obj) -> str:
 # elementary graph quantities
 
 
+def reweighted(vertices, deltas: dict) -> list[Vertex]:
+    """The vertices in order, each weight raised by its entry in deltas.
+
+    Moves use this to build the vertex list of their output graph."""
+    return [
+        Vertex(v.id, v.weight + deltas[v.id], v.genus, v.boundary, v.label)
+        if v.id in deltas else v
+        for v in vertices
+    ]
+
+
 def branching_number(g: WeightedGraph, vid: str) -> int:
     """Number of edge ends at the vertex; a loop contributes 2."""
     if vid not in g.vertices:
         raise DomainError(f"no vertex {vid!r}")
-    n = 0
-    for e in g.edges:
-        if e.u == vid:
-            n += 1
-        if e.v == vid:
-            n += 1
-    return n
+    at = g._at[vid]
+    return len(at) + sum(e.is_loop for e in at)
 
 
 def connected_components(g: WeightedGraph) -> list[set[str]]:

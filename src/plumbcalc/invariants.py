@@ -521,5 +521,6 @@ def alexander_polynomial(d1: int, d2: int) -> LaurentPoly1:
     det = det.shift(-(lo + hi) // 2)
     if det.evaluate(1) < 0:
         det = -det
-    assert det == det.reciprocal(), "normalized polynomial must be symmetric"
+    if det != det.reciprocal():
+        raise AssertionError("normalized polynomial must be symmetric")
     return det

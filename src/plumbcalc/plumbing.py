@@ -38,6 +38,7 @@ from .graphs import (
     connected_components,
     first_betti,
     intersection_matrix,
+    reweighted,
 )
 from .divisor import fresh_id
 
@@ -95,16 +96,12 @@ def move_R1(g: WeightedGraph, vid: str, log: list | None = None) -> WeightedGrap
         raise DomainError(f"move_R1: vertex {vid!r} has beta={len(at)} > 2")
     eps = v.weight
 
-    vertices = [w for w in g.vertices.values() if w.id != vid]
     edges = [e for e in g.edges if vid not in (e.u, e.v)]
     adjust: dict[str, int] = {}
     for e in at:
         other = e.other(vid)
         adjust[other] = adjust.get(other, 0) - eps
-    vertices = [
-        Vertex(w.id, w.weight + adjust.get(w.id, 0), w.genus, w.boundary, w.label)
-        for w in vertices
-    ]
+    vertices = reweighted((w for w in g.vertices.values() if w.id != vid), adjust)
     if len(at) == 2:
         s = -eps * at[0].sign * at[1].sign
         u, w = at[0].other(vid), at[1].other(vid)
@@ -196,11 +193,9 @@ def inverse_R1_on_vertex(
         raise DomainError(f"no vertex {vid!r}")
     if eps not in (1, -1):
         raise DomainError("eps must be +-1")
-    nid = new_id if new_id is not None else fresh_id(g)
-    vertices = list(g.vertices.values()) + [Vertex(nid, eps)]
-    out = WeightedGraph("plumbing", vertices, list(g.edges) + [Edge(vid, nid, sign)])
-    out.add_weight(vid, eps)
-    return out
+    nid = new_id if new_id is not None else fresh_id(g.vertices)
+    vertices = reweighted(g.vertices.values(), {vid: eps}) + [Vertex(nid, eps)]
+    return WeightedGraph("plumbing", vertices, [*g.edges, Edge(vid, nid, sign)])
 
 
 def inverse_R1_on_edge(
@@ -212,22 +207,19 @@ def inverse_R1_on_edge(
     new vertex restores the input graph up to gauge.
     """
     _require_plumbing(g, "inverse_R1_on_edge")
-    if edge not in g.edges:
+    if edge not in g.edges_at(edge.u):
         raise DomainError(f"no edge ({edge.u!r},{edge.v!r},{edge.sign:+d})")
     if edge.is_loop:
         raise DomainError("inverse_R1_on_edge does not subdivide loops")
     if eps not in (1, -1):
         raise DomainError("eps must be +-1")
     s2 = -eps * s1 * edge.sign
-    nid = new_id if new_id is not None else fresh_id(g)
+    nid = new_id if new_id is not None else fresh_id(g.vertices)
     edges = list(g.edges)
     edges.remove(edge)
     edges += [Edge(edge.u, nid, s1), Edge(nid, edge.v, s2)]
-    vertices = list(g.vertices.values()) + [Vertex(nid, eps)]
-    out = WeightedGraph("plumbing", vertices, edges)
-    out.add_weight(edge.u, eps)
-    out.add_weight(edge.v, eps)
-    return out
+    vertices = reweighted(g.vertices.values(), {edge.u: eps, edge.v: eps})
+    return WeightedGraph("plumbing", vertices + [Vertex(nid, eps)], edges)
 
 
 # -- gauge -------------------------------------------------------------------
@@ -365,11 +357,7 @@ def is_normal(g: WeightedGraph) -> NormalReport:
             )
 
     for comp in connected_components(g):
-        sub = WeightedGraph(
-            "plumbing",
-            [g.vertices[x] for x in comp],
-            [e for e in g.edges if e.u in comp],
-        )
+        sub = g.induced(comp)
         if _is_minus_two_cycle(sub):
             neg = sum(1 for e in sub.edges if e.sign < 0)
             if neg < 2:
@@ -597,27 +585,19 @@ def _dualize_positive_twigs(g: WeightedGraph, log: list) -> WeightedGraph:
         outward = [int(w) for w in reversed(weights)]
         p, q = continued_fraction_eval(ChainType(tuple(outward)))
         dual = continued_fraction_expand(p, p - q) if p - q > 0 else None
-        vertices = [v for v in cur.vertices.values() if v.id not in seg.vertices]
-        edges = [
-            e
-            for e in cur.edges
-            if e.u not in seg.vertices and e.v not in seg.vertices
-        ]
-        base = WeightedGraph("plumbing", vertices, edges)
+        base = cur.induced(x for x in cur.vertices if x not in seg.vertices)
+        vertices = reweighted(base.vertices.values(), {att: -1})
+        edges = list(base.edges)
         prev = att
         new_ids = []
         if dual is not None:
             for a in dual.entries:
-                nid = fresh_id(base, "Z")
-                base = WeightedGraph(
-                    "plumbing",
-                    list(base.vertices.values()) + [Vertex(nid, -a)],
-                    list(base.edges) + [Edge(prev, nid, 1)],
-                )
+                nid = fresh_id(base.vertices.keys() | new_ids, "Z")
+                vertices.append(Vertex(nid, -a))
+                edges.append(Edge(prev, nid, 1))
                 prev = nid
                 new_ids.append(nid)
-        base.add_weight(att, -1)
-        cur = base
+        cur = WeightedGraph("plumbing", vertices, edges)
         log.append(
             {
                 "move": "chain_dual",
@@ -645,9 +625,10 @@ def reverse_orientation(nf: NormalForm) -> NormalForm:
         out = normalize(flipped)
         if nf.seifert is not None:
             expected = _reverse_seifert(nf.seifert)
-            assert out.seifert == expected, (
-                f"seifert reversal mismatch: {out.seifert} vs {expected}"
-            )
+            if out.seifert != expected:
+                raise AssertionError(
+                    f"seifert reversal mismatch: {out.seifert} vs {expected}"
+                )
         result = NormalForm(
             out.graph,
             out.ordering,
@@ -667,7 +648,8 @@ def reverse_orientation(nf: NormalForm) -> NormalForm:
         )
     before = h1_from_graph(nf.graph)
     after = h1_from_graph(result.graph)
-    assert before == after, f"H1 changed under reversal: {before} vs {after}"
+    if before != after:
+        raise AssertionError(f"H1 changed under reversal: {before} vs {after}")
     return result
 
 
@@ -843,7 +825,8 @@ def jsj_cut(g) -> list:
                 "jsj_cut: cycle is neither a loop nor a clean double edge;"
                 " shape unrecognized"
             )
-        cut_edges = [e for e in graph.edges if (e.u, e.v) == doubles[0]]
+        a, b = doubles[0]
+        cut_edges = [e for e in graph.edges_at(a) if e.other(a) == b]
 
     touched: dict[str, int] = {}
     for e in cut_edges:
@@ -860,14 +843,10 @@ def jsj_cut(g) -> list:
     edges = [e for e in graph.edges if e not in cut_edges]
     cut = WeightedGraph("plumbing", vertices, edges)
 
-    pieces = []
-    for comp in sorted(connected_components(cut), key=sorted):
-        sub = WeightedGraph(
-            "plumbing",
-            [cut.vertices[x] for x in comp],
-            [e for e in cut.edges if e.u in comp],
-        )
-        pieces.append(seifert_from_star(sub))
+    pieces = [
+        seifert_from_star(cut.induced(comp))
+        for comp in sorted(connected_components(cut), key=sorted)
+    ]
     return sorted(pieces, key=lambda sd: (sd.exceptional, sd.central_weight))
 
 

@@ -295,6 +295,18 @@ def test_domain_error_exit_code(capsys):
     assert err.startswith("error:")
 
 
+def test_mistyped_graph_field_is_a_domain_error(capsys, tmp_path):
+    src = tmp_path / "bad_genus.json"
+    src.write_text(json.dumps({
+        "kind": "plumbing",
+        "vertices": [{"id": "x", "weight": -2, "genus": "x"}],
+        "edges": [],
+    }))
+    code, _, err = run(capsys, "normalize", str(src))
+    assert code == 1
+    assert err.startswith("error:")
+
+
 def test_argparse_rejects_unknown_subcommand(capsys):
     code, _, _ = run(capsys, "frobnicate")
     assert code == 2

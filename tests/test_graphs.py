@@ -1,12 +1,16 @@
 """Graph core: containers, exact linear algebra, segment classification,
 isomorphism."""
 
+import ast
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import plumbcalc
+from plumbcalc.divisor import OnEdge, OnVertex, blow_down, blow_up, elementary_flow
 from plumbcalc.graphs import (
     AbelianGroup,
     ChainType,
@@ -27,6 +31,13 @@ from plumbcalc.graphs import (
     intersection_matrix,
     is_negative_definite,
     smith_normal_form,
+)
+from plumbcalc.plumbing import (
+    flip_vertex_signs,
+    inverse_R1_on_edge,
+    inverse_R1_on_vertex,
+    move_R1,
+    move_R3,
 )
 
 
@@ -114,11 +125,49 @@ def test_json_round_trip_preserves_everything():
     assert back.kind == "plumbing"
 
 
-def test_from_json_rejects_unknown_fields():
+A = {"id": "a", "weight": -1}
+B = {"id": "b", "weight": -2}
+
+
+def graph_json(**fields):
+    return {"kind": "plumbing", "vertices": [A, B], "edges": [{"u": "a", "v": "b"}],
+            **fields}
+
+
+@pytest.mark.parametrize("data, message", [
+    pytest.param(graph_json(extra=1), "unknown graph fields", id="unknown-field"),
+    pytest.param(graph_json(vertices={"a": A, "b": B}), "must be a list",
+                 id="vertices-not-list"),
+    pytest.param(graph_json(edges=5), "must be a list", id="edges-not-list"),
+    pytest.param(graph_json(vertices=[{**A, "genus": "x"}, B]), "genus must be an integer",
+                 id="genus-string"),
+    pytest.param(graph_json(vertices=[{**A, "boundary": True}, B]),
+                 "boundary must be an integer", id="boundary-bool"),
+    pytest.param(graph_json(vertices=[{**A, "label": 7}, B]), "label must be a string",
+                 id="label-int"),
+    pytest.param(graph_json(edges=[{"u": "a", "v": 1}]), "endpoints must be strings",
+                 id="endpoint-int"),
+    pytest.param(graph_json(edges=[{"u": "a", "v": "b", "sign": True}]),
+                 "sign must be an integer", id="sign-bool"),
+])
+def test_from_json_rejects_unknown_fields(data, message):
+    WeightedGraph.from_json_dict(graph_json())  # the unchanged fields are valid
+    with pytest.raises(DomainError, match=message):
+        WeightedGraph.from_json_dict(data)
+
+
+def test_induced_keeps_edges_between_kept_vertices():
+    g = WeightedGraph(
+        "plumbing",
+        [Vertex("a", -2), Vertex("b", 0), Vertex("c", 1)],
+        [Edge("a", "b", -1), Edge("a", "a"), Edge("b", "c")],
+    )
+    sub = g.induced(["b", "a"])
+    assert sub.kind == "plumbing"
+    assert list(sub.vertices) == ["a", "b"]
+    assert sub.edges == (Edge("a", "a"), Edge("a", "b", -1))
     with pytest.raises(DomainError):
-        WeightedGraph.from_json_dict(
-            {"kind": "divisor", "vertices": [], "edges": [], "extra": 1}
-        )
+        g.induced(["a", "z"])
 
 
 def test_canonical_json_is_key_sorted_and_stable():
@@ -314,3 +363,82 @@ def test_canonical_encoding_invariant_under_relabeling():
         )
         assert canonical_encoding(g) == canonical_encoding(h)
         assert graphs_isomorphic(g, h)[0]
+
+
+# -- incidence index and immutability ---------------------------------------------
+
+
+@st.composite
+def multigraphs(draw):
+    """Plumbing multigraphs with loops and signed parallel edges."""
+    ids = [f"n{i}" for i in range(draw(st.integers(1, 6)))]
+    vs = [Vertex(x, draw(st.integers(-2, 1))) for x in ids]
+    edge = st.builds(Edge, st.sampled_from(ids), st.sampled_from(ids),
+                     st.sampled_from([1, -1]))
+    return WeightedGraph("plumbing", vs, draw(st.lists(edge, max_size=10)))
+
+
+def assert_index_matches_scan(g):
+    for vid in g.vertices:
+        scan = [e for e in g.edges if e.u == vid or e.v == vid]
+        assert list(g.edges_at(vid)) == scan
+        assert g.neighbors(vid) == sorted({e.other(vid) for e in scan if not e.is_loop})
+        assert branching_number(g, vid) == sum((e.u == vid) + (e.v == vid) for e in g.edges)
+
+
+def assert_moves_keep_input(g, moves):
+    before = g.to_json()
+    for move in moves:
+        try:
+            out = move()
+        except DomainError:
+            continue
+        assert_index_matches_scan(out)
+    assert g.to_json() == before
+
+
+@settings(max_examples=100, deadline=None)
+@given(multigraphs(), st.data())
+def test_incidence_index_matches_edge_scan_and_moves_copy(g, data):
+    assert_index_matches_scan(g)
+    moves = []
+    for vid in g.vertices:
+        moves += [
+            lambda vid=vid: move_R1(g, vid),
+            lambda vid=vid: move_R3(g, vid),
+            lambda vid=vid: flip_vertex_signs(g, vid),
+            lambda vid=vid: inverse_R1_on_vertex(g, vid, -1, sign=-1),
+        ]
+    if g.edges:
+        edge = data.draw(st.sampled_from(g.edges))
+        moves.append(lambda: inverse_R1_on_edge(g, edge, 1, s1=-1))
+    assert_moves_keep_input(g, moves)
+
+    # the divisor moves run on the simple graph underneath
+    d = WeightedGraph("divisor", list(g.vertices.values()),
+                      {Edge(e.u, e.v) for e in g.edges if not e.is_loop})
+    assert_index_matches_scan(d)
+    moves = []
+    for vid in d.vertices:
+        moves += [lambda vid=vid: blow_up(d, OnVertex(vid)),
+                  lambda vid=vid: blow_down(d, vid)]
+        moves += [lambda vid=vid, n=n: elementary_flow(d, vid, n)
+                  for n in d.neighbors(vid)]
+    if d.edges:
+        edge = data.draw(st.sampled_from(d.edges))
+        moves.append(lambda: blow_up(d, OnEdge(edge.v, edge.u)))
+    assert_moves_keep_input(d, moves)
+
+
+# -- library-wide self-checks ----------------------------------------------------
+
+
+def test_library_has_no_bare_asserts():
+    """python -O strips assert statements, so self-checks must raise."""
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(Path(plumbcalc.__file__).parent.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Assert)
+    ]
+    assert found == []
