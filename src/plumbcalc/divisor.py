@@ -22,6 +22,7 @@ from .graphs import (
     Segment,
     Vertex,
     WeightedGraph,
+    bareiss,
     branching_number,
     branching_set,
     canonical_encoding,
@@ -435,13 +436,12 @@ def bark(g: WeightedGraph, twig: list) -> dict:
         raise DomainError("bark: twig must be listed tip first")
 
     n = len(twig)
-    m = [[Fraction(0)] * n for _ in range(n)]
+    m = [[0] * n for _ in range(n)]
     for i, vid in enumerate(twig):
-        m[i][i] = Fraction(g.vertices[vid].weight)
+        m[i][i] = g.vertices[vid].weight
         if i + 1 < n:
-            m[i][i + 1] = Fraction(1)
-            m[i + 1][i] = Fraction(1)
-    rhs = [Fraction(-1)] + [Fraction(0)] * (n - 1)
+            m[i][i + 1] = m[i + 1][i] = 1
+    rhs = [-1] + [0] * (n - 1)
     sol = _solve_exact(m, rhs)
     if sol is None:
         raise AssertionError("bark: singular system on an admissible twig")
@@ -456,20 +456,24 @@ def bark(g: WeightedGraph, twig: list) -> dict:
 
 
 def _solve_exact(m, rhs):
+    """Solve m . x = rhs over Q for an integer matrix and right-hand side;
+    None when m is singular.
+
+    Bareiss elimination of the augmented rows, then fraction-free back
+    substitution on y = d * x, where d is the last pivot (the determinant
+    up to sign).  y is integral by Cramer's rule, so each step divides
+    exactly by its pivot, and Fractions appear only in the final x = y / d.
+    """
     n = len(m)
-    a = [row[:] + [rhs[i]] for i, row in enumerate(m)]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if a[r][col] != 0), None)
-        if pivot is None:
-            return None
-        a[col], a[pivot] = a[pivot], a[col]
-        inv = 1 / a[col][col]
-        a[col] = [x * inv for x in a[col]]
-        for r in range(n):
-            if r != col and a[r][col]:
-                f = a[r][col]
-                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-    return [a[i][n] for i in range(n)]
+    a = [list(row) + [b] for row, b in zip(m, rhs)]
+    if not bareiss(a, n):
+        return None
+    d = a[n - 1][n - 1]
+    y = [0] * n
+    for i in range(n - 1, -1, -1):
+        s = d * a[i][n] - sum(a[i][j] * y[j] for j in range(i + 1, n))
+        y[i] = s // a[i][i]
+    return [Fraction(v, d) for v in y]
 
 
 def d_sharp_coefficients(g: WeightedGraph) -> dict:

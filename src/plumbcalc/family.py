@@ -228,7 +228,7 @@ def picard_check(d1: int, d2: int) -> dict:
 
     return {
         "unimodular": unimodular,
-        "det": int(d_det),
+        "det": d_det,
         "relations_verified": relations_ok,
     }
 

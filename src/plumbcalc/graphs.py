@@ -17,7 +17,6 @@ from __future__ import annotations
 import json
 from collections import Counter
 from dataclasses import dataclass
-from fractions import Fraction
 
 
 class DomainError(ValueError):
@@ -338,40 +337,76 @@ def intersection_matrix(g: WeightedGraph, subset=None) -> list[list[int]]:
 # exact linear algebra
 
 
-def det_exact(matrix) -> Fraction:
-    """Determinant by fraction-free elimination over Q."""
-    n = len(matrix)
-    if n == 0:
-        return Fraction(1)
-    a = [[Fraction(x) for x in row] for row in matrix]
-    det = Fraction(1)
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if a[r][col] != 0), None)
-        if pivot is None:
-            return Fraction(0)
-        if pivot != col:
-            a[col], a[pivot] = a[pivot], a[col]
-            det = -det
-        det *= a[col][col]
-        inv = 1 / a[col][col]
-        for r in range(col + 1, n):
-            f = a[r][col] * inv
-            if f:
-                for c in range(col, n):
-                    a[r][c] -= f * a[col][c]
-    return det
+def _bareiss_step(a, k, prev) -> None:
+    """Clear column k below row k of the integer rows `a` by one Bareiss
+    step, in place: every later entry becomes (p*x - f*y) / prev for the
+    pivot p = a[k][k], and the division is exact (Sylvester's identity).
+
+    Column k itself is left as it was below the pivot; nothing reads it.
+    """
+    p = a[k][k]
+    tail = a[k][k + 1:]
+    for i in range(k + 1, len(a)):
+        row = a[i]
+        f = row[k]
+        if f:
+            row[k + 1:] = [(p * x - f * y) // prev for x, y in zip(row[k + 1:], tail)]
+        elif p != prev:
+            row[k + 1:] = [p * x // prev for x in row[k + 1:]]
+
+
+def bareiss(a, n: int) -> int:
+    """Integer Bareiss elimination of the first n columns of the rows `a`,
+    in place (Bareiss 1968); returns the determinant of the leading n x n
+    block.
+
+    Every intermediate value is an integer minor and each step divides
+    exactly by the previous pivot.  Rows are swapped only when a pivot is
+    zero, and each swap flips the sign.  A nonsingular block ends upper
+    triangular (entries below the diagonal are stale) with a[n-1][n-1]
+    the determinant up to that sign; a singular block returns 0 early.
+    """
+    sign, prev = 1, 1
+    for k in range(n):
+        if not a[k][k]:
+            r = next((r for r in range(k + 1, n) if a[r][k]), None)
+            if r is None:
+                return 0
+            a[k], a[r] = a[r], a[k]
+            sign = -sign
+        _bareiss_step(a, k, prev)
+        prev = a[k][k]
+    return sign * prev
+
+
+def det_exact(matrix) -> int:
+    """Determinant of a square integer matrix by integer Bareiss elimination.
+
+    Raises DomainError on a non-square or ragged matrix.  The empty
+    matrix has determinant 1.
+    """
+    a = [list(row) for row in matrix]
+    n = len(a)
+    if any(len(row) != n for row in a):
+        raise DomainError("det_exact needs a square matrix")
+    return bareiss(a, n)
 
 
 def is_negative_definite(g: WeightedGraph, subset=None) -> bool:
     """Sylvester criterion on the intersection matrix, exact arithmetic.
 
-    The empty matrix counts as negative definite.
+    One Bareiss pass without row swaps: the pivot at step k is the leading
+    (k+1)-minor, so a zero or wrong-sign pivot ends the pass before it is
+    ever divided by.  The empty matrix counts as negative definite.
     """
-    m = intersection_matrix(g, subset)
-    for k in range(1, len(m) + 1):
-        minor = det_exact([row[:k] for row in m[:k]])
-        if minor * (-1) ** k <= 0:
+    a = intersection_matrix(g, subset)
+    prev = 1
+    for k in range(len(a)):
+        minor = a[k][k]
+        if minor * (-1) ** (k + 1) <= 0:
             return False
+        _bareiss_step(a, k, prev)
+        prev = minor
     return True
 
 

@@ -155,16 +155,27 @@ class FiniteGroupTable:
 
     @staticmethod
     def from_json_dict(data: dict) -> "FiniteGroupTable":
+        if not isinstance(data, dict):
+            raise DomainError("group table must be a JSON object")
         extra = set(data) - {"order", "table", "name"}
         if extra:
             raise DomainError(f"unknown group-table fields {sorted(extra)}")
         if "order" not in data or "table" not in data:
             raise DomainError("group table needs 'order' and 'table'")
-        return FiniteGroupTable(
-            data["order"],
-            tuple(tuple(row) for row in data["table"]),
-            data.get("name", ""),
-        )
+        order, table, name = data["order"], data["table"], data.get("name", "")
+
+        def is_int(x):
+            return isinstance(x, int) and not isinstance(x, bool)
+
+        if not is_int(order):
+            raise DomainError("group order must be an integer")
+        if not isinstance(table, list) or not all(
+            isinstance(row, list) and all(is_int(x) for x in row) for row in table
+        ):
+            raise DomainError("group table must be a list of lists of integers")
+        if not isinstance(name, str):
+            raise DomainError("group name must be a string")
+        return FiniteGroupTable(order, tuple(tuple(row) for row in table), name)
 
     def to_json_dict(self) -> dict:
         out = {"order": self.order, "table": [list(r) for r in self.table]}

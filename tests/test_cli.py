@@ -307,6 +307,22 @@ def test_mistyped_graph_field_is_a_domain_error(capsys, tmp_path):
     assert err.startswith("error:")
 
 
+@pytest.mark.parametrize("table", [
+    {"order": "2", "table": [[0, 1], [1, 0]]},
+    {"order": 2, "table": [[0, 1], 5]},
+    {"order": 2, "table": [[0, True], [1, 0]]},
+    {"order": True, "table": [[0]]},
+    {"order": 1, "table": [[0]], "name": 7},
+    [1, "a"],
+])
+def test_mistyped_group_table_is_a_domain_error(capsys, tmp_path, table):
+    src = tmp_path / "group.json"
+    src.write_text(json.dumps(table))
+    code, _, err = run(capsys, "pi1", "--d1", "1", "--d2", "2", "--group", str(src))
+    assert code == 1
+    assert err.startswith("error:")
+
+
 def test_argparse_rejects_unknown_subcommand(capsys):
     code, _, _ = run(capsys, "frobnicate")
     assert code == 2

@@ -9,6 +9,7 @@ import pytest
 from plumbcalc.divisor import (
     OnEdge,
     OnVertex,
+    _solve_exact,
     bark,
     blow_down,
     blow_up,
@@ -242,6 +243,49 @@ def test_bark_all_two_chain_formula():
             expect = Fraction(k - i, k + 1)
             assert coeffs[f"v{i}"] == expect
             assert 0 < expect < 1
+
+
+def fraction_solve(m, rhs):
+    """Gauss-Jordan over Fraction: the reference for the integer solver."""
+    n = len(m)
+    a = [[Fraction(x) for x in row] + [Fraction(b)] for row, b in zip(m, rhs)]
+    for col in range(n):
+        pivot = next((r for r in range(col, n) if a[r][col]), None)
+        if pivot is None:
+            return None
+        a[col], a[pivot] = a[pivot], a[col]
+        a[col] = [x / a[col][col] for x in a[col]]
+        for r in range(n):
+            if r != col and a[r][col]:
+                f = a[r][col]
+                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
+    return [row[n] for row in a]
+
+
+def test_bark_matches_fraction_solve_on_random_twigs():
+    rng = random.Random(5113)
+    for _ in range(200):
+        weights = [-rng.randint(2, 7) for _ in range(rng.randint(1, 12))]
+        n = len(weights)
+        m = [[weights[i] if i == j else int(abs(i - j) == 1) for j in range(n)]
+             for i in range(n)]
+        expect = fraction_solve(m, [-1] + [0] * (n - 1))
+        twig = [f"v{i}" for i in range(n)]
+        assert bark(chain(*weights), twig) == dict(zip(twig, expect))
+
+
+def test_solve_exact_matches_fraction_solve_with_swaps_and_singular_systems():
+    rng = random.Random(5114)
+    singular = 0
+    for _ in range(400):
+        n = rng.randint(1, 6)
+        m = [[rng.choice([0, 0, rng.randint(-5, 5)]) for _ in range(n)]
+             for _ in range(n)]
+        rhs = [rng.randint(-5, 5) for _ in range(n)]
+        expect = fraction_solve(m, rhs)
+        singular += expect is None
+        assert _solve_exact(m, rhs) == expect
+    assert singular > 0
 
 
 def test_bark_rejects_inadmissible_twig():

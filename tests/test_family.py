@@ -118,6 +118,7 @@ def test_picard_unimodular_with_sign():
         assert report["unimodular"] is True
         assert report["relations_verified"] is True
         assert report["det"] == (-1) ** (d1 + d2 + 1)
+        assert type(report["det"]) is int
 
 
 def test_surface_homology_is_plane_like():

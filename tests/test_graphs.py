@@ -2,7 +2,11 @@
 isomorphism."""
 
 import ast
+import itertools
+import os
 import random
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -17,8 +21,10 @@ from plumbcalc.graphs import (
     DomainError,
     Edge,
     OutOfScopeError,
+    SNFResult,
     Vertex,
     WeightedGraph,
+    _check_snf,
     branching_number,
     canonical_encoding,
     canonical_json,
@@ -213,9 +219,100 @@ def test_det_exact_known_values():
     assert det_exact([]) == 1
 
 
+def leibniz_det(m):
+    """Permutation expansion, the textbook definition."""
+    n = len(m)
+    total = 0
+    for perm in itertools.permutations(range(n)):
+        inversions = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
+        term = (-1) ** inversions
+        for i, j in enumerate(perm):
+            term *= m[i][j]
+        total += term
+    return total
+
+
+# mostly zeros, so zero pivots force row swaps and singular matrices appear
+sparse_entries = st.one_of(st.just(0), st.just(0), st.integers(-5, 5))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 6).flatmap(
+    lambda n: st.lists(st.lists(sparse_entries, min_size=n, max_size=n),
+                       min_size=n, max_size=n)))
+def test_det_exact_matches_leibniz_expansion(m):
+    det = det_exact(m)
+    assert type(det) is int
+    assert det == leibniz_det(m)
+
+
+def test_det_exact_matches_sympy_up_to_25():
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(3301)
+    for n in range(1, 26):
+        m = [[rng.choice([0, 0, 0, rng.randint(-9, 9)]) for _ in range(n)]
+             for _ in range(n)]
+        det = det_exact(m)
+        assert type(det) is int
+        assert det == sympy.Matrix(m).det()
+        if n > 1:  # a repeated row makes it singular
+            assert det_exact(m[:-1] + [m[0]]) == 0
+
+
+@pytest.mark.parametrize("m", [
+    [[1, 2, 3], [4, 5, 6]],
+    [[1, 2], [3, 4], [5, 6]],
+    [[1, 2], [3]],
+    [[1], [2, 3]],
+])
+def test_det_exact_rejects_non_square_or_ragged(m):
+    with pytest.raises(DomainError, match="square"):
+        det_exact(m)
+
+
 def test_negative_definite_chain_but_not_zero_vertex():
     assert is_negative_definite(chain(-2, -2, -2))
     assert not is_negative_definite(chain(0, -2))
+    # leading minors -1, 0: a zero pivot ends the pass, it is never divided by
+    assert not is_negative_definite(chain(-1, -1, -5))
+
+
+def leading_minors_negative_definite(m):
+    return all((-1) ** k * leibniz_det([row[:k] for row in m[:k]]) > 0
+               for k in range(1, len(m) + 1))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_negative_definite_matches_leading_minors(data):
+    g = data.draw(multigraphs(low=-6))
+    subset = data.draw(st.sets(st.sampled_from(sorted(g.vertices))) | st.none())
+    expected = leading_minors_negative_definite(intersection_matrix(g, subset))
+    assert is_negative_definite(g, subset) is expected
+
+
+def test_check_snf_rejects_non_unimodular_transforms():
+    # each recomposes (U A V == D), but U or V has determinant 2
+    for u, v in (2, 1), (1, 2):
+        res = SNFResult(((1,),), ((u,),), ((2,),), ((v,),))
+        with pytest.raises(AssertionError, match="SNF transform not unimodular"):
+            _check_snf(res)
+
+
+def test_check_snf_rejects_non_unimodular_transforms_under_python_O():
+    code = (
+        "from plumbcalc.graphs import SNFResult, _check_snf\n"
+        "for u, v in (2, 1), (1, 2):\n"
+        "    try:\n"
+        "        _check_snf(SNFResult(((1,),), ((u,),), ((2,),), ((v,),)))\n"
+        "    except AssertionError as e:\n"
+        "        print(e)\n"
+    )
+    src = str(Path(plumbcalc.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                         capture_output=True, text=True, timeout=60, check=True)
+    assert out.stdout == "SNF transform not unimodular\n" * 2
 
 
 def test_smith_normal_form_factors_and_divisibility():
@@ -369,10 +466,10 @@ def test_canonical_encoding_invariant_under_relabeling():
 
 
 @st.composite
-def multigraphs(draw):
+def multigraphs(draw, low=-2):
     """Plumbing multigraphs with loops and signed parallel edges."""
     ids = [f"n{i}" for i in range(draw(st.integers(1, 6)))]
-    vs = [Vertex(x, draw(st.integers(-2, 1))) for x in ids]
+    vs = [Vertex(x, draw(st.integers(low, 1))) for x in ids]
     edge = st.builds(Edge, st.sampled_from(ids), st.sampled_from(ids),
                      st.sampled_from([1, -1]))
     return WeightedGraph("plumbing", vs, draw(st.lists(edge, max_size=10)))
