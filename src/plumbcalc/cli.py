@@ -67,6 +67,8 @@ def _load_graph(path: str) -> WeightedGraph:
             text = fh.read()
     except OSError as e:
         raise UsageError(f"cannot read {path}: {e.strerror or e}") from e
+    except UnicodeDecodeError as e:
+        raise DomainError(f"{path} is not UTF-8 text: {e}") from e
     return WeightedGraph.from_json(text)
 
 
@@ -78,6 +80,8 @@ def _load_json(path: str):
         raise UsageError(f"cannot read {path}: {e.strerror or e}") from e
     except json.JSONDecodeError as e:
         raise DomainError(f"{path} is not valid JSON: {e}") from e
+    except UnicodeDecodeError as e:
+        raise DomainError(f"{path} is not UTF-8 text: {e}") from e
 
 
 def _parse_coeffs(text: str, flag: str) -> tuple:

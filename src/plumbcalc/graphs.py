@@ -821,7 +821,7 @@ def _edge_multiset(g: WeightedGraph, mapping):
 
 
 def graphs_isomorphic(g: WeightedGraph, h: WeightedGraph):
-    """Decorated-isomorphism test.
+    """Decorated-isomorphism test by comparing canonical encodings.
 
     Returns (True, mapping) with mapping a dict g-id -> h-id, or
     (False, None).  Weights, genus, boundary, edge multiplicities and
@@ -831,78 +831,21 @@ def graphs_isomorphic(g: WeightedGraph, h: WeightedGraph):
         return False, None
     if len(g.vertices) != len(h.vertices) or len(g.edges) != len(h.edges):
         return False, None
-
-    # comparable cross-graph signatures: two rounds of neighborhood
-    # aggregation starting from the raw decorations (refinement compresses
-    # per-graph, so its colors cannot be compared across graphs)
-    def signature_map(graph, depth=3):
-        layer = _initial_colors(graph)
-        for _ in range(depth):
-            nxt = {}
-            for x in graph.vertices:
-                around = sorted(
-                    (layer[e.other(x)], e.sign)
-                    for e in graph.edges_at(x)
-                    if not e.is_loop
-                )
-                nxt[x] = (layer[x], tuple(around))
-            layer = nxt
-        return layer
-
-    gsig = signature_map(g)
-    hsig = signature_map(h)
-    if sorted(gsig.values()) != sorted(hsig.values()):
+    order_g, order_h = canonical_ordering(g), canonical_ordering(h)
+    if encode_with_order(g, order_g) != encode_with_order(h, order_h):
         return False, None
-
-    g_ids = sorted(g.vertices, key=lambda x: (gsig[x], x))
-    mapping: dict[str, str] = {}
-    used: set[str] = set()
-
-    def compatible(a, b, partial):
-        if gsig[a] != hsig[b]:
-            return False
-        # check edges to already-mapped vertices, with multiplicity and sign
-        for other_a, img in partial.items():
-            ga = sorted(
-                e.sign for e in g.edges_at(a) if not e.is_loop and e.other(a) == other_a
-            )
-            hb = sorted(
-                e.sign for e in h.edges_at(b) if not e.is_loop and e.other(b) == img
-            )
-            if ga != hb:
-                return False
-        return True
-
-    def extend(i):
-        if i == len(g_ids):
-            return True
-        a = g_ids[i]
-        for b in sorted(h.vertices):
-            if b in used:
-                continue
-            if not compatible(a, b, mapping):
-                continue
-            mapping[a] = b
-            used.add(b)
-            if extend(i + 1):
-                return True
-            del mapping[a]
-            used.discard(b)
-        return False
-
-    if extend(0):
-        # final sanity: full edge multisets agree under the mapping
-        idx_g = {vid: i for i, vid in enumerate(sorted(h.vertices))}
-        lhs = _edge_multiset(g, {a: idx_g[mapping[a]] for a in mapping})
-        rhs = _edge_multiset(h, {b: idx_g[b] for b in h.vertices})
-        if lhs != rhs:
-            raise AssertionError("isomorphism witness failed edge check")
-        for a, b in mapping.items():
-            va, vb = g.vertices[a], h.vertices[b]
-            if (va.weight, va.genus, va.boundary) != (vb.weight, vb.genus, vb.boundary):
-                raise AssertionError("isomorphism witness failed vertex check")
-        return True, dict(mapping)
-    return False, None
+    mapping = dict(zip(order_g, order_h))
+    # final sanity: full edge multisets agree under the mapping
+    idx_h = {vid: i for i, vid in enumerate(sorted(h.vertices))}
+    lhs = _edge_multiset(g, {a: idx_h[mapping[a]] for a in mapping})
+    rhs = _edge_multiset(h, idx_h)
+    if lhs != rhs:
+        raise AssertionError("isomorphism witness failed edge check")
+    for a, b in mapping.items():
+        va, vb = g.vertices[a], h.vertices[b]
+        if (va.weight, va.genus, va.boundary) != (vb.weight, vb.genus, vb.boundary):
+            raise AssertionError("isomorphism witness failed vertex check")
+    return True, mapping
 
 
 def encode_with_order(g: WeightedGraph, order) -> tuple:
@@ -914,57 +857,70 @@ def encode_with_order(g: WeightedGraph, order) -> tuple:
     return (g.kind, verts, tuple(_edge_multiset(g, idx)))
 
 
-def canonical_ordering(g: WeightedGraph) -> tuple:
-    """Vertex order giving a deterministic minimal encoding.
+def _orbit(x, autos) -> set:
+    """The orbit of x under the group the automorphisms generate."""
+    orbit, stack = {x}, [x]
+    while stack:
+        y = stack.pop()
+        for a in autos:
+            if a[y] not in orbit:
+                orbit.add(a[y])
+                stack.append(a[y])
+    return orbit
 
-    When the refinement classes are small the order is the true
-    lexicographic minimum over all class-respecting orders (so isomorphic
-    graphs get identical encodings).  On highly symmetric graphs whose
-    class-factorial product exceeds a fixed budget, a greedy
-    individualize-and-refine order is used instead: still deterministic
-    and still a sound de-duplication key (equal encodings imply
-    isomorphic graphs), just not guaranteed minimal.
+
+def canonical_ordering(g: WeightedGraph) -> tuple:
+    """A vertex order under which isomorphic graphs, whatever their vertex
+    names, get the same `encode_with_order`, and non-isomorphic graphs
+    different ones.
+
+    Individualization-refinement with automorphism pruning (McKay 1981,
+    "Practical graph isomorphism"; McKay & Piperno 2014).  A node of the
+    search is a stable colouring.  Its children individualize each vertex
+    of its first non-singleton cell in turn, in id order, and refine
+    again; refinement keeps the cell order, so the individualized vertex
+    comes first in its cell.  A discrete colouring is a leaf, and its
+    order is the vertices sorted by colour.  The first leaf to reach the
+    least encoding wins.
+
+    Two leaves with equal encodings differ by an automorphism, which maps
+    the subtree where their paths part onto one already searched, so the
+    search goes back to that node.  A child in the orbit of a sibling
+    already tried, under the automorphisms found so far that fix the
+    individualized prefix, is skipped for the same reason.
     """
     if not g.vertices:
         return ()
-    cols = _refine(g, _initial_colors(g))
-    ids = sorted(g.vertices, key=lambda x: (cols[x], x))
+    best: dict = {"enc": None, "order": None, "path": None}
+    autos: list[dict] = []
 
-    work = 1
-    for size in Counter(cols[x] for x in ids).values():
-        for k in range(2, size + 1):
-            work *= k
-        if work > 20000:
-            break
-
-    if work > 20000:
-        order: list[str] = []
-        local = dict(cols)
-        remaining = set(ids)
-        while remaining:
-            x = min(remaining, key=lambda v: (local[v], v))
-            order.append(x)
-            remaining.discard(x)
-            pos = {v: i for i, v in enumerate(order)}
-            local = _refine(g, {v: (local[v], pos.get(v, -1)) for v in g.vertices})
-        return tuple(order)
-
-    best: dict = {"enc": None, "order": None}
-
-    def search(order, remaining):
-        if not remaining:
+    def search(cols, path) -> int:
+        """Search below the node that individualized `path`; return the
+        depth of the node to go on from."""
+        sizes = Counter(cols.values())
+        cell = min((c for c, k in sizes.items() if k > 1), default=None)
+        if cell is None:
+            order = tuple(sorted(cols, key=cols.__getitem__))
             enc = encode_with_order(g, order)
             if best["enc"] is None or enc < best["enc"]:
-                best["enc"] = enc
-                best["order"] = tuple(order)
-            return
-        key = min(cols[x] for x in remaining)
-        for x in sorted(r for r in remaining if cols[r] == key):
-            order.append(x)
-            search(order, [r for r in remaining if r != x])
-            order.pop()
+                best.update(enc=enc, order=order, path=path)
+            elif enc == best["enc"]:
+                autos.append(dict(zip(order, best["order"])))
+                return next(i for i, (a, b) in enumerate(zip(path, best["path"]))
+                            if a != b)
+            return len(path)
+        tried: list[str] = []
+        for x in sorted(v for v in cols if cols[v] == cell):
+            fixing = [a for a in autos if all(a[p] == p for p in path)]
+            if _orbit(x, fixing).isdisjoint(tried):
+                tried.append(x)
+                child = _refine(g, {v: (cols[v], v != x) for v in cols})
+                back = search(child, path + [x])
+                if back < len(path):
+                    return back
+        return len(path)
 
-    search([], ids)
+    search(_refine(g, _initial_colors(g)), [])
     return best["order"]
 
 

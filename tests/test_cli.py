@@ -323,6 +323,18 @@ def test_mistyped_group_table_is_a_domain_error(capsys, tmp_path, table):
     assert err.startswith("error:")
 
 
+@pytest.mark.parametrize("argv", [
+    ["compare", "{bad}", "{bad}"],
+    ["pi1", "--d1", "1", "--d2", "2", "--group", "{bad}"],
+])
+def test_non_utf8_input_is_a_domain_error(capsys, tmp_path, argv):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(b"\xff\xfe{}")
+    code, _, err = run(capsys, *(a.format(bad=bad) for a in argv))
+    assert code == 1
+    assert err.startswith("error:") and "UTF-8" in err
+
+
 def test_argparse_rejects_unknown_subcommand(capsys):
     code, _, _ = run(capsys, "frobnicate")
     assert code == 2

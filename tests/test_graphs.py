@@ -10,7 +10,7 @@ import sys
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import plumbcalc
@@ -36,14 +36,18 @@ from plumbcalc.graphs import (
     graphs_isomorphic,
     intersection_matrix,
     is_negative_definite,
+    reweighted,
     smith_normal_form,
 )
+from plumbcalc.family import build_boundary_graph
 from plumbcalc.plumbing import (
     flip_vertex_signs,
+    from_divisor_graph,
     inverse_R1_on_edge,
     inverse_R1_on_vertex,
     move_R1,
     move_R3,
+    normalize,
 )
 
 
@@ -58,6 +62,18 @@ def cycle(*weights, kind="divisor"):
     n = len(weights)
     es = [Edge(f"v{i}", f"v{(i+1) % n}") for i in range(n)]
     return WeightedGraph(kind, vs, es)
+
+
+@st.composite
+def multigraphs(draw, low=-2, decorated=False):
+    """Plumbing multigraphs with loops and signed parallel edges; with
+    `decorated`, each vertex also has genus and boundary 0 or 1."""
+    ids = [f"n{i}" for i in range(draw(st.integers(1, 6)))]
+    deco = st.integers(0, 1) if decorated else st.just(0)
+    vs = [Vertex(x, draw(st.integers(low, 1)), draw(deco), draw(deco)) for x in ids]
+    edge = st.builds(Edge, st.sampled_from(ids), st.sampled_from(ids),
+                     st.sampled_from([1, -1]))
+    return WeightedGraph("plumbing", vs, draw(st.lists(edge, max_size=10)))
 
 
 # -- containers ----------------------------------------------------------------
@@ -431,48 +447,89 @@ def test_isomorphism_sees_edge_signs():
     assert not graphs_isomorphic(a, b)[0]
 
 
-RNG = random.Random(20210)
+def relabeled(g, rng):
+    """A copy of g under fresh vertex names handed out in a random order."""
+    ids = list(g.vertices)
+    rng.shuffle(ids)
+    relabel = {old: f"m{k}" for k, old in enumerate(ids)}
+    return WeightedGraph(
+        g.kind,
+        [Vertex(relabel[v.id], v.weight, v.genus, v.boundary) for v in g.vertices.values()],
+        [Edge(relabel[e.u], relabel[e.v], e.sign) for e in g.edges],
+    )
 
 
-def random_plumbing(n):
-    vs = [Vertex(f"n{i}", RNG.randint(-3, 1), boundary=RNG.choice([0, 0, 0, 1]))
-          for i in range(n)]
-    es = []
-    for i in range(1, n):
-        j = RNG.randrange(i)
-        es.append(Edge(f"n{i}", f"n{j}", RNG.choice([1, -1])))
-    if n > 2 and RNG.random() < 0.5:
-        es.append(Edge("n0", f"n{n-1}", RNG.choice([1, -1])))
-    return WeightedGraph("plumbing", vs, es)
+def frucht_graph():
+    """3-regular on 12 vertices with no automorphism but the identity."""
+    lcf = [-5, -2, -4, 2, 5, -2, 2, 5, -2, -5, 4, 2]
+    pairs = {frozenset((i, (i + 1) % 12)) for i in range(12)}
+    pairs |= {frozenset((i, (i + s) % 12)) for i, s in enumerate(lcf)}
+    return WeightedGraph(
+        "plumbing",
+        [Vertex(f"f{i}", -2) for i in range(12)],
+        [Edge(*(f"f{i}" for i in p)) for p in pairs],
+    )
 
 
-def test_canonical_encoding_invariant_under_relabeling():
-    for _ in range(40):
-        g = random_plumbing(RNG.randint(1, 8))
-        ids = list(g.vertices)
-        shuffled = ids[:]
-        RNG.shuffle(shuffled)
-        relabel = {old: f"m{k}" for k, old in zip(range(len(ids)), shuffled)}
-        h = WeightedGraph(
-            g.kind,
-            [Vertex(relabel[v.id], v.weight, v.genus, v.boundary) for v in g.vertices.values()],
-            [Edge(relabel[e.u], relabel[e.v], e.sign) for e in g.edges],
+def latin_square_graph(n):
+    """Cells of the addition table of Z/n, adjacent when they share a row,
+    a column or an entry: strongly regular, so refinement alone splits
+    nothing."""
+    cells = [(r, c) for r in range(n) for c in range(n)]
+    return WeightedGraph(
+        "plumbing",
+        [Vertex(f"c{r}{c}", -2) for r, c in cells],
+        [Edge(f"c{r}{c}", f"c{s}{d}")
+         for (r, c), (s, d) in itertools.combinations(cells, 2)
+         if r == s or c == d or (r + c - s - d) % n == 0],
+    )
+
+
+@settings(max_examples=50, deadline=None)
+@given(multigraphs(decorated=True), st.randoms(use_true_random=False))
+@example(frucht_graph(), random.Random(1))
+@example(latin_square_graph(4), random.Random(1))
+@example(normalize(from_divisor_graph(build_boundary_graph(16, 16).d_part())).graph,
+         random.Random(1))
+def test_canonical_encoding_invariant_under_relabeling(g, rng):
+    encodings = {canonical_encoding(relabeled(g, rng)) for _ in range(40)}
+    assert encodings == {canonical_encoding(g)}
+    assert graphs_isomorphic(g, relabeled(g, rng))[0]
+
+
+@settings(max_examples=100, deadline=None)
+@given(multigraphs(decorated=True), multigraphs(decorated=True),
+       st.randoms(use_true_random=False), st.data())
+def test_graphs_isomorphic_matches_networkx_vf2(g, other, rng, data):
+    nx = pytest.importorskip("networkx")
+
+    def multigraph(graph):
+        m = nx.MultiGraph()
+        for v in graph.vertices.values():
+            m.add_node(v.id, deco=(v.weight, v.genus, v.boundary))
+        for e in graph.edges:
+            m.add_edge(e.u, e.v, sign=e.sign)
+        return m
+
+    def vf2(a, b):
+        return nx.is_isomorphic(
+            multigraph(a), multigraph(b),
+            node_match=lambda x, y: x["deco"] == y["deco"],
+            edge_match=lambda x, y: (sorted(e["sign"] for e in x.values())
+                                     == sorted(e["sign"] for e in y.values())),
         )
-        assert canonical_encoding(g) == canonical_encoding(h)
-        assert graphs_isomorphic(g, h)[0]
+
+    h = relabeled(g, rng)
+    vid = data.draw(st.sampled_from(sorted(h.vertices)))
+    bumped = WeightedGraph(
+        h.kind, reweighted(h.vertices.values(), {vid: data.draw(st.sampled_from([-1, 1]))}),
+        h.edges,
+    )
+    for b in (h, bumped, other):
+        assert graphs_isomorphic(g, b)[0] == vf2(g, b)
 
 
 # -- incidence index and immutability ---------------------------------------------
-
-
-@st.composite
-def multigraphs(draw, low=-2):
-    """Plumbing multigraphs with loops and signed parallel edges."""
-    ids = [f"n{i}" for i in range(draw(st.integers(1, 6)))]
-    vs = [Vertex(x, draw(st.integers(low, 1))) for x in ids]
-    edge = st.builds(Edge, st.sampled_from(ids), st.sampled_from(ids),
-                     st.sampled_from([1, -1]))
-    return WeightedGraph("plumbing", vs, draw(st.lists(edge, max_size=10)))
 
 
 def assert_index_matches_scan(g):

@@ -317,6 +317,9 @@ def test_normalize_square_case_single_absorption():
     }
     doubles = [e for e in g.edges if {e.u, e.v} == {"L1_0", "L2_0"}]
     assert sorted(e.sign for e in doubles) == [-1, 1]
+    # the arm swap is an automorphism; of the two least orders, the one
+    # reached first (ids in sorted order) is kept
+    assert nf.ordering == ("T1_01", "T2_01", "L1_0", "L2_0")
 
 
 def test_normalize_mixed_case_three_blowdowns():
