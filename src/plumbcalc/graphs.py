@@ -412,12 +412,16 @@ def is_negative_definite(g: WeightedGraph, subset=None) -> bool:
 
 @dataclass(frozen=True)
 class SNFResult:
-    """U @ A @ V == D with U, V unimodular and D in Smith normal form."""
+    """U @ A @ V == D with D in Smith normal form.  U_inv and V_inv are
+    integer matrices with U @ U_inv == I and V_inv @ V == I: they certify
+    that U and V are unimodular."""
 
     matrix: tuple
     U: tuple
     D: tuple
     V: tuple
+    U_inv: tuple
+    V_inv: tuple
 
     @property
     def diagonal(self) -> tuple:
@@ -426,135 +430,181 @@ class SNFResult:
         return tuple(self.D[i][i] for i in range(min(len(self.D), len(self.D[0]))))
 
 
-def _mat_mul(a, b):
-    rows, inner, cols = len(a), len(b), len(b[0]) if b else 0
-    out = [[0] * cols for _ in range(rows)]
-    for i in range(rows):
-        for k in range(inner):
-            aik = a[i][k]
-            if aik:
-                rowb = b[k]
-                rowo = out[i]
-                for j in range(cols):
-                    rowo[j] += aik * rowb[j]
+def _sparse(matrix) -> list:
+    """Rows of an integer matrix as dicts {column: nonzero entry}."""
+    return [{j: x for j, x in enumerate(row) if x} for row in matrix]
+
+
+def _dense(rows, n: int) -> tuple:
+    """Sparse rows back to a tuple of n-wide rows."""
+    out = []
+    for r in rows:
+        row = [0] * n
+        for j, x in r.items():
+            row[j] = x
+        out.append(tuple(row))
+    return tuple(out)
+
+
+def _axpy(dst: dict, src: dict, f: int) -> None:
+    """dst -= f * src, in place, on sparse rows."""
+    for k, x in src.items():
+        y = dst.get(k, 0) - f * x
+        if y:
+            dst[k] = y
+        else:
+            del dst[k]
+
+
+def _sparse_mul(a: list, b: list) -> list:
+    """Product of two integer matrices given as sparse rows."""
+    out = []
+    for row in a:
+        acc: dict = {}
+        for k, x in row.items():
+            for j, y in b[k].items():
+                acc[j] = acc.get(j, 0) + x * y
+        out.append({j: z for j, z in acc.items() if z})
     return out
 
 
-def _identity(n):
-    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-
-
 def smith_normal_form(matrix) -> SNFResult:
-    """Smith normal form over Z with recorded unimodular transforms.
+    """Smith normal form over Z with recorded unimodular transforms and
+    their inverses.
 
-    Diagonal entries are non-negative and each divides the next.
+    Diagonal entries are non-negative and each divides the next.  The
+    elimination keeps only nonzero entries: each row is a dict and `cols`
+    holds the rows that are nonzero in each column.  Every pivot is an
+    entry of least absolute value, ties going to the least product of its
+    row's and its column's nonzero counts (the Markowitz rule, which
+    limits fill-in).  Nothing is swapped during elimination: the pivot
+    positions are recorded and the transforms permuted once at the end.
     """
-    a = [list(map(int, row)) for row in matrix]
-    m = len(a)
-    n = len(a[0]) if m else 0
-    for row in a:
-        if len(row) != n:
-            raise DomainError("ragged matrix")
-    u = _identity(m)
-    v = _identity(n)
+    m = len(matrix)
+    n = len(matrix[0]) if m else 0
+    if any(len(row) != n for row in matrix):
+        raise DomainError("ragged matrix")
+    rows = _sparse([map(int, row) for row in matrix])
+    cols: list[set] = [set() for _ in range(n)]
+    for i, row in enumerate(rows):
+        for j in row:
+            cols[j].add(i)
+    u = [{i: 1} for i in range(m)]  # rows of U
+    u_inv = [{i: 1} for i in range(m)]  # columns of U^-1
+    v = [{j: 1} for j in range(n)]  # columns of V
+    v_inv = [{j: 1} for j in range(n)]  # rows of V^-1
 
-    def row_op(i, j, f):  # row i -= f * row j
-        for c in range(n):
-            a[i][c] -= f * a[j][c]
-        for c in range(m):
-            u[i][c] -= f * u[j][c]
+    def row_op(i, p, f):  # row i -= f * row p, so column p of U^-1 += f * column i
+        ri = rows[i]
+        for c, x in rows[p].items():
+            y = ri.get(c, 0) - f * x
+            if y:
+                if c not in ri:
+                    cols[c].add(i)
+                ri[c] = y
+            else:
+                del ri[c]
+                cols[c].discard(i)
+        _axpy(u[i], u[p], f)
+        _axpy(u_inv[p], u_inv[i], -f)
 
-    def col_op(i, j, f):  # col i -= f * col j
-        for r in range(m):
-            a[r][i] -= f * a[r][j]
-        for r in range(n):
-            v[r][i] -= f * v[r][j]
+    def col_op(j, q, f):  # col j -= f * col q, so row q of V^-1 += f * row j
+        for r in cols[q]:
+            rr = rows[r]
+            y = rr.get(j, 0) - f * rr[q]
+            if y:
+                if j not in rr:
+                    cols[j].add(r)
+                rr[j] = y
+            else:
+                del rr[j]
+                cols[j].discard(r)
+        _axpy(v[j], v[q], f)
+        _axpy(v_inv[q], v_inv[j], -f)
 
-    def row_swap(i, j):
-        a[i], a[j] = a[j], a[i]
-        u[i], u[j] = u[j], u[i]
-
-    def col_swap(i, j):
-        for r in range(m):
-            a[r][i], a[r][j] = a[r][j], a[r][i]
-        for r in range(n):
-            v[r][i], v[r][j] = v[r][j], v[r][i]
-
-    def row_negate(i):
-        a[i] = [-x for x in a[i]]
-        u[i] = [-x for x in u[i]]
-
-    t = 0
-    while t < min(m, n):
-        # find a nonzero pivot in the remaining block
-        pr = pc = None
+    live = dict.fromkeys(range(m))  # rows without a pivot yet
+    pivots = []
+    while True:
         best = None
-        for i in range(t, m):
-            for j in range(t, n):
-                if a[i][j] and (best is None or abs(a[i][j]) < best):
-                    best = abs(a[i][j])
-                    pr, pc = i, j
-        if pr is None:
+        for i in live:
+            ri = rows[i]
+            size = len(ri)
+            for j, x in ri.items():
+                key = (abs(x), size * len(cols[j]))
+                if best is None or key < best:
+                    best, p, q = key, i, j
+        if best is None:
             break
-        row_swap(t, pr)
-        col_swap(t, pc)
         while True:
-            # clear column t
-            dirty = False
-            for i in range(t + 1, m):
-                if a[i][t]:
-                    q = a[i][t] // a[t][t]
-                    row_op(i, t, q)
-                    if a[i][t]:
-                        row_swap(t, i)
-                        dirty = True
-            for j in range(t + 1, n):
-                if a[t][j]:
-                    q = a[t][j] // a[t][t]
-                    col_op(j, t, q)
-                    if a[t][j]:
-                        col_swap(t, j)
-                        dirty = True
-            if not dirty and all(a[i][t] == 0 for i in range(t + 1, m)) and all(
-                a[t][j] == 0 for j in range(t + 1, n)
-            ):
-                break
-        # divisibility: pivot must divide everything below-right
-        fixed = False
-        for i in range(t + 1, m):
-            for j in range(t + 1, n):
-                if a[i][j] % a[t][t]:
-                    row_op(t, i, -1)  # add row i to row t
-                    fixed = True
-                    break
-            if fixed:
-                break
-        if fixed:
-            continue
-        if a[t][t] < 0:
-            row_negate(t)
-        t += 1
+            piv = rows[p][q]
+            for r in [r for r in cols[q] if r != p]:
+                f = rows[r][q] // piv
+                if f:
+                    row_op(r, p, f)
+            rest = [r for r in cols[q] if r != p]
+            if rest:  # remainders, each smaller than the pivot
+                p = min(rest, key=lambda r: abs(rows[r][q]))
+                continue
+            for j in [j for j in rows[p] if j != q]:
+                f = rows[p][j] // piv
+                if f:
+                    col_op(j, q, f)
+            rest = [j for j in rows[p] if j != q]
+            if rest:
+                q = min(rest, key=lambda j: abs(rows[p][j]))
+                continue
+            # the pivot is alone in its row and column; it must divide
+            # every entry left, or a row holding one is added to its row
+            if piv not in (1, -1):
+                r = next((r for r in live
+                          if r != p and any(x % piv for x in rows[r].values())), None)
+                if r is not None:
+                    row_op(p, r, -1)
+                    continue
+            break
+        if piv < 0:
+            rows[p][q] = -piv
+            u[p] = {c: -x for c, x in u[p].items()}
+            u_inv[p] = {c: -x for c, x in u_inv[p].items()}
+        del live[p]
+        pivots.append((p, q))
 
+    row_order = [p for p, _ in pivots] + list(live)
+    done = {q for _, q in pivots}
+    col_order = [q for _, q in pivots] + [j for j in range(n) if j not in done]
+    d = [{} for _ in range(m)]
+    for t, (p, q) in enumerate(pivots):
+        d[t][t] = rows[p][q]
     result = SNFResult(
         tuple(tuple(row) for row in matrix),
-        tuple(tuple(row) for row in u),
-        tuple(tuple(row) for row in a),
-        tuple(tuple(row) for row in v),
+        _dense([u[i] for i in row_order], m),
+        _dense(d, n),
+        tuple(zip(*_dense([v[j] for j in col_order], n))),
+        tuple(zip(*_dense([u_inv[i] for i in row_order], m))),
+        _dense([v_inv[j] for j in col_order], n),
     )
     _check_snf(result)
     return result
 
 
 def _check_snf(res: SNFResult) -> None:
-    a = [list(r) for r in res.matrix]
-    u = [list(r) for r in res.U]
-    v = [list(r) for r in res.V]
-    d = [list(r) for r in res.D]
-    if _mat_mul(_mat_mul(u, a), v) != d:
+    """Prove the result exactly: U A V == D, U U_inv == I and V_inv V == I
+    (integer inverses make det U and det V units, so both are +-1), and D
+    is diagonal in Smith order."""
+    m, n = len(res.matrix), len(res.V)
+    for mat, r, c in ((res.matrix, m, n), (res.D, m, n), (res.U, m, m),
+                      (res.U_inv, m, m), (res.V, n, n), (res.V_inv, n, n)):
+        if len(mat) != r or any(len(row) != c for row in mat):
+            raise AssertionError("SNF shapes disagree")
+    a, u, d, v, u_inv, v_inv = map(
+        _sparse, (res.matrix, res.U, res.D, res.V, res.U_inv, res.V_inv))
+    if _sparse_mul(_sparse_mul(u, a), v) != d:
         raise AssertionError("SNF recomposition failed")
-    for mat in (u, v):
-        if abs(det_exact(mat)) != 1:
+    for left, right, size in ((u, u_inv, m), (v_inv, v, n)):
+        if _sparse_mul(left, right) != [{i: 1} for i in range(size)]:
             raise AssertionError("SNF transform not unimodular")
+    if any(j != i for i, row in enumerate(d) for j in row):
+        raise AssertionError("SNF matrix not diagonal")
     diag = res.diagonal
     for i, x in enumerate(diag):
         if x < 0:
@@ -831,6 +881,9 @@ def graphs_isomorphic(g: WeightedGraph, h: WeightedGraph):
         return False, None
     if len(g.vertices) != len(h.vertices) or len(g.edges) != len(h.edges):
         return False, None
+    if (sorted(_initial_colors(g).values()) != sorted(_initial_colors(h).values())
+            or sorted(e.sign for e in g.edges) != sorted(e.sign for e in h.edges)):
+        return False, None
     order_g, order_h = canonical_ordering(g), canonical_ordering(h)
     if encode_with_order(g, order_g) != encode_with_order(h, order_h):
         return False, None
@@ -872,7 +925,17 @@ def _orbit(x, autos) -> set:
 def canonical_ordering(g: WeightedGraph) -> tuple:
     """A vertex order under which isomorphic graphs, whatever their vertex
     names, get the same `encode_with_order`, and non-isomorphic graphs
-    different ones.
+    different ones."""
+    return _canonical_search(g)[0]
+
+
+def canonical_encoding(g: WeightedGraph) -> tuple:
+    """`encode_with_order` under `canonical_ordering`."""
+    return _canonical_search(g)[1]
+
+
+def _canonical_search(g: WeightedGraph) -> tuple:
+    """The canonical order and its encoding, as (order, encoding).
 
     Individualization-refinement with automorphism pruning (McKay 1981,
     "Practical graph isomorphism"; McKay & Piperno 2014).  A node of the
@@ -890,7 +953,7 @@ def canonical_ordering(g: WeightedGraph) -> tuple:
     individualized prefix, is skipped for the same reason.
     """
     if not g.vertices:
-        return ()
+        return (), encode_with_order(g, ())
     best: dict = {"enc": None, "order": None, "path": None}
     autos: list[dict] = []
 
@@ -921,8 +984,4 @@ def canonical_ordering(g: WeightedGraph) -> tuple:
         return len(path)
 
     search(_refine(g, _initial_colors(g)), [])
-    return best["order"]
-
-
-def canonical_encoding(g: WeightedGraph) -> tuple:
-    return encode_with_order(g, canonical_ordering(g))
+    return best["order"], best["enc"]

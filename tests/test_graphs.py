@@ -3,10 +3,12 @@ isomorphism."""
 
 import ast
 import itertools
+import math
 import os
 import random
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -14,6 +16,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import plumbcalc
+import plumbcalc.graphs as graphs
 from plumbcalc.divisor import OnEdge, OnVertex, blow_down, blow_up, elementary_flow
 from plumbcalc.graphs import (
     AbelianGroup,
@@ -308,9 +311,10 @@ def test_negative_definite_matches_leading_minors(data):
 
 
 def test_check_snf_rejects_non_unimodular_transforms():
-    # each recomposes (U A V == D), but U or V has determinant 2
+    # each recomposes (U A V == D), but U or V has determinant 2, so no
+    # integer U_inv or V_inv can pass
     for u, v in (2, 1), (1, 2):
-        res = SNFResult(((1,),), ((u,),), ((2,),), ((v,),))
+        res = SNFResult(((1,),), ((u,),), ((2,),), ((v,),), ((1,),), ((1,),))
         with pytest.raises(AssertionError, match="SNF transform not unimodular"):
             _check_snf(res)
 
@@ -320,7 +324,7 @@ def test_check_snf_rejects_non_unimodular_transforms_under_python_O():
         "from plumbcalc.graphs import SNFResult, _check_snf\n"
         "for u, v in (2, 1), (1, 2):\n"
         "    try:\n"
-        "        _check_snf(SNFResult(((1,),), ((u,),), ((2,),), ((v,),)))\n"
+        "        _check_snf(SNFResult(((1,),), ((u,),), ((2,),), ((v,),), ((1,),), ((1,),)))\n"
         "    except AssertionError as e:\n"
         "        print(e)\n"
     )
@@ -329,6 +333,66 @@ def test_check_snf_rejects_non_unimodular_transforms_under_python_O():
     out = subprocess.run([sys.executable, "-O", "-c", code], env=env,
                          capture_output=True, text=True, timeout=60, check=True)
     assert out.stdout == "SNF transform not unimodular\n" * 2
+
+
+def bumped(mat, i, j):
+    rows = [list(r) for r in mat]
+    rows[i][j] += 1
+    return tuple(map(tuple, rows))
+
+
+def test_check_snf_rejects_tampered_results():
+    res = smith_normal_form([[2, 4, 4], [-6, 6, 12], [10, 4, 16]])
+    _check_snf(res)
+    eye = ((1, 0), (0, 1))
+    swap = ((0, 1), (1, 0))
+    for bad, message in [
+        (replace(res, D=bumped(res.D, 2, 2)), "SNF recomposition failed"),
+        (replace(res, D=bumped(res.D, 0, 1)), "SNF recomposition failed"),
+        (replace(res, U_inv=bumped(res.U_inv, 1, 0)), "SNF transform not unimodular"),
+        (replace(res, V_inv=bumped(res.V_inv, 2, 1)), "SNF transform not unimodular"),
+        (replace(res, U_inv=res.U_inv[:2]), "SNF shapes disagree"),
+        # recomposes with identity transforms, but D is not diagonal
+        (SNFResult(swap, eye, swap, eye, eye, eye), "SNF matrix not diagonal"),
+    ]:
+        with pytest.raises(AssertionError, match=message):
+            _check_snf(bad)
+
+
+@st.composite
+def sparse_matrices(draw, max_rows, max_cols):
+    """Integer matrices, mostly zeros, some rows and columns all zero."""
+    m, n = draw(st.integers(1, max_rows)), draw(st.integers(1, max_cols))
+    zero_rows = draw(st.sets(st.integers(0, m - 1), max_size=m - 1))
+    zero_cols = draw(st.sets(st.integers(0, n - 1), max_size=n - 1))
+    entry = st.sampled_from([0, 0, 0]) | st.integers(-9, 9)
+    return [[0 if i in zero_rows or j in zero_cols else draw(entry)
+             for j in range(n)] for i in range(m)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(sparse_matrices(4, 5))
+def test_snf_diagonal_products_are_gcds_of_minors(a):
+    """d_1 * ... * d_k is the gcd of all k x k minors."""
+    diag = smith_normal_form(a).diagonal
+    rows, cols = range(len(a)), range(len(a[0]))
+    product = 1
+    for k in range(1, len(diag) + 1):
+        product *= diag[k - 1]
+        minors = [det_exact([[a[i][j] for j in cs] for i in rs])
+                  for rs in itertools.combinations(rows, k)
+                  for cs in itertools.combinations(cols, k)]
+        assert product == math.gcd(*minors)
+
+
+@settings(max_examples=100, deadline=None)
+@given(sparse_matrices(8, 10) | multigraphs(low=-6).map(intersection_matrix))
+def test_smith_normal_form_matches_sympy(a):
+    sympy = pytest.importorskip("sympy")
+    from sympy.matrices.normalforms import smith_normal_form as sympy_snf
+
+    s = sympy_snf(sympy.Matrix(a), domain=sympy.ZZ)
+    assert smith_normal_form(a).diagonal == tuple(abs(int(s[i, i])) for i in range(min(s.shape)))
 
 
 def test_smith_normal_form_factors_and_divisibility():
@@ -445,6 +509,21 @@ def test_isomorphism_sees_edge_signs():
         "plumbing", [Vertex("x", 0), Vertex("y", 0)], [Edge("x", "y", -1)]
     )
     assert not graphs_isomorphic(a, b)[0]
+
+
+def test_graphs_isomorphic_exits_early_on_different_branching(monkeypatch):
+    calls = []
+    real = graphs.canonical_ordering
+    monkeypatch.setattr(graphs, "canonical_ordering",
+                        lambda g: calls.append(g) or real(g))
+    path = chain(-2, -2, -2, -2)
+    star = WeightedGraph("divisor", [Vertex(f"v{i}", -2) for i in range(4)],
+                         [Edge("v0", f"v{i}") for i in (1, 2, 3)])
+    # same weights, four vertices and three edges each; branching 1,2,2,1 vs 3,1,1,1
+    assert graphs_isomorphic(path, star) == (False, None)
+    assert calls == []
+    assert graphs_isomorphic(star, star)[0]
+    assert len(calls) == 2
 
 
 def relabeled(g, rng):
