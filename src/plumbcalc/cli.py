@@ -277,6 +277,8 @@ def cmd_pi1(args) -> int:
     lines.append(f"abelianization: {ab}")
     groups = {}
     if args.quotients is not None:
+        if args.quotients < 1:
+            raise UsageError(f"--quotients must be at least 1, got {args.quotients}")
         for name, G in group_catalog().items():
             if G.order <= args.quotients:
                 groups[name] = G

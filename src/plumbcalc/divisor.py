@@ -22,7 +22,8 @@ from .graphs import (
     Segment,
     Vertex,
     WeightedGraph,
-    bareiss,
+    _bareiss,
+    _sparse,
     branching_number,
     branching_set,
     canonical_encoding,
@@ -459,19 +460,22 @@ def _solve_exact(m, rhs):
     """Solve m . x = rhs over Q for an integer matrix and right-hand side;
     None when m is singular.
 
-    Bareiss elimination of the augmented rows, then fraction-free back
-    substitution on y = d * x, where d is the last pivot (the determinant
-    up to sign).  y is integral by Cramer's rule, so each step divides
-    exactly by its pivot, and Fractions appear only in the final x = y / d.
+    Sparse Bareiss elimination of the augmented rows, then fraction-free
+    back substitution on y = d * x, where d is the last pivot (the
+    determinant up to sign).  y is integral by Cramer's rule, so each step
+    divides exactly by its pivot, and Fractions appear only in the final
+    x = y / d.
     """
     n = len(m)
-    a = [list(row) + [b] for row, b in zip(m, rhs)]
-    if not bareiss(a, n):
+    a = _sparse([list(row) + [b] for row, b in zip(m, rhs)])
+    d = 1
+    for _, d in _bareiss(a, n):
+        pass
+    if not d:
         return None
-    d = a[n - 1][n - 1]
     y = [0] * n
     for i in range(n - 1, -1, -1):
-        s = d * a[i][n] - sum(a[i][j] * y[j] for j in range(i + 1, n))
+        s = d * a[i].get(n, 0) - sum(x * y[j] for j, x in a[i].items() if i < j < n)
         y[i] = s // a[i][i]
     return [Fraction(v, d) for v in y]
 

@@ -194,37 +194,27 @@ def picard_check(d1: int, d2: int) -> dict:
     """
     fam = build_boundary_graph(d1, d2)
     g = fam.graph
-    ids = g.sorted_ids()
-    index = {vid: i for i, vid in enumerate(ids)}
-    m = intersection_matrix(g)
-
-    d_ids = fam.d_part_ids()
-    d_det = det_exact(intersection_matrix(g, d_ids))
+    d_det = det_exact(intersection_matrix(g, fam.d_part_ids()))
     unimodular = abs(d_det) == 1
 
-    def mul(vec):
-        return [sum(m[r][c] * vec[c] for c in range(len(ids))) for r in range(len(ids))]
+    def pairing(vec: dict) -> dict:
+        """The intersection form applied to {vertex: coefficient}, through
+        the incidence index; only nonzero pairings are kept."""
+        out: dict = {}
+        for u, x in vec.items():
+            out[u] = out.get(u, 0) + g.vertices[u].weight * x
+            for e in g.edges_at(u):
+                w = e.other(u)
+                out[w] = out.get(w, 0) + (2 if e.is_loop else 1) * e.sign * x
+        return {vid: y for vid, y in out.items() if y}
 
     relations_ok = True
     for j, d in ((1, d1), (2, d2)):
-        r = [0] * len(ids)
-        r[index[f"A{j}"]] = 1
-        for i in range(1, d):
-            r[index[_tid(j, i)]] = 1
-        r[index[f"L{j}_0"]] = 1
-        r[index[f"L{j}_inf"]] = -1
-        if any(x != 0 for x in mul(r)):
-            relations_ok = False
-        c = list(r)
-        c[index[f"L{j}_inf"]] = 0
-        pairing = mul(c)
-        expect_one = {f"L{3-j}_0", f"L{3-j}_inf"}
-        for vid in ids:
-            want = 1 if vid in expect_one else 0
-            if pairing[index[vid]] != want:
-                relations_ok = False
-        if sum(pairing[index[vid]] * c[index[vid]] for vid in ids) != 0:
-            relations_ok = False
+        c = dict.fromkeys([f"A{j}", *(_tid(j, i) for i in range(1, d)), f"L{j}_0"], 1)
+        pc = pairing(c)
+        relations_ok &= (not pairing({**c, f"L{j}_inf": -1})
+                         and pc == {f"L{3-j}_0": 1, f"L{3-j}_inf": 1}
+                         and sum(pc.get(vid, 0) * x for vid, x in c.items()) == 0)
 
     return {
         "unimodular": unimodular,

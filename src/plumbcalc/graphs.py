@@ -15,8 +15,9 @@ NEGATED vertex weights, so the chain [3,2] has weights (-3,-2) and a
 from __future__ import annotations
 
 import json
-from collections import Counter
+from collections import Counter, defaultdict
 from dataclasses import dataclass
+from itertools import compress
 
 
 class DomainError(ValueError):
@@ -337,89 +338,126 @@ def intersection_matrix(g: WeightedGraph, subset=None) -> list[list[int]]:
 # exact linear algebra
 
 
-def _bareiss_step(a, k, prev) -> None:
-    """Clear column k below row k of the integer rows `a` by one Bareiss
-    step, in place: every later entry becomes (p*x - f*y) / prev for the
-    pivot p = a[k][k], and the division is exact (Sylvester's identity).
+def _sparse(matrix) -> list:
+    """Rows of an integer matrix as dicts {column: nonzero entry}."""
+    return [{j: row[j] for j in compress(range(len(row)), row)} for row in matrix]
 
-    Column k itself is left as it was below the pivot; nothing reads it.
+
+def _bareiss(rows: list, n: int):
+    """Sparse integer Bareiss elimination (Bareiss 1968) of the first n
+    columns of `rows`, dicts {column: nonzero entry}, in place.
+
+    A generator: step k yields (sign, pivot) before the pivot is ever
+    divided by, then clears column k below it.  Every value is an integer
+    minor and each step divides exactly by the previous pivot.  A column
+    index holds the rows below the pivot that are nonzero in each column,
+    so a step touches only those rows.  Every other row is left alone and
+    records the step at which it is current; when next used it is brought
+    current by one exact multiply-and-divide by the ratio of the two
+    steps' divisors (both integer minors, by Sylvester's identity).
+
+    Rows swap only on a zero pivot, and each swap flips the sign, so
+    until the sign first turns negative every pivot is a leading minor.
+    A zero pivot that no swap mends yields (sign, 0) and ends the pass.
+    After a full pass row k is current at step k, so the first n rows
+    are upper triangular and the last pivot is sign * det.
     """
-    p = a[k][k]
-    tail = a[k][k + 1:]
-    for i in range(k + 1, len(a)):
-        row = a[i]
-        f = row[k]
-        if f:
-            row[k + 1:] = [(p * x - f * y) // prev for x, y in zip(row[k + 1:], tail)]
-        elif p != prev:
-            row[k + 1:] = [p * x // prev for x in row[k + 1:]]
+    cols = defaultdict(set)  # column -> rows nonzero there, pivots excluded
+    for i, row in enumerate(rows):
+        for j in row:
+            cols[j].add(i)
+    step = [0] * len(rows)  # rows[i] is current at step step[i]
+    div = [1]  # div[s] is the divisor of step s, the pivot of step s - 1
 
+    def current(i, k):  # rows[i], brought current at step k
+        s = step[i]
+        if div[s] != div[k]:
+            rows[i] = {j: x * div[k] // div[s] for j, x in rows[i].items()}
+        return rows[i]
 
-def bareiss(a, n: int) -> int:
-    """Integer Bareiss elimination of the first n columns of the rows `a`,
-    in place (Bareiss 1968); returns the determinant of the leading n x n
-    block.
-
-    Every intermediate value is an integer minor and each step divides
-    exactly by the previous pivot.  Rows are swapped only when a pivot is
-    zero, and each swap flips the sign.  A nonsingular block ends upper
-    triangular (entries below the diagonal are stale) with a[n-1][n-1]
-    the determinant up to that sign; a singular block returns 0 early.
-    """
-    sign, prev = 1, 1
+    sign = 1
     for k in range(n):
-        if not a[k][k]:
-            r = next((r for r in range(k + 1, n) if a[r][k]), None)
+        if k not in rows[k]:
+            r = min(cols[k], default=None)
             if r is None:
-                return 0
-            a[k], a[r] = a[r], a[k]
+                yield sign, 0
+                return
+            # the columns nonzero in just one of the two rows change hands
+            for j in rows[k].keys() ^ rows[r].keys():
+                cols[j] ^= {k, r}
+            rows[k], rows[r] = rows[r], rows[k]
+            step[k], step[r] = step[r], step[k]
             sign = -sign
-        _bareiss_step(a, k, prev)
-        prev = a[k][k]
-    return sign * prev
+        top = current(k, k)
+        p, prev = top[k], div[k]
+        yield sign, p
+        for j in top:
+            cols[j].discard(k)
+        tail = [(j, y) for j, y in top.items() if j != k]
+        for i in cols.pop(k, ()):
+            row = current(i, k)
+            f = row.pop(k)
+            new = {j: p * x for j, x in row.items()}
+            for j, y in tail:
+                x = new.get(j, 0) - f * y
+                if x:
+                    if j not in row:
+                        cols[j].add(i)
+                    new[j] = x
+                else:
+                    del new[j]
+                    cols[j].discard(i)
+            rows[i] = {j: x // prev for j, x in new.items()}
+            step[i] = k + 1
+        div.append(p)
+
+
+def _det(rows: list) -> int:
+    """Determinant of a square matrix given as sparse rows, which
+    `_bareiss` consumes."""
+    sign, p = 1, 1
+    for sign, p in _bareiss(rows, len(rows)):
+        pass
+    return sign * p
 
 
 def det_exact(matrix) -> int:
-    """Determinant of a square integer matrix by integer Bareiss elimination.
+    """Determinant of a square integer matrix by sparse integer Bareiss
+    elimination.
 
     Raises DomainError on a non-square or ragged matrix.  The empty
     matrix has determinant 1.
     """
     a = [list(row) for row in matrix]
-    n = len(a)
-    if any(len(row) != n for row in a):
+    if any(len(row) != len(a) for row in a):
         raise DomainError("det_exact needs a square matrix")
-    return bareiss(a, n)
+    return _det(_sparse(a))
 
 
 def is_negative_definite(g: WeightedGraph, subset=None) -> bool:
     """Sylvester criterion on the intersection matrix, exact arithmetic.
 
-    One Bareiss pass without row swaps: the pivot at step k is the leading
-    (k+1)-minor, so a zero or wrong-sign pivot ends the pass before it is
-    ever divided by.  The empty matrix counts as negative definite.
+    One Bareiss pass: until a row swap the pivot at step k is the leading
+    (k+1)-minor, and a swap, which flips the sign, means that minor is
+    zero.  So a swap or a zero or wrong-sign pivot ends the pass before
+    the pivot is ever divided by.  The empty matrix counts as negative
+    definite.
     """
     a = intersection_matrix(g, subset)
-    prev = 1
-    for k in range(len(a)):
-        minor = a[k][k]
-        if minor * (-1) ** (k + 1) <= 0:
+    for k, (sign, minor) in enumerate(_bareiss(_sparse(a), len(a))):
+        if sign < 0 or minor * (-1) ** (k + 1) <= 0:
             return False
-        _bareiss_step(a, k, prev)
-        prev = minor
     return True
 
 
 @dataclass(frozen=True)
 class SNFResult:
-    """U @ A @ V == D with D in Smith normal form.  U_inv and V_inv are
-    integer matrices with U @ U_inv == I and V_inv @ V == I: they certify
-    that U and V are unimodular."""
+    """U_inv @ D @ V_inv == A with D in Smith normal form.  U_inv and V_inv
+    are integer matrices of determinant +-1, so U = U_inv^-1 and
+    V = V_inv^-1 are integer unimodular matrices with U @ A @ V == D."""
 
     matrix: tuple
-    U: tuple
     D: tuple
-    V: tuple
     U_inv: tuple
     V_inv: tuple
 
@@ -428,11 +466,6 @@ class SNFResult:
         if not self.D or not self.D[0]:
             return ()
         return tuple(self.D[i][i] for i in range(min(len(self.D), len(self.D[0]))))
-
-
-def _sparse(matrix) -> list:
-    """Rows of an integer matrix as dicts {column: nonzero entry}."""
-    return [{j: x for j, x in enumerate(row) if x} for row in matrix]
 
 
 def _dense(rows, n: int) -> tuple:
@@ -469,8 +502,8 @@ def _sparse_mul(a: list, b: list) -> list:
 
 
 def smith_normal_form(matrix) -> SNFResult:
-    """Smith normal form over Z with recorded unimodular transforms and
-    their inverses.
+    """Smith normal form over Z with the inverses of its unimodular
+    transforms.
 
     Diagonal entries are non-negative and each divides the next.  The
     elimination keeps only nonzero entries: each row is a dict and `cols`
@@ -484,14 +517,12 @@ def smith_normal_form(matrix) -> SNFResult:
     n = len(matrix[0]) if m else 0
     if any(len(row) != n for row in matrix):
         raise DomainError("ragged matrix")
-    rows = _sparse([map(int, row) for row in matrix])
+    rows = [{j: y for j, x in r.items() if (y := int(x))} for r in _sparse(matrix)]
     cols: list[set] = [set() for _ in range(n)]
     for i, row in enumerate(rows):
         for j in row:
             cols[j].add(i)
-    u = [{i: 1} for i in range(m)]  # rows of U
     u_inv = [{i: 1} for i in range(m)]  # columns of U^-1
-    v = [{j: 1} for j in range(n)]  # columns of V
     v_inv = [{j: 1} for j in range(n)]  # rows of V^-1
 
     def row_op(i, p, f):  # row i -= f * row p, so column p of U^-1 += f * column i
@@ -505,7 +536,6 @@ def smith_normal_form(matrix) -> SNFResult:
             else:
                 del ri[c]
                 cols[c].discard(i)
-        _axpy(u[i], u[p], f)
         _axpy(u_inv[p], u_inv[i], -f)
 
     def col_op(j, q, f):  # col j -= f * col q, so row q of V^-1 += f * row j
@@ -519,7 +549,6 @@ def smith_normal_form(matrix) -> SNFResult:
             else:
                 del rr[j]
                 cols[j].discard(r)
-        _axpy(v[j], v[q], f)
         _axpy(v_inv[q], v_inv[j], -f)
 
     live = dict.fromkeys(range(m))  # rows without a pivot yet
@@ -564,7 +593,6 @@ def smith_normal_form(matrix) -> SNFResult:
             break
         if piv < 0:
             rows[p][q] = -piv
-            u[p] = {c: -x for c, x in u[p].items()}
             u_inv[p] = {c: -x for c, x in u_inv[p].items()}
         del live[p]
         pivots.append((p, q))
@@ -577,9 +605,7 @@ def smith_normal_form(matrix) -> SNFResult:
         d[t][t] = rows[p][q]
     result = SNFResult(
         tuple(tuple(row) for row in matrix),
-        _dense([u[i] for i in row_order], m),
         _dense(d, n),
-        tuple(zip(*_dense([v[j] for j in col_order], n))),
         tuple(zip(*_dense([u_inv[i] for i in row_order], m))),
         _dense([v_inv[j] for j in col_order], n),
     )
@@ -588,21 +614,19 @@ def smith_normal_form(matrix) -> SNFResult:
 
 
 def _check_snf(res: SNFResult) -> None:
-    """Prove the result exactly: U A V == D, U U_inv == I and V_inv V == I
-    (integer inverses make det U and det V units, so both are +-1), and D
-    is diagonal in Smith order."""
-    m, n = len(res.matrix), len(res.V)
-    for mat, r, c in ((res.matrix, m, n), (res.D, m, n), (res.U, m, m),
-                      (res.U_inv, m, m), (res.V, n, n), (res.V_inv, n, n)):
+    """Prove the result exactly: U_inv D V_inv == A, and det U_inv and
+    det V_inv are +-1, so their inverses U and V are integer unimodular
+    matrices with U A V == D; and D is diagonal in Smith order."""
+    m, n = len(res.matrix), len(res.V_inv)
+    for mat, r, c in ((res.matrix, m, n), (res.D, m, n), (res.U_inv, m, m),
+                      (res.V_inv, n, n)):
         if len(mat) != r or any(len(row) != c for row in mat):
             raise AssertionError("SNF shapes disagree")
-    a, u, d, v, u_inv, v_inv = map(
-        _sparse, (res.matrix, res.U, res.D, res.V, res.U_inv, res.V_inv))
-    if _sparse_mul(_sparse_mul(u, a), v) != d:
+    a, d, u_inv, v_inv = map(_sparse, (res.matrix, res.D, res.U_inv, res.V_inv))
+    if _sparse_mul(_sparse_mul(u_inv, d), v_inv) != a:
         raise AssertionError("SNF recomposition failed")
-    for left, right, size in ((u, u_inv, m), (v_inv, v, n)):
-        if _sparse_mul(left, right) != [{i: 1} for i in range(size)]:
-            raise AssertionError("SNF transform not unimodular")
+    if abs(_det(u_inv)) != 1 or abs(_det(v_inv)) != 1:
+        raise AssertionError("SNF transform not unimodular")
     if any(j != i for i, row in enumerate(d) for j in row):
         raise AssertionError("SNF matrix not diagonal")
     diag = res.diagonal

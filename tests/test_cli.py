@@ -211,6 +211,15 @@ def test_pi1_with_quotient_counts(capsys):
     assert d["quotients"]["C6"] == 6
 
 
+@pytest.mark.parametrize("order", ["0", "-3"])
+def test_pi1_quotients_below_one_is_a_usage_error(capsys, order):
+    code, out, err = run(capsys, "pi1", "--d1", "1", "--d2", "1",
+                         "--quotients", order, "--json")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("usage error:") and "--quotients" in err
+
+
 def test_pi1_with_group_table_file(capsys, tmp_path):
     from plumbcalc.invariants import dihedral_group
 

@@ -9,6 +9,7 @@ import random
 import subprocess
 import sys
 from dataclasses import replace
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -17,7 +18,14 @@ from hypothesis import strategies as st
 
 import plumbcalc
 import plumbcalc.graphs as graphs
-from plumbcalc.divisor import OnEdge, OnVertex, blow_down, blow_up, elementary_flow
+from plumbcalc.divisor import (
+    OnEdge,
+    OnVertex,
+    _solve_exact,
+    blow_down,
+    blow_up,
+    elementary_flow,
+)
 from plumbcalc.graphs import (
     AbelianGroup,
     ChainType,
@@ -278,6 +286,92 @@ def test_det_exact_matches_sympy_up_to_25():
             assert det_exact(m[:-1] + [m[0]]) == 0
 
 
+@st.composite
+def banded_matrices(draw):
+    """Banded integer matrices: row i is zero before column i - width, so
+    it sits out the first steps of elimination and must be rescaled when
+    it joins.  Some have their rows shuffled, so zero pivots force swaps,
+    and some repeat a row, so they are singular."""
+    n = draw(st.integers(1, 6))
+    width = draw(st.integers(0, 2))
+    m = [[draw(st.integers(-6, 6)) if abs(i - j) <= width else 0 for j in range(n)]
+         for i in range(n)]
+    if draw(st.booleans()):
+        m = [m[i] for i in draw(st.permutations(range(n)))]
+    if n > 1 and draw(st.booleans()):
+        m[draw(st.integers(1, n - 1))] = list(m[0])
+    return m
+
+
+# banded and near-tree matrices, the shapes the kernel is built for
+kernel_matrices = banded_matrices() | multigraphs(low=-6).map(intersection_matrix)
+
+
+@settings(max_examples=200, deadline=None)
+@given(kernel_matrices)
+def test_bareiss_kernel_matches_leibniz(m):
+    n = len(m)
+    # each row carries a unit tag in column n + i, which the kernel
+    # eliminates along with it: pivot row k then holds the tags of the
+    # input rows behind pivot rows 0..k, its own with the nonzero value of
+    # the previous pivot, so the tags name the input row behind each pivot
+    rows = [{**row, n + i: 1} for i, row in enumerate(graphs._sparse(m))]
+    steps = list(graphs._bareiss(rows, n))
+    det = leibniz_det(m)
+    assert det_exact(m) == det
+    sign, last = steps[-1]
+    assert sign * last == det
+    order = []
+    for k, (_, p) in enumerate(steps):
+        if not p:
+            break
+        (tag,) = {j - n for j in rows[k] if j >= n} - set(order)
+        order.append(tag)
+        # the pivot is the leading minor of the rows in pivot order, and
+        # row k is current at step k: it starts at column k with the pivot
+        assert p == leibniz_det([m[r][:k + 1] for r in order])
+        assert p == rows[k][k] and min(rows[k]) == k
+    if det:
+        assert len(order) == n
+        assert sign == leibniz_det([[int(j == r) for j in range(n)] for r in order])
+    # until the sign first turns negative the pivots are the leading
+    # minors, and it turns at the first zero minor that a swap mends
+    minors = [leibniz_det([row[:k] for row in m[:k]]) for k in range(1, n + 1)]
+    for k, (sign, p) in enumerate(steps):
+        if sign < 0:
+            assert minors[k] == 0
+            break
+        assert p == minors[k]
+
+
+def cramer_solve(m, rhs):
+    """Cramer's rule over Fraction on Leibniz determinants."""
+    det = leibniz_det(m)
+    if not det:
+        return None
+    return [Fraction(leibniz_det([row[:i] + [b] + row[i + 1:] for row, b in zip(m, rhs)]), det)
+            for i in range(len(m))]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_solve_exact_matches_cramer_rule(data):
+    m = data.draw(kernel_matrices)
+    rhs = data.draw(st.lists(st.integers(-6, 6), min_size=len(m), max_size=len(m)))
+    assert _solve_exact(m, rhs) == cramer_solve(m, rhs)
+
+
+def test_bareiss_kernel_rescales_rows_that_sat_out_and_swaps():
+    # tridiagonal: row 3 sits out steps 0 and 1 and joins at step 2
+    m = [[-3, 1, 0, 0], [1, -3, 1, 0], [0, 1, -3, 1], [0, 0, 1, -3]]
+    assert [p for _, p in graphs._bareiss(graphs._sparse(m), 4)] == [-3, 8, -21, 55]
+    # two zero pivots force two swaps, so the sign comes back to +1; the
+    # rows that sat out step 0 are rescaled by 4 or by 8 when they join
+    m = [[0, 2, 1], [0, 0, 3], [4, 1, 0]]
+    assert list(graphs._bareiss(graphs._sparse(m), 3)) == [(-1, 4), (1, 8), (1, 24)]
+    assert det_exact(m) == leibniz_det(m) == 24
+
+
 @pytest.mark.parametrize("m", [
     [[1, 2, 3], [4, 5, 6]],
     [[1, 2], [3, 4], [5, 6]],
@@ -294,6 +388,9 @@ def test_negative_definite_chain_but_not_zero_vertex():
     assert not is_negative_definite(chain(0, -2))
     # leading minors -1, 0: a zero pivot ends the pass, it is never divided by
     assert not is_negative_definite(chain(-1, -1, -5))
+    # leading minors 0, -1: after a row swap the pivots would read -1, 1
+    g = WeightedGraph("plumbing", [Vertex("a", 0), Vertex("b", -5)], [Edge("a", "b", -1)])
+    assert not is_negative_definite(g)
 
 
 def leading_minors_negative_definite(m):
@@ -311,10 +408,10 @@ def test_negative_definite_matches_leading_minors(data):
 
 
 def test_check_snf_rejects_non_unimodular_transforms():
-    # each recomposes (U A V == D), but U or V has determinant 2, so no
-    # integer U_inv or V_inv can pass
+    # each recomposes (U_inv D V_inv == A), but U_inv or V_inv has
+    # determinant 2, so its inverse is not an integer matrix
     for u, v in (2, 1), (1, 2):
-        res = SNFResult(((1,),), ((u,),), ((2,),), ((v,),), ((1,),), ((1,),))
+        res = SNFResult(((2,),), ((1,),), ((u,),), ((v,),))
         with pytest.raises(AssertionError, match="SNF transform not unimodular"):
             _check_snf(res)
 
@@ -324,7 +421,7 @@ def test_check_snf_rejects_non_unimodular_transforms_under_python_O():
         "from plumbcalc.graphs import SNFResult, _check_snf\n"
         "for u, v in (2, 1), (1, 2):\n"
         "    try:\n"
-        "        _check_snf(SNFResult(((1,),), ((u,),), ((2,),), ((v,),), ((1,),), ((1,),)))\n"
+        "        _check_snf(SNFResult(((2,),), ((1,),), ((u,),), ((v,),)))\n"
         "    except AssertionError as e:\n"
         "        print(e)\n"
     )
@@ -341,19 +438,33 @@ def bumped(mat, i, j):
     return tuple(map(tuple, rows))
 
 
+def doubled(mat, i=None, j=None):
+    """A copy with row i, or column j, doubled."""
+    return tuple(tuple(2 * x if r == i or c == j else x for c, x in enumerate(row))
+                 for r, row in enumerate(mat))
+
+
 def test_check_snf_rejects_tampered_results():
     res = smith_normal_form([[2, 4, 4], [-6, 6, 12], [10, 4, 16]])
     _check_snf(res)
+    # rank 2: the last diagonal entry of D is zero, so the last column of
+    # U_inv and the last row of V_inv are not seen by the recomposition
+    singular = smith_normal_form([[2, 4, 4], [-6, 6, 12], [4, 8, 8]])
+    _check_snf(singular)
+    assert singular.diagonal[2] == 0
     eye = ((1, 0), (0, 1))
     swap = ((0, 1), (1, 0))
     for bad, message in [
         (replace(res, D=bumped(res.D, 2, 2)), "SNF recomposition failed"),
         (replace(res, D=bumped(res.D, 0, 1)), "SNF recomposition failed"),
-        (replace(res, U_inv=bumped(res.U_inv, 1, 0)), "SNF transform not unimodular"),
-        (replace(res, V_inv=bumped(res.V_inv, 2, 1)), "SNF transform not unimodular"),
+        (replace(res, U_inv=bumped(res.U_inv, 1, 0)), "SNF recomposition failed"),
+        (replace(res, V_inv=bumped(res.V_inv, 2, 1)), "SNF recomposition failed"),
+        # these recompose, but each transform has determinant +-2
+        (replace(singular, U_inv=doubled(singular.U_inv, j=2)), "SNF transform not unimodular"),
+        (replace(singular, V_inv=doubled(singular.V_inv, i=2)), "SNF transform not unimodular"),
         (replace(res, U_inv=res.U_inv[:2]), "SNF shapes disagree"),
         # recomposes with identity transforms, but D is not diagonal
-        (SNFResult(swap, eye, swap, eye, eye, eye), "SNF matrix not diagonal"),
+        (SNFResult(swap, swap, eye, eye), "SNF matrix not diagonal"),
     ]:
         with pytest.raises(AssertionError, match=message):
             _check_snf(bad)
@@ -399,15 +510,15 @@ def test_smith_normal_form_factors_and_divisibility():
     m = [[2, 4, 4], [-6, 6, 12], [10, 4, 16]]
     res = smith_normal_form(m)
     assert res.diagonal == (2, 2, 156)
-    # the recorded transforms really factor the input
+    # the recorded inverse transforms really factor the input, and they
+    # are unimodular, so U = U_inv^-1 and V = V_inv^-1 give U m V == D
     def matmul(a, b):
         return [
             [sum(a[i][k] * b[k][j] for k in range(len(b))) for j in range(len(b[0]))]
             for i in range(len(a))
         ]
-    assert matmul(matmul([list(r) for r in res.U], m), [list(r) for r in res.V]) == [
-        list(r) for r in res.D
-    ]
+    assert matmul(matmul(res.U_inv, res.D), res.V_inv) == m
+    assert abs(leibniz_det(res.U_inv)) == abs(leibniz_det(res.V_inv)) == 1
 
 
 @settings(max_examples=60, deadline=None)
@@ -674,4 +785,20 @@ def test_library_has_no_bare_asserts():
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
         if isinstance(node, ast.Assert)
     ]
+    assert found == []
+
+
+def test_library_is_stdlib_only():
+    """The runtime imports nothing outside the standard library."""
+    found = []
+    for path in sorted(Path(plumbcalc.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names = [node.module]
+            else:
+                continue
+            found += [f"{path.name}:{node.lineno} {name}" for name in names
+                      if name.split(".")[0] not in sys.stdlib_module_names | {"plumbcalc"}]
     assert found == []
