@@ -720,20 +720,37 @@ class SegmentReport:
     segments: tuple
 
 
+def _adjacency(g: WeightedGraph) -> tuple:
+    """One pass over the edges, as (around, loops): around[v] holds the
+    (other end, sign) pair of each non-loop edge at v, in edge order, and
+    loops[v] the signs of the loops at v, sorted.  A vertex has
+    len(around[v]) + 2 * len(loops[v]) edge ends."""
+    around = {vid: [] for vid in g.vertices}
+    loops = {vid: [] for vid in g.vertices}
+    for e in g.edges:
+        u, v, s = e.u, e.v, e.sign
+        if u == v:
+            loops[u].append(s)
+        else:
+            around[u].append((v, s))
+            around[v].append((u, s))
+    for signs in loops.values():
+        signs.sort()
+    return around, loops
+
+
+def _branching(g: WeightedGraph, around: dict, loops: dict) -> frozenset:
+    """`branching_set` on the two halves of `_adjacency`."""
+    return frozenset(
+        vid for vid, v in g.vertices.items()
+        if v.genus or v.boundary or loops[vid] or len(around[vid]) >= 3
+    )
+
+
 def branching_set(g: WeightedGraph) -> frozenset:
     """Vertices forced outside every chain: branching number >= 3, loop
     carriers, nonzero genus, or nonzero boundary."""
-    out = set()
-    for vid, v in g.vertices.items():
-        if v.genus or v.boundary:
-            out.add(vid)
-            continue
-        if any(e.is_loop for e in g.edges_at(vid)):
-            out.add(vid)
-            continue
-        if branching_number(g, vid) >= 3:
-            out.add(vid)
-    return frozenset(out)
+    return _branching(g, *_adjacency(g))
 
 
 def _entries(g: WeightedGraph, vids) -> tuple:
@@ -745,12 +762,15 @@ def classify_segments(g: WeightedGraph) -> SegmentReport:
 
     Twig chains run tip first; bridge and free chains pick the
     lexicographically smaller of the two traversals; circular chains are
-    canonical up to rotation and reflection.
+    canonical up to rotation and reflection.  A chain end's attachments
+    are counted by edge ends, so a vertex joined to the branching set by
+    two parallel edges has two.
     """
-    b = branching_set(g)
+    around, loops = _adjacency(g)
+    b = _branching(g, around, loops)
     rest = [vid for vid in g.sorted_ids() if vid not in b]
     sub_adj = {
-        vid: [x for x in g.neighbors(vid) if x not in b]
+        vid: sorted({x for x, _ in around[vid] if x not in b})
         for vid in rest
     }
     segments = []
@@ -779,18 +799,18 @@ def classify_segments(g: WeightedGraph) -> SegmentReport:
             continue
         if len(comp) == 1:
             order = [tips[0]]
-            outside = sorted(x for x in g.neighbors(order[0]) if x in b)
+            outside = sorted(x for x, _ in around[order[0]] if x in b)
             if len(outside) == 0:
                 att = [None, None]
             elif len(outside) == 1:
                 att = [None, outside[0]]
             else:
-                att = outside[:2]
+                att = outside
         else:
             order = _walk_path(sub_adj, tips[0])
             att = []
             for end in (order[0], order[-1]):
-                outside = sorted(x for x in g.neighbors(end) if x in b)
+                outside = sorted(x for x, _ in around[end] if x in b)
                 att.append(outside[0] if outside else None)
         order, att = _orient_path(g, order, att)
         segments.append(
@@ -853,35 +873,36 @@ def _canonical_cycle(entries: tuple) -> tuple:
 # isomorphism and canonical labeling
 
 
-def _initial_colors(g: WeightedGraph):
-    cols = {}
-    for vid, v in g.vertices.items():
-        loops = tuple(sorted(e.sign for e in g.edges_at(vid) if e.is_loop))
-        cols[vid] = (v.weight, v.genus, v.boundary, branching_number(g, vid), loops)
-    return cols
+def _initial_colors(g: WeightedGraph, around: dict, loops: dict) -> dict:
+    return {
+        vid: (v.weight, v.genus, v.boundary,
+              len(around[vid]) + 2 * len(loops[vid]), tuple(loops[vid]))
+        for vid, v in g.vertices.items()
+    }
 
 
-def _refine(g: WeightedGraph, cols):
-    """Weisfeiler-Leman style color refinement until stable.
+def _refine(around: dict, cols: dict) -> dict:
+    """Weisfeiler-Leman style color refinement until stable, on the
+    `around` half of `_adjacency`.
 
     Signatures always include the current color, so the partition only
-    ever refines; stability is detected by the class count.
+    ever refines; stability is detected by the class count.  A discrete
+    colouring is returned at once: another round would renumber it to
+    itself.
     """
+    classes = len(set(cols.values()))
+    n = len(cols)
     while True:
-        sig = {}
-        for vid in g.vertices:
-            around = []
-            for e in g.edges_at(vid):
-                if e.is_loop:
-                    continue
-                around.append((cols[e.other(vid)], e.sign))
-            sig[vid] = (cols[vid], tuple(sorted(around)))
+        sig = {
+            vid: (cols[vid], tuple(sorted([(cols[x], s) for x, s in pairs])))
+            for vid, pairs in around.items()
+        }
         ordered = sorted(set(sig.values()))
         remap = {s: i for i, s in enumerate(ordered)}
-        new = {vid: remap[sig[vid]] for vid in g.vertices}
-        if len(set(new.values())) == len(set(cols.values())):
-            return new
-        cols = new
+        cols = {vid: remap[s] for vid, s in sig.items()}
+        if len(ordered) == classes or len(ordered) == n:
+            return cols
+        classes = len(ordered)
 
 
 def _edge_multiset(g: WeightedGraph, mapping):
@@ -905,7 +926,8 @@ def graphs_isomorphic(g: WeightedGraph, h: WeightedGraph):
         return False, None
     if len(g.vertices) != len(h.vertices) or len(g.edges) != len(h.edges):
         return False, None
-    if (sorted(_initial_colors(g).values()) != sorted(_initial_colors(h).values())
+    if (sorted(_initial_colors(g, *_adjacency(g)).values())
+            != sorted(_initial_colors(h, *_adjacency(h)).values())
             or sorted(e.sign for e in g.edges) != sorted(e.sign for e in h.edges)):
         return False, None
     order_g, order_h = canonical_ordering(g), canonical_ordering(h)
@@ -978,6 +1000,7 @@ def _canonical_search(g: WeightedGraph) -> tuple:
     """
     if not g.vertices:
         return (), encode_with_order(g, ())
+    around, loops = _adjacency(g)
     best: dict = {"enc": None, "order": None, "path": None}
     autos: list[dict] = []
 
@@ -1001,11 +1024,11 @@ def _canonical_search(g: WeightedGraph) -> tuple:
             fixing = [a for a in autos if all(a[p] == p for p in path)]
             if _orbit(x, fixing).isdisjoint(tried):
                 tried.append(x)
-                child = _refine(g, {v: (cols[v], v != x) for v in cols})
+                child = _refine(around, {v: (cols[v], v != x) for v in cols})
                 back = search(child, path + [x])
                 if back < len(path):
                     return back
         return len(path)
 
-    search(_refine(g, _initial_colors(g)), [])
+    search(_refine(around, _initial_colors(g, around, loops)), [])
     return best["order"], best["enc"]

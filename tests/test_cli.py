@@ -1,9 +1,16 @@
 """Command-line interface: every subcommand in both text and JSON form,
 exit codes, byte-stable JSON output, file round trips."""
 
+import io
+import itertools
 import json
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from plumbcalc.cli import main
 from plumbcalc.family import build_boundary_graph
@@ -347,3 +354,59 @@ def test_non_utf8_input_is_a_domain_error(capsys, tmp_path, argv):
 def test_argparse_rejects_unknown_subcommand(capsys):
     code, _, _ = run(capsys, "frobnicate")
     assert code == 2
+
+
+@st.composite
+def graph_files(draw):
+    """JSON of a graph with at most 6 vertices: a plumbing graph with
+    loops and signed parallel edges, or a divisor graph."""
+    ids = [f"v{i}" for i in range(draw(st.integers(0, 6)))]
+    deco = st.sampled_from([0, 0, 0, 1])
+    vertices = [{"id": x, "weight": draw(st.integers(-4, 2)),
+                 "genus": draw(deco), "boundary": draw(deco)} for x in ids]
+    if draw(st.booleans()):
+        pairs = list(itertools.combinations(ids, 2))
+        chosen = draw(st.lists(st.sampled_from(pairs), unique=True,
+                               max_size=8)) if pairs else []
+        return {"kind": "divisor", "vertices": vertices,
+                "edges": [{"u": u, "v": v, "sign": 1} for u, v in chosen]}
+    edges = draw(st.lists(st.fixed_dictionaries({
+        "u": st.sampled_from(ids), "v": st.sampled_from(ids),
+        "sign": st.sampled_from([1, -1])}), max_size=8)) if ids else []
+    return {"kind": "plumbing", "vertices": vertices, "edges": edges}
+
+
+@settings(max_examples=100, deadline=None)
+@given(graph_files(), graph_files(),
+       st.sampled_from(["normalize", "h1", "jsj", "reverse", "compare"]))
+def test_graph_commands_never_raise(a, b, sub):
+    """Any small graph ends in a documented exit code, never a traceback."""
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = []
+        for i, data in enumerate((a, b)):
+            paths.append(Path(tmp) / f"g{i}.json")
+            paths[-1].write_text(json.dumps(data))
+        argv = [sub, str(paths[0])] + ([str(paths[1])] if sub == "compare" else [])
+        with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+            code = main(argv + ["--json"])
+    assert code in (0, 1, 2, 3)
+
+
+def test_reverse_with_a_double_edge_into_a_loop_carrier(capsys, tmp_path):
+    """a meets b by two parallel edges, so it is a bridge from b to b, not
+    a twig; dualizing it as a twig changed H_1 under reversal."""
+    src = tmp_path / "g.json"
+    src.write_text(json.dumps({
+        "kind": "plumbing",
+        "vertices": [{"id": "a", "weight": -4}, {"id": "b", "weight": -4}],
+        "edges": [{"u": "a", "v": "b", "sign": -1},
+                  {"u": "a", "v": "b", "sign": -1},
+                  {"u": "b", "v": "b", "sign": -1}],
+    }))
+    code, out, err = run(capsys, "reverse", str(src), "--json")
+    assert code in (0, 3), err
+    if code == 0:
+        h1 = run_json(capsys, "h1", str(src))
+        nf = tmp_path / "nf.json"
+        nf.write_text(json.dumps(json.loads(out)["graph"]))
+        assert run_json(capsys, "h1", str(nf)) == h1

@@ -1,8 +1,10 @@
 """Divisor-side rewriting: blowups, minimalization, flows, standard forms,
 barks."""
 
+import json
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -23,11 +25,13 @@ from plumbcalc.divisor import (
     snc_minimalize,
     standardize,
 )
+from plumbcalc.family import build_boundary_graph
 from plumbcalc.graphs import (
     DomainError,
     Edge,
     Vertex,
     WeightedGraph,
+    canonical_json,
     graphs_isomorphic,
 )
 
@@ -224,6 +228,42 @@ def test_standardize_idempotent_up_to_iso():
     once, _ = standardize(g)
     twice, _ = standardize(once)
     assert graphs_isomorphic(once, twice)[0]
+
+
+PINS = Path(__file__).parent / "data" / "standardize_pins.json"
+PIN_FLOWS = (("L1_inf", "L2_inf"), ("L1_inf", "L2_0"),
+             ("L2_inf", "L1_inf"), ("L2_inf", "L1_0"))
+
+
+def standardize_pins() -> dict:
+    """`standardize` on the (2,3) and (3,4) D-parts moved 1-3 elementary
+    flows along each flow, ids as built: name -> output graph and log.
+
+    Regenerate the frozen file only on purpose:
+    ``PYTHONPATH=src:tests python -c "import test_divisor as t;
+    t.PINS.write_text(canonical_json(t.standardize_pins()))"``
+    """
+    out = {}
+    for d1, d2 in ((2, 3), (3, 4)):
+        for zero, toward in PIN_FLOWS:
+            g = build_boundary_graph(d1, d2).d_part()
+            for steps in (1, 2, 3):
+                g = elementary_flow(g, zero, toward)
+                std, log = standardize(g)
+                out[f"({d1},{d2}) {zero}->{toward} x{steps}"] = {
+                    "graph": std.to_json_dict(), "log": log}
+    return out
+
+
+def test_standardize_matches_frozen_pins():
+    """Byte for byte: any change in the search's visit order, the
+    canonical encoding it prunes with or the moves it logs shows here."""
+    frozen = json.loads(PINS.read_text())
+    now = standardize_pins()
+    assert sorted(now) == sorted(frozen)
+    for name, pin in frozen.items():
+        assert canonical_json(now[name]["graph"]) == canonical_json(pin["graph"]), name
+        assert canonical_json(now[name]["log"]) == canonical_json(pin["log"]), name
 
 
 # -- barks -----------------------------------------------------------------------

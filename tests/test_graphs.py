@@ -591,6 +591,33 @@ def test_branching_set_catches_loops_genus_boundary():
     assert rep.branching == frozenset({"a", "b", "c"})
 
 
+def test_double_edge_into_the_branching_set_is_two_attachments():
+    """A chain vertex joined to a branching vertex by two parallel edges
+    meets it twice: a bridge from b to b, not a twig."""
+    g = WeightedGraph(
+        "plumbing",
+        [Vertex("a", -4), Vertex("b", -4)],
+        [Edge("a", "b", -1), Edge("a", "b", -1), Edge("b", "b", -1)],
+    )
+    (seg,) = classify_segments(g).segments
+    assert seg.vertices == ("a",) and seg.attachments == ("b", "b")
+    assert not seg.is_twig
+
+
+@settings(max_examples=100, deadline=None)
+@given(multigraphs(decorated=True))
+def test_one_branching_rule(g):
+    """classify_segments and branching_set agree, and the branching number
+    counts edge ends, a loop twice."""
+    b = graphs.branching_set(g)
+    assert classify_segments(g).branching == b
+    for vid, v in g.vertices.items():
+        ends = sum((e.u == vid) + (e.v == vid) for e in g.edges)
+        assert branching_number(g, vid) == ends
+        loop = any(e.u == e.v == vid for e in g.edges)
+        assert (vid in b) == bool(v.genus or v.boundary or loop or ends >= 3)
+
+
 # -- isomorphism ----------------------------------------------------------------
 
 
@@ -673,6 +700,72 @@ def latin_square_graph(n):
          for (r, c), (s, d) in itertools.combinations(cells, 2)
          if r == s or c == d or (r + c - s - d) % n == 0],
     )
+
+
+# The colour refinement as it read the incidence index edge by edge, kept
+# as the reference the one-pass version must match colour for colour.
+def oracle_initial_colors(g: WeightedGraph):
+    cols = {}
+    for vid, v in g.vertices.items():
+        loops = tuple(sorted(e.sign for e in g.edges_at(vid) if e.is_loop))
+        cols[vid] = (v.weight, v.genus, v.boundary, branching_number(g, vid), loops)
+    return cols
+
+
+def oracle_refine(g: WeightedGraph, cols):
+    """Weisfeiler-Leman style color refinement until stable.
+
+    Signatures always include the current color, so the partition only
+    ever refines; stability is detected by the class count.
+    """
+    while True:
+        sig = {}
+        for vid in g.vertices:
+            around = []
+            for e in g.edges_at(vid):
+                if e.is_loop:
+                    continue
+                around.append((cols[e.other(vid)], e.sign))
+            sig[vid] = (cols[vid], tuple(sorted(around)))
+        ordered = sorted(set(sig.values()))
+        remap = {s: i for i, s in enumerate(ordered)}
+        new = {vid: remap[sig[vid]] for vid in g.vertices}
+        if len(set(new.values())) == len(set(cols.values())):
+            return new
+        cols = new
+
+
+def signed_path():
+    """a - b - c with edge signs +1 and -1: only the signs tell a from c."""
+    return WeightedGraph("plumbing", [Vertex(x, -2) for x in "abc"],
+                         [Edge("a", "b", 1), Edge("b", "c", -1)])
+
+
+@settings(max_examples=100, deadline=None)
+@given(multigraphs(decorated=True), st.lists(st.integers(0, 5), max_size=4))
+@example(signed_path(), [])
+@example(from_divisor_graph(build_boundary_graph(2, 3).d_part()), [])
+@example(frucht_graph(), [0, 1])
+@example(normalize(from_divisor_graph(build_boundary_graph(16, 16).d_part())).graph,
+         [0, 1])
+def test_refinement_matches_the_per_edge_oracle(g, picks):
+    """The one-pass adjacency gives the colour values of the per-edge
+    refinement it replaced, at the root and after each individualization
+    (of the pick-th vertex in id order), so the search's leaves and
+    orders are unchanged."""
+    around, loops = graphs._adjacency(g)
+    old = oracle_initial_colors(g)
+    new = graphs._initial_colors(g, around, loops)
+    assert new == old
+    ids = sorted(g.vertices)
+    for i in picks:
+        old = oracle_refine(g, old)
+        new = graphs._refine(around, new)
+        assert new == old
+        x = ids[i % len(ids)]
+        old = {v: (old[v], v != x) for v in old}
+        new = {v: (new[v], v != x) for v in new}
+    assert graphs._refine(around, new) == oracle_refine(g, old)
 
 
 @settings(max_examples=50, deadline=None)
