@@ -17,7 +17,14 @@ import json
 import sys
 from fractions import Fraction
 
-from .divisor import bark, elementary_flow, replay, snc_minimalize, standardize
+from .divisor import (
+    _entry_id,
+    bark,
+    elementary_flow,
+    replay,
+    snc_minimalize,
+    standardize,
+)
 from .family import (
     CHART_CASES,
     FamilyParams,
@@ -371,9 +378,9 @@ def cmd_replay(args) -> int:
     for entry in log:
         move = entry.get("move") if isinstance(entry, dict) else None
         if move == "R1":
-            g = move_R1(g, entry["vertex"])
+            g = move_R1(g, _entry_id(entry, "vertex"))
         elif move == "R3":
-            g = move_R3(g, entry["vertex"])
+            g = move_R3(g, _entry_id(entry, "vertex"))
         else:
             g = replay(g, [entry])
     _emit_graph(args, g)

@@ -12,8 +12,7 @@ must reproduce the output exactly.
 
 from __future__ import annotations
 
-from collections import deque
-from dataclasses import dataclass
+from collections import deque, namedtuple
 from fractions import Fraction
 
 from .graphs import (
@@ -34,19 +33,16 @@ from .graphs import (
 )
 
 
-@dataclass(frozen=True)
-class OnVertex:
+class OnVertex(namedtuple("OnVertex", "vertex")):
     """Outer blowup center: a point on one component only."""
 
-    vertex: str
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class OnEdge:
+class OnEdge(namedtuple("OnEdge", "u v")):
     """Inner blowup center: the intersection point of two components."""
 
-    u: str
-    v: str
+    __slots__ = ()
 
 
 def fresh_id(taken, prefix: str = "E") -> str:
@@ -266,11 +262,10 @@ def _circular_standard(entries: tuple) -> bool:
     return False
 
 
-@dataclass(frozen=True)
-class StandardReport:
-    standard: bool
-    verdicts: tuple  # (Segment, bool) pairs
-    branching: frozenset
+class StandardReport(namedtuple("StandardReport", "standard verdicts branching")):
+    """verdicts holds (Segment, bool) pairs."""
+
+    __slots__ = ()
 
     def __bool__(self):
         return self.standard
@@ -543,6 +538,14 @@ def half_point_attach(g: WeightedGraph, a: str) -> tuple[WeightedGraph, list]:
 # replay
 
 
+def _entry_id(entry: dict, key: str) -> str:
+    """The vertex id a move-log entry names under key."""
+    x = entry.get(key)
+    if not isinstance(x, str):
+        raise DomainError(f"replay: {key!r} must be a vertex id string in {entry!r}")
+    return x
+
+
 def replay(g: WeightedGraph, log: list) -> WeightedGraph:
     """Apply a recorded move list to the graph it was recorded from."""
     cur = g
@@ -552,18 +555,27 @@ def replay(g: WeightedGraph, log: list) -> WeightedGraph:
         kind = entry["move"]
         if kind == "blowup":
             center = entry.get("center", {})
-            if "vertex" in center:
-                cur = blow_up(cur, OnVertex(center["vertex"]),
-                              new_id=entry.get("new_id"))
-            elif "edge" in center:
-                u, v = center["edge"]
-                cur = blow_up(cur, OnEdge(u, v), new_id=entry.get("new_id"))
+            new_id = entry.get("new_id")
+            if new_id is not None and not isinstance(new_id, str):
+                raise DomainError(f"replay: new_id must be a string in {entry!r}")
+            if isinstance(center, dict) and "vertex" in center:
+                cur = blow_up(cur, OnVertex(_entry_id(center, "vertex")),
+                              new_id=new_id)
+            elif isinstance(center, dict) and "edge" in center:
+                ends = center["edge"]
+                if (not isinstance(ends, list) or len(ends) != 2
+                        or not all(isinstance(x, str) for x in ends)):
+                    raise DomainError(
+                        f"replay: blowup edge must be two vertex ids, got {ends!r}"
+                    )
+                cur = blow_up(cur, OnEdge(*ends), new_id=new_id)
             else:
                 raise DomainError(f"replay: malformed blowup center {center!r}")
         elif kind == "blowdown":
-            cur = blow_down(cur, entry["vertex"])
+            cur = blow_down(cur, _entry_id(entry, "vertex"))
         elif kind == "flow":
-            cur = elementary_flow(cur, entry["vertex"], entry["toward"])
+            cur = elementary_flow(cur, _entry_id(entry, "vertex"),
+                                  _entry_id(entry, "toward"))
         else:
             raise DomainError(f"replay: unknown move {kind!r}")
     return cur

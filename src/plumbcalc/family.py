@@ -21,7 +21,7 @@ A_j are not part of the boundary; d_part() drops them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from . import divisor
@@ -35,21 +35,21 @@ from .graphs import (
 )
 
 
-@dataclass(frozen=True)
-class FamilyParams:
+class FamilyParams(namedtuple("FamilyParams", "p1 p2")):
     """Coefficients of p_1 and p_2, ascending, monic; d_j = len."""
 
-    p1: tuple
-    p2: tuple
+    __slots__ = ()
 
-    def __post_init__(self):
-        for name, coeffs in (("p1", self.p1), ("p2", self.p2)):
+    def __new__(cls, p1: tuple, p2: tuple):
+        fields = []
+        for name, coeffs in (("p1", p1), ("p2", p2)):
             if not coeffs:
                 raise DomainError(f"{name} must have at least one coefficient")
             vals = tuple(Fraction(c) for c in coeffs)
             if vals[-1] != 1:
                 raise DomainError(f"{name} must be monic (leading coefficient 1)")
-            object.__setattr__(self, name, vals)
+            fields.append(vals)
+        return tuple.__new__(cls, fields)
 
     @property
     def d1(self) -> int:
@@ -72,11 +72,8 @@ class FamilyParams:
         return tuple(reversed(p))
 
 
-@dataclass(frozen=True)
-class LabeledFamilyGraph:
-    graph: WeightedGraph
-    d1: int
-    d2: int
+class LabeledFamilyGraph(namedtuple("LabeledFamilyGraph", "graph d1 d2")):
+    __slots__ = ()
 
     def d_part_ids(self) -> list:
         return [vid for vid in self.graph.sorted_ids() if not vid.startswith("A")]
@@ -403,12 +400,9 @@ def _chart_sigma(case: str, params: FamilyParams) -> dict:
     }
 
 
-@dataclass(frozen=True)
-class ChartReport:
-    case: str
-    residuals_zero: bool
-    inverse_ok: bool
-    residuals: tuple
+class ChartReport(namedtuple(
+        "ChartReport", "case residuals_zero inverse_ok residuals")):
+    __slots__ = ()
 
     def to_json_dict(self) -> dict:
         return {
@@ -451,11 +445,8 @@ def verify_chart(case: str, params: FamilyParams) -> ChartReport:
     return ChartReport(case, residuals_zero, inverse_ok, tuple(residuals))
 
 
-@dataclass(frozen=True)
-class VolumeReport:
-    case: str
-    extends: bool
-    sign: int
+class VolumeReport(namedtuple("VolumeReport", "case extends sign")):
+    __slots__ = ()
 
     def to_json_dict(self) -> dict:
         return {"case": self.case, "extends": self.extends, "sign": self.sign}

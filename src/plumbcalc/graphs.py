@@ -15,8 +15,7 @@ NEGATED vertex weights, so the chain [3,2] has weights (-3,-2) and a
 from __future__ import annotations
 
 import json
-from collections import Counter, defaultdict
-from dataclasses import dataclass
+from collections import Counter, defaultdict, namedtuple
 from itertools import compress
 
 
@@ -32,38 +31,31 @@ class OutOfScopeError(NotImplementedError):
 # data model
 
 
-@dataclass(frozen=True)
-class Vertex:
-    id: str
-    weight: int
-    genus: int = 0
-    boundary: int = 0
-    label: str | None = None
+class Vertex(namedtuple("Vertex", "id weight genus boundary label")):
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not isinstance(self.id, str) or not self.id:
+    def __new__(cls, id: str, weight: int, genus: int = 0, boundary: int = 0,
+                label: str | None = None):
+        if not isinstance(id, str) or not id:
             raise DomainError("vertex id must be a non-empty string")
-        if self.genus < 0:
+        if genus < 0:
             raise OutOfScopeError(
                 "negative genus (non-orientable base) is not implemented"
             )
-        if self.boundary < 0:
+        if boundary < 0:
             raise DomainError("boundary count must be >= 0")
+        return tuple.__new__(cls, (id, weight, genus, boundary, label))
 
 
-@dataclass(frozen=True)
-class Edge:
-    u: str
-    v: str
-    sign: int = 1
+class Edge(namedtuple("Edge", "u v sign")):
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.sign not in (1, -1):
+    def __new__(cls, u: str, v: str, sign: int = 1):
+        if sign not in (1, -1):
             raise DomainError("edge sign must be +1 or -1")
-        if self.v < self.u:
-            u, v = self.u, self.v
-            object.__setattr__(self, "u", v)
-            object.__setattr__(self, "v", u)
+        if v < u:
+            u, v = v, u
+        return tuple.__new__(cls, (u, v, sign))
 
     @property
     def is_loop(self) -> bool:
@@ -95,29 +87,31 @@ class WeightedGraph:
             raise DomainError(f"unknown graph kind {kind!r}")
         vs: dict[str, Vertex] = {}
         for v in vertices:
-            if v.id in vs:
-                raise DomainError(f"duplicate vertex id {v.id!r}")
-            vs[v.id] = v
+            vid = v.id
+            if vid in vs:
+                raise DomainError(f"duplicate vertex id {vid!r}")
+            vs[vid] = v
         es = tuple(sorted(edges, key=_edge_key))
         at: dict[str, list[Edge]] = {vid: [] for vid in vs}
         for e in es:
-            if e.u not in vs or e.v not in vs:
-                raise DomainError(f"edge ({e.u!r},{e.v!r}) references missing vertex")
-            at[e.u].append(e)
-            if not e.is_loop:
-                at[e.v].append(e)
+            u, v, _ = e
+            if u not in vs or v not in vs:
+                raise DomainError(f"edge ({u!r},{v!r}) references missing vertex")
+            at[u].append(e)
+            if u != v:
+                at[v].append(e)
         if kind == "divisor":
             seen = set()
-            for e in es:
-                if e.is_loop:
+            for u, v, s in es:
+                if u == v:
                     raise DomainError("divisor graphs cannot carry loops")
-                if e.sign != 1:
+                if s != 1:
                     raise DomainError("divisor graphs have only +1 edges")
-                if (e.u, e.v) in seen:
+                if (u, v) in seen:
                     raise DomainError(
-                        f"divisor graphs cannot carry multi-edges ({e.u!r},{e.v!r})"
+                        f"divisor graphs cannot carry multi-edges ({u!r},{v!r})"
                     )
-                seen.add((e.u, e.v))
+                seen.add((u, v))
         self.kind = kind
         self.vertices = vs
         self.edges = es
@@ -450,16 +444,12 @@ def is_negative_definite(g: WeightedGraph, subset=None) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class SNFResult:
+class SNFResult(namedtuple("SNFResult", "matrix D U_inv V_inv")):
     """U_inv @ D @ V_inv == A with D in Smith normal form.  U_inv and V_inv
     are integer matrices of determinant +-1, so U = U_inv^-1 and
     V = V_inv^-1 are integer unimodular matrices with U @ A @ V == D."""
 
-    matrix: tuple
-    D: tuple
-    U_inv: tuple
-    V_inv: tuple
+    __slots__ = ()
 
     @property
     def diagonal(self) -> tuple:
@@ -639,12 +629,10 @@ def _check_snf(res: SNFResult) -> None:
             raise AssertionError("SNF zero ordering violated")
 
 
-@dataclass(frozen=True)
-class AbelianGroup:
+class AbelianGroup(namedtuple("AbelianGroup", "rank torsion", defaults=((),))):
     """Finitely generated abelian group Z^rank (+) sum Z/t_i."""
 
-    rank: int
-    torsion: tuple = ()
+    __slots__ = ()
 
     def __str__(self):
         parts = ["Z"] * self.rank + [f"Z/{t}" for t in self.torsion]
@@ -678,21 +666,18 @@ def cokernel(matrix, ambient_rank: int | None = None) -> AbelianGroup:
 # segments and chain types
 
 
-@dataclass(frozen=True)
-class ChainType:
+class ChainType(namedtuple("ChainType", "entries circular", defaults=(False,))):
     """Entries are negated weights; circular types compare up to
     rotation and reflection."""
 
-    entries: tuple
-    circular: bool = False
+    __slots__ = ()
 
     def __str__(self):
         inner = ",".join(str(e) for e in self.entries)
         return f"({inner})" if self.circular else f"[{inner}]"
 
 
-@dataclass(frozen=True)
-class Segment:
+class Segment(namedtuple("Segment", "vertices chain_type attachments")):
     """A connected component of the graph minus its branching set.
 
     vertices are in path order (tip first for twigs); attachments holds
@@ -700,9 +685,7 @@ class Segment:
     Circular segments have attachments (None, None).
     """
 
-    vertices: tuple
-    chain_type: ChainType
-    attachments: tuple
+    __slots__ = ()
 
     @property
     def is_twig(self) -> bool:
@@ -714,10 +697,8 @@ class Segment:
         return self.attachments == (None, None) and not self.chain_type.circular
 
 
-@dataclass(frozen=True)
-class SegmentReport:
-    branching: frozenset
-    segments: tuple
+class SegmentReport(namedtuple("SegmentReport", "branching segments")):
+    __slots__ = ()
 
 
 def _adjacency(g: WeightedGraph) -> tuple:
@@ -727,8 +708,7 @@ def _adjacency(g: WeightedGraph) -> tuple:
     len(around[v]) + 2 * len(loops[v]) edge ends."""
     around = {vid: [] for vid in g.vertices}
     loops = {vid: [] for vid in g.vertices}
-    for e in g.edges:
-        u, v, s = e.u, e.v, e.sign
+    for u, v, s in g.edges:
         if u == v:
             loops[u].append(s)
         else:
@@ -762,15 +742,16 @@ def classify_segments(g: WeightedGraph) -> SegmentReport:
 
     Twig chains run tip first; bridge and free chains pick the
     lexicographically smaller of the two traversals; circular chains are
-    canonical up to rotation and reflection.  A chain end's attachments
-    are counted by edge ends, so a vertex joined to the branching set by
-    two parallel edges has two.
+    canonical up to rotation and reflection.  Edge ends are counted, not
+    neighbours: a vertex joined to the branching set by two parallel
+    edges has two attachments, and two vertices joined by two parallel
+    edges form a circular chain.
     """
     around, loops = _adjacency(g)
     b = _branching(g, around, loops)
     rest = [vid for vid in g.sorted_ids() if vid not in b]
     sub_adj = {
-        vid: sorted({x for x, _ in around[vid] if x not in b})
+        vid: sorted(x for x, _ in around[vid] if x not in b)
         for vid in rest
     }
     segments = []
@@ -833,11 +814,17 @@ def _walk_path(adj, tip):
 
 
 def _walk_cycle(adj, start):
+    """The cycle from start, first toward its least neighbour; each step
+    leaves by an edge end other than the one it came in by, so a 2-cycle
+    of parallel edges closes."""
     order = [start]
     prev = None
     cur = start
     while True:
-        step = sorted(x for x in adj[cur] if x != prev)[0]
+        ends = list(adj[cur])
+        if prev is not None:
+            ends.remove(prev)
+        step = min(ends)
         if step == start:
             return order
         order.append(step)
@@ -907,11 +894,11 @@ def _refine(around: dict, cols: dict) -> dict:
 
 def _edge_multiset(g: WeightedGraph, mapping):
     out = []
-    for e in g.edges:
-        a, b = mapping[e.u], mapping[e.v]
+    for u, v, s in g.edges:
+        a, b = mapping[u], mapping[v]
         if b < a:
             a, b = b, a
-        out.append((a, b, e.sign))
+        out.append((a, b, s))
     return sorted(out)
 
 

@@ -16,7 +16,7 @@ Conventions:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from collections import namedtuple
 from fractions import Fraction
 from itertools import permutations, product
 
@@ -43,18 +43,14 @@ def _commutator(a, b) -> tuple:
     return tuple(a) + tuple(b) + _inv_word(a) + _inv_word(b)
 
 
-@dataclass(frozen=True)
-class GroupPresentation:
+class GroupPresentation(namedtuple("GroupPresentation", "generators relators")):
     """Finitely presented group: generator names plus relator words."""
 
-    generators: tuple
-    relators: tuple
+    __slots__ = ()
 
-    def __post_init__(self):
-        gens = tuple(self.generators)
-        rels = tuple(free_reduce(r) for r in self.relators)
-        object.__setattr__(self, "generators", gens)
-        object.__setattr__(self, "relators", rels)
+    def __new__(cls, generators: tuple, relators: tuple):
+        gens = tuple(generators)
+        rels = tuple(free_reduce(r) for r in relators)
         if rels and not gens:
             raise DomainError("relators given without generators")
         k = len(gens)
@@ -62,6 +58,7 @@ class GroupPresentation:
             for x in r:
                 if x == 0 or abs(x) > k:
                     raise DomainError(f"relator letter {x} out of range 1..{k}")
+        return tuple.__new__(cls, (gens, rels))
 
     def exponent_matrix(self) -> list:
         rows = []
@@ -106,28 +103,24 @@ def abelianization(p: GroupPresentation) -> AbelianGroup:
 # -- finite groups as tables ---------------------------------------------------
 
 
-@dataclass(frozen=True)
-class FiniteGroupTable:
+class FiniteGroupTable(namedtuple("FiniteGroupTable", "order table name inverse")):
     """A finite group given by its multiplication table.
 
     table[a][b] is the product a*b; the identity has index 0.  The
     axioms are verified on construction, so downstream counting can
-    trust the table blindly.
+    trust the table blindly.  inverse[a] is the inverse of a, computed
+    from the table; an inverse passed in is ignored.
     """
 
-    order: int
-    table: tuple
-    name: str = ""
-    inverse: tuple = field(default=(), compare=False)
+    __slots__ = ()
 
-    def __post_init__(self):
-        n = self.order
+    def __new__(cls, order: int, table: tuple, name: str = "", inverse: tuple = ()):
+        n = order
         if n < 1:
             raise DomainError("group order must be >= 1")
         if n**3 > 10**7:
             raise DomainError(f"refusing to verify a table of order {n}")
-        tab = tuple(tuple(row) for row in self.table)
-        object.__setattr__(self, "table", tab)
+        tab = tuple(tuple(row) for row in table)
         if len(tab) != n or any(len(row) != n for row in tab):
             raise DomainError("table shape does not match order")
         for row in tab:
@@ -151,7 +144,7 @@ class FiniteGroupTable:
                         raise DomainError(
                             f"associativity fails at ({a},{b},{c})"
                         )
-        object.__setattr__(self, "inverse", tuple(inv))
+        return tuple.__new__(cls, (order, tab, name, tuple(inv)))
 
     @staticmethod
     def from_json_dict(data: dict) -> "FiniteGroupTable":
@@ -306,11 +299,11 @@ def count_homs(
     if order not in ("forward", "reversed"):
         raise DomainError(f"unknown enumeration order {order!r}")
     rng = range(G.order) if order == "forward" else range(G.order - 1, -1, -1)
-    tab, inv = G.table, G.inverse
+    tab, inv, relators = G.table, G.inverse, p.relators
     count = 0
     for images in product(rng, repeat=k):
         ok = True
-        for rel in p.relators:
+        for rel in relators:
             acc = 0
             for x in rel:
                 g = images[x - 1] if x > 0 else inv[images[-x - 1]]
@@ -326,8 +319,7 @@ def count_homs(
 # -- handle bookkeeping --------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class HandleData:
+class HandleData(namedtuple("HandleData", "counts framings runs")):
     """Handle decomposition bookkeeping for the affine surface.
 
     counts = (# 0-handles, # 1-handles, # 2-handles, # 3-handles).
@@ -336,9 +328,7 @@ class HandleData:
     the 1-handles.
     """
 
-    counts: tuple
-    framings: tuple
-    runs: tuple
+    __slots__ = ()
 
     def euler_characteristic(self) -> int:
         n0, n1, n2, n3 = self.counts

@@ -19,8 +19,7 @@ Conventions used throughout:
 from __future__ import annotations
 
 import math
-from collections import Counter
-from dataclasses import dataclass
+from collections import Counter, namedtuple
 from fractions import Fraction
 
 from .graphs import (
@@ -304,10 +303,8 @@ def gauge_canonicalize(g: WeightedGraph) -> WeightedGraph:
 # -- normal form -------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class NormalReport:
-    ok: bool
-    violations: tuple
+class NormalReport(namedtuple("NormalReport", "ok violations")):
+    __slots__ = ()
 
     def __bool__(self):
         return self.ok
@@ -377,8 +374,8 @@ def _is_fork(g: WeightedGraph) -> bool:
     return len(branching) == 1 and branching_number(g, branching[0]) == 3
 
 
-@dataclass(frozen=True)
-class SeifertData:
+class SeifertData(namedtuple(
+        "SeifertData", "base_genus boundary_count exceptional central_weight")):
     """Seifert fibration data (g, r; f_1, ..., f_k) plus an integer shift.
 
     Fibers are kept in [0,1) sorted ascending; central_weight collects
@@ -388,19 +385,19 @@ class SeifertData:
     as (0, 0; 1/2, 1/3, 1/6) with central_weight 0.
     """
 
-    base_genus: int
-    boundary_count: int
-    exceptional: tuple
-    central_weight: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        fixed = tuple(sorted(Fraction(f) for f in self.exceptional))
-        object.__setattr__(self, "exceptional", fixed)
+    def __new__(cls, base_genus: int, boundary_count: int, exceptional: tuple,
+                central_weight: int):
+        fixed = tuple(sorted(Fraction(f) for f in exceptional))
         for f in fixed:
             if not 0 <= f < 1:
                 raise DomainError(f"fiber {f} not normalized into [0,1)")
-        if self.boundary_count < 0:
+        if boundary_count < 0:
             raise DomainError("negative boundary count")
+        return tuple.__new__(
+            cls, (base_genus, boundary_count, fixed, central_weight)
+        )
 
     def to_json_dict(self) -> dict:
         return {
@@ -423,8 +420,7 @@ def _reverse_seifert(sd: SeifertData) -> SeifertData:
     return SeifertData(sd.base_genus, sd.boundary_count, tuple(fibers), central)
 
 
-@dataclass(frozen=True)
-class NormalForm:
+class NormalForm(namedtuple("NormalForm", "graph ordering certificate seifert log")):
     """A terminal graph of the R1/R3 reduction with its certificate.
 
     certificate "generic": graph passes is_normal, ordering is the
@@ -433,11 +429,7 @@ class NormalForm:
     seifert carries its fibration data.
     """
 
-    graph: WeightedGraph
-    ordering: tuple
-    certificate: str
-    seifert: SeifertData | None
-    log: tuple
+    __slots__ = ()
 
     def to_json_dict(self) -> dict:
         return {

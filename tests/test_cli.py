@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from plumbcalc.cli import main
 from plumbcalc.family import build_boundary_graph
 from plumbcalc.graphs import WeightedGraph, graphs_isomorphic
+from plumbcalc.plumbing import from_divisor_graph
 
 
 def run(capsys, *argv):
@@ -143,6 +144,95 @@ def test_flow_and_replay_round_trip(capsys, tmp_path):
     # replaying the recorded log on the source reproduces the output
     out2 = run_json(capsys, "replay", str(src), str(log))
     assert WeightedGraph.from_json_dict(out2) == moved
+
+
+@pytest.mark.parametrize("entry, message", [
+    ({"move": "blowdown"}, "'vertex' must be a vertex id string"),
+    ({"move": "R1"}, "'vertex' must be a vertex id string"),
+    ({"move": "flow", "vertex": "L1_0"}, "'toward' must be a vertex id string"),
+    ({"move": "blowup", "center": {"edge": ["L1_0"]}},
+     "blowup edge must be two vertex ids"),
+    ({"move": "blowup", "center": {"edge": ["L1_0", 5]}},
+     "blowup edge must be two vertex ids"),
+    ({"move": "R3", "vertex": ["x"]}, "'vertex' must be a vertex id string"),
+    ({"move": "blowup", "center": 5}, "malformed blowup center 5"),
+    ({"move": "blowdown", "vertex": ["x"]}, "'vertex' must be a vertex id string"),
+    ({"move": "blowup", "center": {"vertex": "L1_0"}, "new_id": 7},
+     "new_id must be a string"),
+])
+def test_replay_rejects_malformed_entries(capsys, family_file, tmp_path, entry,
+                                          message):
+    log = tmp_path / "log.json"
+    log.write_text(json.dumps([entry]))
+    code, out, err = run(capsys, "replay", family_file, str(log), "--json")
+    assert (code, out) == (1, "")
+    assert err.startswith("error: replay: ") and message in err
+
+
+def test_replay_of_a_recorded_blowup_log(capsys, family_file, tmp_path):
+    """A well-formed log with both blowup centers, a given and a fresh
+    new_id, and blowdowns that undo them replays to the input."""
+    log = tmp_path / "log.json"
+    log.write_text(json.dumps([
+        {"move": "blowup", "center": {"vertex": "L1_0"}, "new_id": "X"},
+        {"move": "blowup", "center": {"edge": ["X", "L1_0"]}},
+        {"move": "blowdown", "vertex": "E1"},
+        {"move": "blowdown", "vertex": "X"},
+    ]))
+    assert run_json(capsys, "replay", family_file, str(log)) == json.load(
+        open(family_file))
+
+
+LOG_IDS = st.sampled_from(["L1_0", "L2_0", "L1_inf", "L2_inf", "T1_01", "A1",
+                           "X", ""])
+LOG_JUNK = (st.none() | st.booleans() | st.integers(-2, 2)
+            | st.lists(LOG_IDS, max_size=3))
+
+
+@st.composite
+def log_values(draw):
+    """Mostly a vertex id of the (2,3) boundary, sometimes any JSON value."""
+    return draw(LOG_IDS if draw(st.integers(0, 3)) else LOG_JUNK)
+
+
+@st.composite
+def log_entries(draw):
+    """A move-log entry: mostly a known move with each field present or
+    missing, well typed or not; sometimes any JSON value."""
+    if not draw(st.integers(0, 7)):
+        return draw(log_values())
+    moves = st.sampled_from(["blowup", "blowdown", "flow", "R1", "R3"])
+    entry = {"move": draw(moves if draw(st.integers(0, 7)) else log_values())}
+    for key in ("vertex", "toward", "new_id"):
+        if draw(st.booleans()):
+            entry[key] = draw(log_values())
+    shape = draw(st.integers(0, 3))
+    if shape == 1:
+        entry["center"] = {"vertex": draw(log_values())}
+    elif shape == 2:
+        size = draw(st.sampled_from([2, 2, 1, 3]))
+        ends = [draw(log_values()) for _ in range(size)]
+        entry["center"] = {"edge": ends if draw(st.integers(0, 3)) else draw(LOG_JUNK)}
+    elif shape == 3:
+        entry["center"] = draw(log_values())
+    return entry
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(log_entries(), max_size=4) | log_values(), st.booleans())
+def test_replay_never_raises(log, plumbed):
+    """Any JSON log on the (2,3) boundary, or its plumbing graph, ends in a
+    documented exit code, never a traceback."""
+    g = build_boundary_graph(2, 3).graph
+    if plumbed:
+        g = from_divisor_graph(g)
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = [Path(tmp) / "g.json", Path(tmp) / "log.json"]
+        paths[0].write_text(json.dumps(g.to_json_dict()))
+        paths[1].write_text(json.dumps(log))
+        with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+            code = main(["replay", *map(str, paths), "--json"])
+    assert code in (0, 1, 2, 3)
 
 
 def test_bark_fractions(capsys, tmp_path):
@@ -390,6 +480,29 @@ def test_graph_commands_never_raise(a, b, sub):
         with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
             code = main(argv + ["--json"])
     assert code in (0, 1, 2, 3)
+
+
+@pytest.mark.parametrize("signs", [(1, 1), (1, -1), (-1, -1)])
+def test_two_cycle_of_parallel_edges(capsys, tmp_path, signs):
+    """Two vertices joined by two parallel edges and nothing else form a
+    2-cycle (b1 = 1): normalize, reverse and h1 exit 0 or 3, and reversal
+    keeps H_1."""
+    src = tmp_path / "g.json"
+    for wa, wc in itertools.product(range(-4, 3), repeat=2):
+        src.write_text(json.dumps({
+            "kind": "plumbing",
+            "vertices": [{"id": "a", "weight": wa}, {"id": "c", "weight": wc}],
+            "edges": [{"u": "a", "v": "c", "sign": s} for s in signs],
+        }))
+        h1 = run_json(capsys, "h1", str(src))
+        assert h1["rank"] >= 1  # the cycle of the graph
+        for sub in ("normalize", "reverse"):
+            code, out, err = run(capsys, sub, str(src), "--json")
+            assert code in (0, 3), err
+            if code == 0:
+                nf = tmp_path / "nf.json"
+                nf.write_text(json.dumps(json.loads(out)["graph"]))
+                assert run_json(capsys, "h1", str(nf)) == h1
 
 
 def test_reverse_with_a_double_edge_into_a_loop_carrier(capsys, tmp_path):

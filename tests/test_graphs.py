@@ -8,7 +8,6 @@ import os
 import random
 import subprocess
 import sys
-from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -455,14 +454,14 @@ def test_check_snf_rejects_tampered_results():
     eye = ((1, 0), (0, 1))
     swap = ((0, 1), (1, 0))
     for bad, message in [
-        (replace(res, D=bumped(res.D, 2, 2)), "SNF recomposition failed"),
-        (replace(res, D=bumped(res.D, 0, 1)), "SNF recomposition failed"),
-        (replace(res, U_inv=bumped(res.U_inv, 1, 0)), "SNF recomposition failed"),
-        (replace(res, V_inv=bumped(res.V_inv, 2, 1)), "SNF recomposition failed"),
+        (res._replace(D=bumped(res.D, 2, 2)), "SNF recomposition failed"),
+        (res._replace(D=bumped(res.D, 0, 1)), "SNF recomposition failed"),
+        (res._replace(U_inv=bumped(res.U_inv, 1, 0)), "SNF recomposition failed"),
+        (res._replace(V_inv=bumped(res.V_inv, 2, 1)), "SNF recomposition failed"),
         # these recompose, but each transform has determinant +-2
-        (replace(singular, U_inv=doubled(singular.U_inv, j=2)), "SNF transform not unimodular"),
-        (replace(singular, V_inv=doubled(singular.V_inv, i=2)), "SNF transform not unimodular"),
-        (replace(res, U_inv=res.U_inv[:2]), "SNF shapes disagree"),
+        (singular._replace(U_inv=doubled(singular.U_inv, j=2)), "SNF transform not unimodular"),
+        (singular._replace(V_inv=doubled(singular.V_inv, i=2)), "SNF transform not unimodular"),
+        (res._replace(U_inv=res.U_inv[:2]), "SNF shapes disagree"),
         # recomposes with identity transforms, but D is not diagonal
         (SNFResult(swap, swap, eye, eye), "SNF matrix not diagonal"),
     ]:
@@ -602,6 +601,38 @@ def test_double_edge_into_the_branching_set_is_two_attachments():
     (seg,) = classify_segments(g).segments
     assert seg.vertices == ("a",) and seg.attachments == ("b", "b")
     assert not seg.is_twig
+
+
+def test_two_parallel_edges_between_chain_vertices_are_a_cycle():
+    """Two non-branching vertices joined by two parallel edges form a
+    2-cycle (b1 = 1): one circular segment, not a free linear chain."""
+    g = WeightedGraph(
+        "plumbing",
+        [Vertex("a", -3), Vertex("c", -2)],
+        [Edge("a", "c", 1), Edge("a", "c", 1)],
+    )
+    (seg,) = classify_segments(g).segments
+    assert seg.vertices == ("a", "c")
+    assert seg.chain_type == ChainType((2, 3), circular=True)
+    assert seg.attachments == (None, None)
+    assert not seg.is_free and not seg.is_twig
+
+
+@settings(max_examples=200, deadline=None)
+@given(multigraphs(decorated=True))
+def test_segments_are_circular_exactly_on_cycles(g):
+    """Each component of the graph minus its branching set is a path or a
+    cycle; its segment is circular exactly when it has as many edges as
+    vertices, and lists every vertex once."""
+    report = classify_segments(g)
+    covered = []
+    for seg in report.segments:
+        inside = set(seg.vertices)
+        edges = [e for e in g.edges if e.u in inside and e.v in inside]
+        assert seg.chain_type.circular == (len(edges) == len(inside))
+        assert len(seg.chain_type.entries) == len(seg.vertices)
+        covered += seg.vertices
+    assert sorted(covered) == sorted(set(g.vertices) - report.branching)
 
 
 @settings(max_examples=100, deadline=None)
@@ -881,9 +912,9 @@ def test_library_has_no_bare_asserts():
     assert found == []
 
 
-def test_library_is_stdlib_only():
-    """The runtime imports nothing outside the standard library."""
-    found = []
+def library_imports():
+    """("file:line", top-level module) for each absolute import in the
+    library's modules."""
     for path in sorted(Path(plumbcalc.__file__).parent.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
             if isinstance(node, ast.Import):
@@ -892,6 +923,31 @@ def test_library_is_stdlib_only():
                 names = [node.module]
             else:
                 continue
-            found += [f"{path.name}:{node.lineno} {name}" for name in names
-                      if name.split(".")[0] not in sys.stdlib_module_names | {"plumbcalc"}]
-    assert found == []
+            for name in names:
+                yield f"{path.name}:{node.lineno}", name.split(".")[0]
+
+
+def test_library_does_not_import_dataclasses():
+    """Records are namedtuple subclasses: generating dataclass code, and
+    importing `dataclasses` with `inspect` behind it, cost every CLI run
+    most of its start-up time."""
+    assert [where for where, top in library_imports() if top == "dataclasses"] == []
+
+
+def test_cli_import_leaves_out_dataclasses_and_inspect():
+    """A fresh interpreter without site packages imports the CLI and
+    neither `dataclasses` nor `inspect`."""
+    code = ("import plumbcalc.cli, sys; "
+            "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+    src = str(Path(plumbcalc.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-S", "-c", code], env=env,
+                         capture_output=True, text=True, timeout=60, check=True)
+    assert out.stdout == "[]\n"
+
+
+def test_library_is_stdlib_only():
+    """The runtime imports nothing outside the standard library."""
+    allowed = sys.stdlib_module_names | {"plumbcalc"}
+    assert [(where, top) for where, top in library_imports()
+            if top not in allowed] == []
