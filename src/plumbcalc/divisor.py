@@ -21,7 +21,11 @@ from .graphs import (
     Segment,
     Vertex,
     WeightedGraph,
+    _adjacency,
     _bareiss,
+    _branching,
+    _chains,
+    _entries,
     _sparse,
     branching_number,
     branching_set,
@@ -302,12 +306,26 @@ def is_standard(g: WeightedGraph) -> StandardReport:
     )
 
 
+def _is_standard_form(g: WeightedGraph) -> bool:
+    """`is_standard(g).standard`, without the report: stops at the first
+    chain that is not standard.  `_linear_standard` and
+    `_circular_standard` try every orientation and rotation, so the
+    chains need no orienting."""
+    around, loops = _adjacency(g)
+    for order, circular in _chains(g, around, _branching(g, around, loops)):
+        entries = _entries(g, order)
+        if not (_circular_standard if circular else _linear_standard)(entries):
+            return False
+    return True
+
+
 class _SearchCaps:
+    budget = 100_000  # moves tried, over all expanded states
+
     def __init__(self, g: WeightedGraph):
         self.max_vertices = max(len(g.vertices), 4) + 4
         wmax = max([abs(v.weight) for v in g.vertices.values()], default=0)
         self.max_abs_weight = max(wmax, 4) + 4
-        self.budget = 100_000
 
     def admits(self, g: WeightedGraph) -> bool:
         if len(g.vertices) > self.max_vertices:
@@ -346,55 +364,76 @@ def _apply_move(g: WeightedGraph, move, log: list) -> WeightedGraph:
     raise AssertionError(f"unknown search move {move!r}")
 
 
+_STRATEGY = (
+    "(strategy: minimalize, then BFS over blowdowns, flows and bounded "
+    "blowups); this indicates a strategy gap, not a certified negative"
+)
+
+
 def standardize(g: WeightedGraph) -> tuple[WeightedGraph, list]:
     """snc-minimalize, then search for a standard form by breadth-first
     exploration of contractions, flows and bounded blowups.
 
-    The search caps vertex count and weights near the input's own size,
-    uses canonical encodings to prune revisits, and gives up loudly
-    after a fixed move budget (a strategy failure, never a proof that no
-    standard form exists).
+    The search caps vertex count and weights near the input's own size
+    and gives up loudly, saying how far it got, after a fixed budget of
+    moves tried (a strategy failure, never a proof that no standard form
+    exists).
+
+    Every child a move makes gets the goal test at once, and the first
+    standard child is returned.  Any other child is queued as its parent
+    and move, not as a graph.  Revisits are pruned when a state is taken
+    from the queue: its graph is rebuilt (the move is deterministic),
+    canonically encoded, and expanded only if no isomorphic state was
+    expanded before.  Standardness is invariant under isomorphism, and
+    only non-standard states are ever encoded, so no standard child is
+    pruned as a revisit.  A search that pruned each child as it was made
+    therefore expands the same states in the same order, returns the
+    same first standard child with the same log, and runs out of budget
+    or states at the same move.
     """
     _require_divisor(g, "standardize")
     log: list = []
     cur = _minimalize(g, log, lambda _g, vid: vid)
-    if is_standard(cur).standard:
+    if _is_standard_form(cur):
         return cur, log
 
     caps = _SearchCaps(cur)
-    seen = {canonical_encoding(cur)}
-    queue = deque([(cur, tuple(log))])
-    expansions = 0
+    seen = set()
+    queue = deque([(cur, tuple(log), None)])
+    tried = expanded = 0
     while queue:
-        state, state_log = queue.popleft()
-        for move in _search_moves(state):
-            expansions += 1
-            if expansions > caps.budget:
-                raise DomainError(
-                    "standardize: move budget exhausted "
-                    "(strategy: minimalize, then BFS over blowdowns, flows "
-                    "and bounded blowups); this indicates a strategy gap, "
-                    "not a certified negative"
-                )
+        state, state_log, move = queue.popleft()
+        if move is not None:
             sub: list = []
+            state = _apply_move(state, move, sub)
+            state_log += tuple(sub)
+        enc = canonical_encoding(state)
+        if enc in seen:
+            continue
+        seen.add(enc)
+        expanded += 1
+        for move in _search_moves(state):
+            tried += 1
+            if tried > caps.budget:
+                raise DomainError(
+                    "standardize: move budget exhausted after "
+                    f"{caps.budget} of {caps.budget} moves tried, "
+                    f"{expanded} states expanded {_STRATEGY}"
+                )
+            sub = []
             try:
                 nxt = _apply_move(state, move, sub)
             except DomainError:
                 continue
             if not caps.admits(nxt):
                 continue
-            enc = canonical_encoding(nxt)
-            if enc in seen:
-                continue
-            seen.add(enc)
-            nxt_log = state_log + tuple(sub)
-            if is_standard(nxt).standard:
-                return nxt, list(nxt_log)
-            queue.append((nxt, nxt_log))
+            if _is_standard_form(nxt):
+                return nxt, [*state_log, *sub]
+            queue.append((state, state_log, move))
     raise DomainError(
-        "standardize: search space exhausted under caps "
-        "(strategy: minimalize, then BFS over blowdowns, flows and bounded "
-        "blowups); this indicates a strategy gap, not a certified negative"
+        "standardize: search space exhausted under caps after "
+        f"{tried} of {caps.budget} moves tried, {expanded} states expanded "
+        f"{_STRATEGY}"
     )
 
 

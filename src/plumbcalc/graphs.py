@@ -737,24 +737,19 @@ def _entries(g: WeightedGraph, vids) -> tuple:
     return tuple(-g.vertices[x].weight for x in vids)
 
 
-def classify_segments(g: WeightedGraph) -> SegmentReport:
-    """Split the graph into its branching set and maximal chains.
+def _chains(g: WeightedGraph, around: dict, b: frozenset):
+    """Yield (vertex order, circular) for each maximal chain of the graph
+    minus the branching set b, on the `around` half of `_adjacency`.
 
-    Twig chains run tip first; bridge and free chains pick the
-    lexicographically smaller of the two traversals; circular chains are
-    canonical up to rotation and reflection.  Edge ends are counted, not
-    neighbours: a vertex joined to the branching set by two parallel
-    edges has two attachments, and two vertices joined by two parallel
-    edges form a circular chain.
+    Chains come in the id order of their least vertex.  A path is walked
+    from its least tip, a cycle from its least vertex toward that
+    vertex's least neighbour.
     """
-    around, loops = _adjacency(g)
-    b = _branching(g, around, loops)
     rest = [vid for vid in g.sorted_ids() if vid not in b]
     sub_adj = {
         vid: sorted(x for x, _ in around[vid] if x not in b)
         for vid in rest
     }
-    segments = []
     seen: set[str] = set()
     for start in rest:
         if start in seen:
@@ -768,18 +763,34 @@ def classify_segments(g: WeightedGraph) -> SegmentReport:
                     comp.add(y)
                     stack.append(y)
         seen |= comp
-        tips = sorted(x for x in comp if len(sub_adj[x]) <= 1)
-        if not tips:
-            # cycle component
-            order = _walk_cycle(sub_adj, min(comp))
-            ents = _entries(g, order)
-            canon = _canonical_cycle(ents)
+        tip = min((x for x in comp if len(sub_adj[x]) <= 1), default=None)
+        if tip is None:
+            yield _walk_cycle(sub_adj, min(comp)), True
+        else:
+            yield _walk_path(sub_adj, tip), False
+
+
+def classify_segments(g: WeightedGraph) -> SegmentReport:
+    """Split the graph into its branching set and maximal chains.
+
+    Twig chains run tip first; bridge and free chains pick the
+    lexicographically smaller of the two traversals; circular chains are
+    canonical up to rotation and reflection.  Edge ends are counted, not
+    neighbours: a vertex joined to the branching set by two parallel
+    edges has two attachments, and two vertices joined by two parallel
+    edges form a circular chain.
+    """
+    around, loops = _adjacency(g)
+    b = _branching(g, around, loops)
+    segments = []
+    for order, circular in _chains(g, around, b):
+        if circular:
+            canon = _canonical_cycle(_entries(g, order))
             segments.append(
                 Segment(tuple(order), ChainType(canon, circular=True), (None, None))
             )
             continue
-        if len(comp) == 1:
-            order = [tips[0]]
+        if len(order) == 1:
             outside = sorted(x for x, _ in around[order[0]] if x in b)
             if len(outside) == 0:
                 att = [None, None]
@@ -788,7 +799,6 @@ def classify_segments(g: WeightedGraph) -> SegmentReport:
             else:
                 att = outside
         else:
-            order = _walk_path(sub_adj, tips[0])
             att = []
             for end in (order[0], order[-1]):
                 outside = sorted(x for x, _ in around[end] if x in b)
@@ -989,33 +999,37 @@ def _canonical_search(g: WeightedGraph) -> tuple:
         return (), encode_with_order(g, ())
     around, loops = _adjacency(g)
     best: dict = {"enc": None, "order": None, "path": None}
-    autos: list[dict] = []
-
-    def search(cols, path) -> int:
-        """Search below the node that individualized `path`; return the
-        depth of the node to go on from."""
-        sizes = Counter(cols.values())
-        cell = min((c for c, k in sizes.items() if k > 1), default=None)
-        if cell is None:
-            order = tuple(sorted(cols, key=cols.__getitem__))
-            enc = encode_with_order(g, order)
-            if best["enc"] is None or enc < best["enc"]:
-                best.update(enc=enc, order=order, path=path)
-            elif enc == best["enc"]:
-                autos.append(dict(zip(order, best["order"])))
-                return next(i for i, (a, b) in enumerate(zip(path, best["path"]))
-                            if a != b)
-            return len(path)
-        tried: list[str] = []
-        for x in sorted(v for v in cols if cols[v] == cell):
-            fixing = [a for a in autos if all(a[p] == p for p in path)]
-            if _orbit(x, fixing).isdisjoint(tried):
-                tried.append(x)
-                child = _refine(around, {v: (cols[v], v != x) for v in cols})
-                back = search(child, path + [x])
-                if back < len(path):
-                    return back
-        return len(path)
-
-    search(_refine(around, _initial_colors(g, around, loops)), [])
+    _search_below(g, around, best, [],
+                  _refine(around, _initial_colors(g, around, loops)), [])
     return best["order"], best["enc"]
+
+
+def _search_below(g, around, best, autos, cols, path) -> int:
+    """Search below the node that individualized `path`, updating `best`
+    and `autos`; return the depth of the node to go on from.
+
+    A module-level function, not a closure that names itself, so a
+    search leaves no reference cycle for the garbage collector.
+    """
+    sizes = Counter(cols.values())
+    cell = min((c for c, k in sizes.items() if k > 1), default=None)
+    if cell is None:
+        order = tuple(sorted(cols, key=cols.__getitem__))
+        enc = encode_with_order(g, order)
+        if best["enc"] is None or enc < best["enc"]:
+            best.update(enc=enc, order=order, path=path)
+        elif enc == best["enc"]:
+            autos.append(dict(zip(order, best["order"])))
+            return next(i for i, (a, b) in enumerate(zip(path, best["path"]))
+                        if a != b)
+        return len(path)
+    tried: list[str] = []
+    for x in sorted(v for v in cols if cols[v] == cell):
+        fixing = [a for a in autos if all(a[p] == p for p in path)]
+        if _orbit(x, fixing).isdisjoint(tried):
+            tried.append(x)
+            child = _refine(around, {v: (cols[v], v != x) for v in cols})
+            back = _search_below(g, around, best, autos, child, path + [x])
+            if back < len(path):
+                return back
+    return len(path)

@@ -3,14 +3,25 @@ barks."""
 
 import json
 import random
+from collections import deque
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+import plumbcalc.divisor as divisor
+from plumbcalc.cli import main
 from plumbcalc.divisor import (
     OnEdge,
     OnVertex,
+    _SearchCaps,
+    _apply_move,
+    _is_standard_form,
+    _minimalize,
+    _require_divisor,
+    _search_moves,
     _solve_exact,
     bark,
     blow_down,
@@ -31,6 +42,7 @@ from plumbcalc.graphs import (
     Edge,
     Vertex,
     WeightedGraph,
+    canonical_encoding,
     canonical_json,
     graphs_isomorphic,
 )
@@ -264,6 +276,208 @@ def test_standardize_matches_frozen_pins():
     for name, pin in frozen.items():
         assert canonical_json(now[name]["graph"]) == canonical_json(pin["graph"]), name
         assert canonical_json(now[name]["log"]) == canonical_json(pin["log"]), name
+
+
+# The search as it was when it pruned every child as the child was made,
+# kept verbatim as the reference the expansion-time search must match.
+def oracle_standardize(g: WeightedGraph) -> tuple[WeightedGraph, list]:
+    """snc-minimalize, then search for a standard form by breadth-first
+    exploration of contractions, flows and bounded blowups.
+
+    The search caps vertex count and weights near the input's own size,
+    uses canonical encodings to prune revisits, and gives up loudly
+    after a fixed move budget (a strategy failure, never a proof that no
+    standard form exists).
+    """
+    _require_divisor(g, "standardize")
+    log: list = []
+    cur = _minimalize(g, log, lambda _g, vid: vid)
+    if is_standard(cur).standard:
+        return cur, log
+
+    caps = _SearchCaps(cur)
+    seen = {canonical_encoding(cur)}
+    queue = deque([(cur, tuple(log))])
+    expansions = 0
+    while queue:
+        state, state_log = queue.popleft()
+        for move in _search_moves(state):
+            expansions += 1
+            if expansions > caps.budget:
+                raise DomainError(
+                    "standardize: move budget exhausted "
+                    "(strategy: minimalize, then BFS over blowdowns, flows "
+                    "and bounded blowups); this indicates a strategy gap, "
+                    "not a certified negative"
+                )
+            sub: list = []
+            try:
+                nxt = _apply_move(state, move, sub)
+            except DomainError:
+                continue
+            if not caps.admits(nxt):
+                continue
+            enc = canonical_encoding(nxt)
+            if enc in seen:
+                continue
+            seen.add(enc)
+            nxt_log = state_log + tuple(sub)
+            if is_standard(nxt).standard:
+                return nxt, list(nxt_log)
+            queue.append((nxt, nxt_log))
+    raise DomainError(
+        "standardize: search space exhausted under caps "
+        "(strategy: minimalize, then BFS over blowdowns, flows and bounded "
+        "blowups); this indicates a strategy gap, not a certified negative"
+    )
+
+
+def assert_matches_oracle(g):
+    """Same graph bytes and log, or the same DomainError with the search's
+    progress put in after its prefix."""
+    try:
+        want = oracle_standardize(g)
+    except DomainError as e:
+        with pytest.raises(DomainError) as got:
+            standardize(g)
+        prefix, _, rest = str(e).partition(" (strategy")
+        assert str(got.value).startswith(prefix + " after ")
+        assert str(got.value).endswith(" (strategy" + rest)
+        return
+    out, log = standardize(g)
+    assert out.to_json() == want[0].to_json()
+    assert canonical_json(log) == canonical_json(want[1])
+
+
+def flowed_dpart(d1, d2, zero, toward, steps):
+    g = build_boundary_graph(d1, d2).d_part()
+    for _ in range(steps):
+        g = elementary_flow(g, zero, toward)
+    return g
+
+
+@pytest.mark.parametrize("d1, d2", [(1, 2), (2, 3), (3, 4), (4, 5)])
+@pytest.mark.parametrize("zero, toward", PIN_FLOWS)
+def test_standardize_matches_the_generation_time_oracle(d1, d2, zero, toward):
+    """Pruning revisits when a state is expanded, not when it is made,
+    returns what pruning each child as it was made returned."""
+    for steps in (1, 2, 3):
+        assert_matches_oracle(flowed_dpart(d1, d2, zero, toward, steps))
+
+
+@st.composite
+def divisor_trees(draw):
+    n = draw(st.integers(2, 7))
+    vs = [Vertex(f"v{i}", draw(st.integers(-4, 2))) for i in range(n)]
+    es = [Edge(f"v{i}", f"v{draw(st.integers(0, i - 1))}") for i in range(1, n)]
+    return WeightedGraph("divisor", vs, es)
+
+
+@settings(max_examples=60, deadline=None)
+@given(divisor_trees(), st.integers(0, 4))
+@example(chain(1, -1, 2), 0)
+@example(chain(-3, 0, -5), 0)
+@example(chain(0, 0, 2), 0)   # exhausts the budget
+@example(chain(1, 1), 4)      # exhausts the search space
+def test_standardize_matches_the_oracle_on_trees(g, slack):
+    """With a lowered budget, and caps tightened by `slack` vertices so
+    that some searches run out of states before they run out of moves."""
+    admits = _SearchCaps.admits
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_SearchCaps, "budget", 1000)
+        mp.setattr(_SearchCaps, "admits", lambda caps, h: (
+            len(h.vertices) <= caps.max_vertices - slack and admits(caps, h)))
+        assert_matches_oracle(g)
+
+
+def relabeled(g, rng):
+    ids = list(g.vertices)
+    rng.shuffle(ids)
+    relabel = {old: f"m{k}" for k, old in enumerate(ids)}
+    return WeightedGraph(
+        g.kind,
+        [Vertex(relabel[v.id], v.weight, v.genus, v.boundary) for v in g.vertices.values()],
+        [Edge(relabel[e.u], relabel[e.v], e.sign) for e in g.edges],
+    )
+
+
+@st.composite
+def decorated_graphs(draw):
+    """Divisor graphs with cycles, and plumbing multigraphs with loops and
+    signed parallel edges; some vertices carry genus or boundary."""
+    ids = [f"n{i}" for i in range(draw(st.integers(1, 7)))]
+    deco = st.sampled_from([0, 0, 0, 1])
+    vs = [Vertex(x, draw(st.integers(-4, 2)), draw(deco), draw(deco)) for x in ids]
+    if draw(st.booleans()):
+        pairs = [(a, b) for i, a in enumerate(ids) for b in ids[i + 1:]]
+        chosen = draw(st.sets(st.sampled_from(pairs), max_size=9)) if pairs else ()
+        return WeightedGraph("divisor", vs, [Edge(a, b) for a, b in chosen])
+    edge = st.builds(Edge, st.sampled_from(ids), st.sampled_from(ids),
+                     st.sampled_from([1, -1]))
+    return WeightedGraph("plumbing", vs, draw(st.lists(edge, max_size=10)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(decorated_graphs(), st.randoms(use_true_random=False))
+@example(cycle(0, 0, -1, -1), random.Random(1))
+@example(cycle(0, -2, -3), random.Random(1))
+@example(build_boundary_graph(3, 4).d_part(), random.Random(1))
+def test_goal_test_is_is_standard_and_invariant_under_relabeling(g, rng):
+    """The search's goal test is `is_standard`, and standardness does not
+    depend on vertex names: the argument that pruning on expansion keeps
+    the result rests on this."""
+    verdict = is_standard(g).standard
+    assert _is_standard_form(g) == verdict
+    for _ in range(5):
+        assert is_standard(relabeled(g, rng)).standard == verdict
+
+
+def test_standardize_encodes_only_the_states_it_expands(monkeypatch):
+    calls = []
+
+    def counting(h):
+        calls.append(h)
+        return canonical_encoding(h)
+
+    monkeypatch.setattr(divisor, "canonical_encoding", counting)
+    standardize(flowed_dpart(3, 4, "L1_inf", "L2_0", 3))
+    assert 0 < len(calls) <= 60  # 882 when every child was encoded
+
+
+def test_standardize_errors_say_how_far_the_search_got(monkeypatch):
+    expanded = []
+
+    def counting(h):
+        expanded.append(h)
+        return _search_moves(h)
+
+    monkeypatch.setattr(divisor, "_search_moves", counting)
+    monkeypatch.setattr(_SearchCaps, "budget", 50)
+    with pytest.raises(DomainError) as e:
+        standardize(chain(0, 0, 2))
+    assert str(e.value).startswith(
+        f"standardize: move budget exhausted after 50 of 50 moves tried, "
+        f"{len(expanded)} states expanded (strategy: ")
+
+    expanded.clear()
+    monkeypatch.setattr(_SearchCaps, "admits", lambda caps, h: len(h.vertices) <= 2)
+    with pytest.raises(DomainError) as e:
+        standardize(chain(1, 1))
+    assert str(e.value).startswith(
+        f"standardize: search space exhausted under caps after "
+        f"{sum(len(list(_search_moves(h))) for h in expanded)} of 50 moves "
+        f"tried, {len(expanded)} states expanded (strategy: ")
+
+
+def test_cli_standardize_budget_exhausted_exits_1(monkeypatch, tmp_path, capsys):
+    path = tmp_path / "g.json"
+    path.write_text(chain(0, 0, 2).to_json())
+    monkeypatch.setattr(_SearchCaps, "budget", 50)
+    assert main(["standardize", str(path), "--json"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: standardize: move budget exhausted after 50 of 50")
+    assert "Traceback" not in err
 
 
 # -- barks -----------------------------------------------------------------------

@@ -2,6 +2,7 @@
 isomorphism."""
 
 import ast
+import gc
 import itertools
 import math
 import os
@@ -809,6 +810,20 @@ def test_canonical_encoding_invariant_under_relabeling(g, rng):
     encodings = {canonical_encoding(relabeled(g, rng)) for _ in range(40)}
     assert encodings == {canonical_encoding(g)}
     assert graphs_isomorphic(g, relabeled(g, rng))[0]
+
+
+def test_canonical_search_leaves_no_reference_cycles():
+    """Each search frees its adjacency, colourings and best leaf by
+    reference counting alone, without the cyclic collector."""
+    g = build_boundary_graph(3, 4).d_part()
+    gc.collect()
+    gc.disable()
+    try:
+        for _ in range(10):
+            canonical_encoding(g)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 @settings(max_examples=100, deadline=None)
