@@ -18,7 +18,6 @@ import sys
 from fractions import Fraction
 
 from .divisor import (
-    _entry_id,
     bark,
     elementary_flow,
     replay,
@@ -57,8 +56,6 @@ from .plumbing import (
     from_divisor_graph,
     h1_from_graph,
     jsj_cut,
-    move_R1,
-    move_R3,
     normalize,
     reverse_orientation,
 )
@@ -375,15 +372,7 @@ def cmd_replay(args) -> int:
     log = _load_json(args.log)
     if not isinstance(log, list):
         raise DomainError(f"{args.log}: replay log must be a JSON list")
-    for entry in log:
-        move = entry.get("move") if isinstance(entry, dict) else None
-        if move == "R1":
-            g = move_R1(g, _entry_id(entry, "vertex"))
-        elif move == "R3":
-            g = move_R3(g, _entry_id(entry, "vertex"))
-        else:
-            g = replay(g, [entry])
-    _emit_graph(args, g)
+    _emit_graph(args, replay(g, log))
     return 0
 
 

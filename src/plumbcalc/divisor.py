@@ -7,7 +7,10 @@ superfluous (-1)-vertices, snc-minimalization, elementary flows on
 Every move returns a new graph, leaving its input unchanged.  Moves
 accept an optional ``log`` list and append JSON-serializable move
 entries to it; ``replay`` applies such a log to the original graph and
-must reproduce the output exactly.
+must reproduce the output exactly.  ``MOVES`` maps each logged move name,
+the plumbing moves R1 and R3 included, to the function that checks an
+entry's fields and applies it; ``replay`` and the standardization search
+both apply moves through it.
 """
 
 from __future__ import annotations
@@ -32,9 +35,11 @@ from .graphs import (
     canonical_encoding,
     classify_segments,
     connected_components,
+    fresh_id,
     is_negative_definite,
     reweighted,
 )
+from .plumbing import move_R1, move_R3
 
 
 class OnVertex(namedtuple("OnVertex", "vertex")):
@@ -49,14 +54,6 @@ class OnEdge(namedtuple("OnEdge", "u v")):
     __slots__ = ()
 
 
-def fresh_id(taken, prefix: str = "E") -> str:
-    """The first of prefix1, prefix2, ... not in the taken ids."""
-    i = 1
-    while f"{prefix}{i}" in taken:
-        i += 1
-    return f"{prefix}{i}"
-
-
 def _require_divisor(g: WeightedGraph, op: str) -> None:
     if g.kind != "divisor":
         raise DomainError(f"{op} requires a divisor graph, got kind={g.kind!r}")
@@ -69,7 +66,7 @@ def _require_divisor(g: WeightedGraph, op: str) -> None:
 def blow_up(g: WeightedGraph, center, log: list | None = None,
             new_id: str | None = None) -> WeightedGraph:
     _require_divisor(g, "blow_up")
-    eid = new_id or fresh_id(g.vertices)
+    eid = new_id if new_id is not None else fresh_id(g.vertices)
     if eid in g.vertices:
         raise DomainError(f"new vertex id {eid!r} already in use")
     if isinstance(center, OnVertex):
@@ -336,32 +333,22 @@ class _SearchCaps:
 
 
 def _search_moves(g: WeightedGraph):
-    """Deterministic move enumeration for the standardization search."""
+    """Deterministic move enumeration for the standardization search, as
+    log entries; a blowup entry names no new_id, so the move picks
+    `fresh_id`."""
     for vid in g.sorted_ids():
         if is_superfluous(g, vid):
-            yield ("blowdown", vid)
+            yield {"move": "blowdown", "vertex": vid}
     for vid in g.sorted_ids():
         v = g.vertices[vid]
         if v.weight == 0 and v.genus == 0 and v.boundary == 0:
             if branching_number(g, vid) == 2 and len(g.neighbors(vid)) == 2:
                 for n in g.neighbors(vid):
-                    yield ("flow", vid, n)
+                    yield {"move": "flow", "vertex": vid, "toward": n}
     for e in g.edges:
-        yield ("inner", e.u, e.v)
+        yield {"move": "blowup", "center": {"edge": [e.u, e.v]}}
     for vid in g.sorted_ids():
-        yield ("outer", vid)
-
-
-def _apply_move(g: WeightedGraph, move, log: list) -> WeightedGraph:
-    if move[0] == "blowdown":
-        return blow_down(g, move[1], log)
-    if move[0] == "flow":
-        return elementary_flow(g, move[1], move[2], log)
-    if move[0] == "inner":
-        return blow_up(g, OnEdge(move[1], move[2]), log)
-    if move[0] == "outer":
-        return blow_up(g, OnVertex(move[1]), log)
-    raise AssertionError(f"unknown search move {move!r}")
+        yield {"move": "blowup", "center": {"vertex": vid}}
 
 
 _STRATEGY = (
@@ -381,8 +368,8 @@ def standardize(g: WeightedGraph) -> tuple[WeightedGraph, list]:
 
     Every child a move makes gets the goal test at once, and the first
     standard child is returned.  Any other child is queued as its parent
-    and move, not as a graph.  Revisits are pruned when a state is taken
-    from the queue: its graph is rebuilt (the move is deterministic),
+    and move-log entry, not as a graph.  Revisits are pruned when a state
+    is taken from the queue: its graph is rebuilt (the move is deterministic),
     canonically encoded, and expanded only if no isomorphic state was
     expanded before.  Standardness is invariant under isomorphism, and
     only non-standard states are ever encoded, so no standard child is
@@ -405,7 +392,7 @@ def standardize(g: WeightedGraph) -> tuple[WeightedGraph, list]:
         state, state_log, move = queue.popleft()
         if move is not None:
             sub: list = []
-            state = _apply_move(state, move, sub)
+            state = apply_move(state, move, sub)
             state_log += tuple(sub)
         enc = canonical_encoding(state)
         if enc in seen:
@@ -422,7 +409,7 @@ def standardize(g: WeightedGraph) -> tuple[WeightedGraph, list]:
                 )
             sub = []
             try:
-                nxt = _apply_move(state, move, sub)
+                nxt = apply_move(state, move, sub)
             except DomainError:
                 continue
             if not caps.admits(nxt):
@@ -585,36 +572,53 @@ def _entry_id(entry: dict, key: str) -> str:
     return x
 
 
+def _replay_blowup(g: WeightedGraph, entry: dict, log) -> WeightedGraph:
+    center = entry.get("center", {})
+    new_id = entry.get("new_id")
+    if new_id is not None and not isinstance(new_id, str):
+        raise DomainError(f"replay: new_id must be a string in {entry!r}")
+    if new_id == "":
+        raise DomainError(f"replay: new_id must not be empty in {entry!r}")
+    if isinstance(center, dict) and "vertex" in center:
+        return blow_up(g, OnVertex(_entry_id(center, "vertex")), log, new_id)
+    if isinstance(center, dict) and "edge" in center:
+        ends = center["edge"]
+        if (not isinstance(ends, list) or len(ends) != 2
+                or not all(isinstance(x, str) for x in ends)):
+            raise DomainError(
+                f"replay: blowup edge must be two vertex ids, got {ends!r}"
+            )
+        return blow_up(g, OnEdge(*ends), log, new_id)
+    raise DomainError(f"replay: malformed blowup center {center!r}")
+
+
+# Move name -> (graph, entry, log) -> graph: checks the entry's fields and
+# applies the move.  Each move is looked up as a module global when called,
+# never stored here, so a move rebound on this module is the one applied.
+MOVES = {
+    "blowup": _replay_blowup,
+    "blowdown": lambda g, e, log: blow_down(g, _entry_id(e, "vertex"), log),
+    "flow": lambda g, e, log: elementary_flow(
+        g, _entry_id(e, "vertex"), _entry_id(e, "toward"), log),
+    "R1": lambda g, e, log: move_R1(g, _entry_id(e, "vertex"), log),
+    "R3": lambda g, e, log: move_R3(g, _entry_id(e, "vertex"), log),
+}
+
+
+def apply_move(g: WeightedGraph, entry, log: list | None = None) -> WeightedGraph:
+    """Apply one move-log entry through MOVES, appending what the move
+    logs to log."""
+    if not isinstance(entry, dict) or "move" not in entry:
+        raise DomainError(f"replay: malformed log entry {entry!r}")
+    kind = entry["move"]
+    if not isinstance(kind, str) or kind not in MOVES:
+        raise DomainError(f"replay: unknown move {kind!r}")
+    return MOVES[kind](g, entry, log)
+
+
 def replay(g: WeightedGraph, log: list) -> WeightedGraph:
     """Apply a recorded move list to the graph it was recorded from."""
     cur = g
     for entry in log:
-        if not isinstance(entry, dict) or "move" not in entry:
-            raise DomainError(f"replay: malformed log entry {entry!r}")
-        kind = entry["move"]
-        if kind == "blowup":
-            center = entry.get("center", {})
-            new_id = entry.get("new_id")
-            if new_id is not None and not isinstance(new_id, str):
-                raise DomainError(f"replay: new_id must be a string in {entry!r}")
-            if isinstance(center, dict) and "vertex" in center:
-                cur = blow_up(cur, OnVertex(_entry_id(center, "vertex")),
-                              new_id=new_id)
-            elif isinstance(center, dict) and "edge" in center:
-                ends = center["edge"]
-                if (not isinstance(ends, list) or len(ends) != 2
-                        or not all(isinstance(x, str) for x in ends)):
-                    raise DomainError(
-                        f"replay: blowup edge must be two vertex ids, got {ends!r}"
-                    )
-                cur = blow_up(cur, OnEdge(*ends), new_id=new_id)
-            else:
-                raise DomainError(f"replay: malformed blowup center {center!r}")
-        elif kind == "blowdown":
-            cur = blow_down(cur, _entry_id(entry, "vertex"))
-        elif kind == "flow":
-            cur = elementary_flow(cur, _entry_id(entry, "vertex"),
-                                  _entry_id(entry, "toward"))
-        else:
-            raise DomainError(f"replay: unknown move {kind!r}")
+        cur = apply_move(cur, entry)
     return cur

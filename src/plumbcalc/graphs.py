@@ -274,6 +274,14 @@ def reweighted(vertices, deltas: dict) -> list[Vertex]:
     ]
 
 
+def fresh_id(taken, prefix: str = "E") -> str:
+    """The first of prefix1, prefix2, ... not in the taken ids."""
+    i = 1
+    while f"{prefix}{i}" in taken:
+        i += 1
+    return f"{prefix}{i}"
+
+
 def branching_number(g: WeightedGraph, vid: str) -> int:
     """Number of edge ends at the vertex; a loop contributes 2."""
     if vid not in g.vertices:
@@ -651,11 +659,11 @@ class AbelianGroup(namedtuple("AbelianGroup", "rank torsion", defaults=((),))):
         return {"rank": self.rank, "torsion": list(self.torsion)}
 
 
-def cokernel(matrix, ambient_rank: int | None = None) -> AbelianGroup:
+def cokernel(matrix) -> AbelianGroup:
     """Z^m / (column space of the m x n matrix) as an abelian group."""
     m = len(matrix)
     if m == 0:
-        return AbelianGroup(ambient_rank or 0)
+        return AbelianGroup(0)
     diag = smith_normal_form(matrix).diagonal
     torsion = tuple(sorted(d for d in diag if d > 1))
     rank = m - sum(1 for d in diag if d != 0)

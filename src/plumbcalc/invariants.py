@@ -92,12 +92,13 @@ def pi1_presentation(d1: int, d2: int) -> GroupPresentation:
 
 
 def abelianization(p: GroupPresentation) -> AbelianGroup:
-    """SNF of the relator exponent matrix."""
+    """Z^generators / (span of the relators' exponent rows): the cokernel
+    of the transposed exponent matrix, one row per generator."""
     if not p.generators:
         return AbelianGroup(0, ())
     if not p.relators:
         return AbelianGroup(len(p.generators), ())
-    return cokernel(p.exponent_matrix(), ambient_rank=len(p.generators))
+    return cokernel([list(col) for col in zip(*p.exponent_matrix())])
 
 
 # -- finite groups as tables ---------------------------------------------------
@@ -369,7 +370,7 @@ def chain_complex_homology(h: HandleData) -> tuple:
     snf = smith_normal_form(d2)
     rank = sum(1 for x in snf.diagonal if x)
     h0 = AbelianGroup(1, ())
-    h1 = cokernel(d2, ambient_rank=n1)
+    h1 = cokernel(d2)
     h2 = AbelianGroup(n2 - rank, ())
     return (h0, h1, h2)
 

@@ -36,10 +36,10 @@ from .graphs import (
     cokernel,
     connected_components,
     first_betti,
+    fresh_id,
     intersection_matrix,
     reweighted,
 )
-from .divisor import fresh_id
 
 MOVE_BUDGET = 10_000
 
@@ -72,6 +72,22 @@ def from_divisor_graph(g: WeightedGraph) -> WeightedGraph:
 # -- moves -------------------------------------------------------------------
 
 
+def _r1_obstruction(g: WeightedGraph, vid: str) -> str | None:
+    """Why move_R1 does not apply at the vertex vid of g, or None."""
+    if vid not in g.vertices:
+        return f"no vertex {vid!r}"
+    v = g.vertices[vid]
+    if v.genus != 0 or v.boundary != 0:
+        return f"move_R1: vertex {vid!r} must be rational and closed"
+    if v.weight not in (1, -1):
+        return f"move_R1: vertex {vid!r} has weight {v.weight}, need +-1"
+    at = g.edges_at(vid)
+    if any(e.is_loop for e in at):
+        return f"move_R1: vertex {vid!r} carries a loop"
+    if len(at) > 2:
+        return f"move_R1: vertex {vid!r} has beta={len(at)} > 2"
+
+
 def move_R1(g: WeightedGraph, vid: str, log: list | None = None) -> WeightedGraph:
     """Blow down a rational vertex of weight +-1 with beta <= 2, no loop.
 
@@ -81,19 +97,11 @@ def move_R1(g: WeightedGraph, vid: str, log: list | None = None) -> WeightedGrap
     the result is a loop at u with that sign and u loses 2*eps.
     """
     _require_plumbing(g, "move_R1")
-    if vid not in g.vertices:
-        raise DomainError(f"no vertex {vid!r}")
-    v = g.vertices[vid]
-    if v.genus != 0 or v.boundary != 0:
-        raise DomainError(f"move_R1: vertex {vid!r} must be rational and closed")
-    if v.weight not in (1, -1):
-        raise DomainError(f"move_R1: vertex {vid!r} has weight {v.weight}, need +-1")
+    why = _r1_obstruction(g, vid)
+    if why is not None:
+        raise DomainError(why)
     at = g.edges_at(vid)
-    if any(e.is_loop for e in at):
-        raise DomainError(f"move_R1: vertex {vid!r} carries a loop")
-    if len(at) > 2:
-        raise DomainError(f"move_R1: vertex {vid!r} has beta={len(at)} > 2")
-    eps = v.weight
+    eps = g.vertices[vid].weight
 
     edges = [e for e in g.edges if vid not in (e.u, e.v)]
     adjust: dict[str, int] = {}
@@ -109,6 +117,32 @@ def move_R1(g: WeightedGraph, vid: str, log: list | None = None) -> WeightedGrap
     if log is not None:
         log.append({"move": "R1", "vertex": vid})
     return out
+
+
+def _r3_obstruction(g: WeightedGraph, vid: str) -> str | None:
+    """Why move_R3 does not apply at the vertex vid of g, or None."""
+    if vid not in g.vertices:
+        return f"no vertex {vid!r}"
+    v = g.vertices[vid]
+    if v.genus != 0 or v.boundary != 0:
+        return f"move_R3: vertex {vid!r} must be rational and closed"
+    if v.weight != 0:
+        return f"move_R3: vertex {vid!r} has weight {v.weight}, need 0"
+    at = g.edges_at(vid)
+    if any(e.is_loop for e in at):
+        return (
+            f"move_R3: vertex {vid!r} carries a loop (self-absorption is"
+            " out of scope for this move)"
+        )
+    if len(at) != 2:
+        return f"move_R3: vertex {vid!r} has beta={len(at)}, need 2"
+    u, w = at[0].other(vid), at[1].other(vid)
+    if u == w:
+        return (
+            f"move_R3: both edges of {vid!r} reach {u!r}; absorbing would"
+            " pinch off an S^1 x S^2-like piece, which this calculus does"
+            " not model -- rejected"
+        )
 
 
 def move_R3(g: WeightedGraph, vid: str, log: list | None = None) -> WeightedGraph:
@@ -127,28 +161,11 @@ def move_R3(g: WeightedGraph, vid: str, log: list | None = None) -> WeightedGrap
     needs moves outside this module, so it is rejected.
     """
     _require_plumbing(g, "move_R3")
-    if vid not in g.vertices:
-        raise DomainError(f"no vertex {vid!r}")
-    v = g.vertices[vid]
-    if v.genus != 0 or v.boundary != 0:
-        raise DomainError(f"move_R3: vertex {vid!r} must be rational and closed")
-    if v.weight != 0:
-        raise DomainError(f"move_R3: vertex {vid!r} has weight {v.weight}, need 0")
+    why = _r3_obstruction(g, vid)
+    if why is not None:
+        raise DomainError(why)
     at = g.edges_at(vid)
-    if any(e.is_loop for e in at):
-        raise DomainError(
-            f"move_R3: vertex {vid!r} carries a loop (self-absorption is"
-            " out of scope for this move)"
-        )
-    if len(at) != 2:
-        raise DomainError(f"move_R3: vertex {vid!r} has beta={len(at)}, need 2")
     u, w = at[0].other(vid), at[1].other(vid)
-    if u == w:
-        raise DomainError(
-            f"move_R3: both edges of {vid!r} reach {u!r}; absorbing would"
-            " pinch off an S^1 x S^2-like piece, which this calculus does"
-            " not model -- rejected"
-        )
     keep, drop = (u, w) if u < w else (w, u)
     mult = -at[0].sign * at[1].sign  # applied per edge end at the dropped vertex
 
@@ -460,33 +477,7 @@ def _seifert_special(g: WeightedGraph) -> SeifertData | None:
     return _SEIFERT_CATALOG.get((v.weight, e.sign))
 
 
-def _r1_candidates(g: WeightedGraph) -> list:
-    out = []
-    for vid in g.sorted_ids():
-        v = g.vertices[vid]
-        if v.weight not in (1, -1) or v.genus != 0 or v.boundary != 0:
-            continue
-        at = g.edges_at(vid)
-        if len(at) <= 2 and not any(e.is_loop for e in at):
-            out.append(vid)
-    return out
-
-
-def _r3_candidates(g: WeightedGraph) -> list:
-    out = []
-    for vid in g.sorted_ids():
-        v = g.vertices[vid]
-        if v.weight != 0 or v.genus != 0 or v.boundary != 0:
-            continue
-        at = g.edges_at(vid)
-        if len(at) != 2 or any(e.is_loop for e in at):
-            continue
-        if at[0].other(vid) != at[1].other(vid):
-            out.append(vid)
-    return out
-
-
-def normalize(g: WeightedGraph, budget: int = MOVE_BUDGET) -> NormalForm:
+def normalize(g: WeightedGraph) -> NormalForm:
     """Reduce to a normal form, or fail loudly.
 
     Applies R1 then R3 (lowest eligible id first) until neither applies,
@@ -494,6 +485,7 @@ def normalize(g: WeightedGraph, budget: int = MOVE_BUDGET) -> NormalForm:
     fail it are matched against the small-Seifert catalog; anything else
     raises OutOfScopeError because finishing it needs plumbing moves this
     module does not implement (R2, R4-R6, R8, non-orientable handling).
+    More than MOVE_BUDGET moves raise DomainError.
     """
     if g.kind == "divisor":
         g = from_divisor_graph(g)
@@ -506,21 +498,25 @@ def normalize(g: WeightedGraph, budget: int = MOVE_BUDGET) -> NormalForm:
 
     log: list = []
     cur = g
-    for _ in range(budget):
-        r1 = _r1_candidates(cur)
-        if r1:
-            cur = move_R1(cur, r1[0], log)
-            if not cur.vertices:
-                # the manifold was S^3; its normal form is the empty graph
-                return NormalForm(cur, (), "generic", None, tuple(log))
-            continue
-        r3 = _r3_candidates(cur)
-        if r3:
-            cur = move_R3(cur, r3[0], log)
-            continue
-        break
-    else:
-        raise DomainError(f"normalize: move budget {budget} exceeded")
+    while True:
+        ids = cur.sorted_ids()
+        rules = ((move_R1, _r1_obstruction), (move_R3, _r3_obstruction))
+        step = next(((move, x) for move, blocked in rules for x in ids
+                     if blocked(cur, x) is None), None)
+        if step is None:
+            break
+        if len(log) == MOVE_BUDGET:
+            r1 = sum(e["move"] == "R1" for e in log)
+            raise DomainError(
+                f"normalize: move budget {MOVE_BUDGET} exceeded after {r1} R1"
+                f" and {len(log) - r1} R3 moves, {len(cur.vertices)} vertices"
+                " left"
+            )
+        move, vid = step
+        cur = move(cur, vid, log)
+        if not cur.vertices:
+            # the manifold was S^3; its normal form is the empty graph
+            return NormalForm(cur, (), "generic", None, tuple(log))
 
     cur = gauge_canonicalize(cur)
     report = is_normal(cur)

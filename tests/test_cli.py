@@ -159,6 +159,8 @@ def test_flow_and_replay_round_trip(capsys, tmp_path):
     ({"move": "blowdown", "vertex": ["x"]}, "'vertex' must be a vertex id string"),
     ({"move": "blowup", "center": {"vertex": "L1_0"}, "new_id": 7},
      "new_id must be a string"),
+    ({"move": "blowup", "center": {"vertex": "L1_0"}, "new_id": ""},
+     "new_id must not be empty"),
 ])
 def test_replay_rejects_malformed_entries(capsys, family_file, tmp_path, entry,
                                           message):

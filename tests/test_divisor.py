@@ -1,6 +1,7 @@
 """Divisor-side rewriting: blowups, minimalization, flows, standard forms,
 barks."""
 
+import ast
 import json
 import random
 from collections import deque
@@ -12,17 +13,19 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import plumbcalc.divisor as divisor
+import plumbcalc.plumbing as plumbing
 from plumbcalc.cli import main
 from plumbcalc.divisor import (
+    MOVES,
     OnEdge,
     OnVertex,
     _SearchCaps,
-    _apply_move,
     _is_standard_form,
     _minimalize,
     _require_divisor,
     _search_moves,
     _solve_exact,
+    apply_move,
     bark,
     blow_down,
     blow_up,
@@ -36,7 +39,12 @@ from plumbcalc.divisor import (
     snc_minimalize,
     standardize,
 )
-from plumbcalc.family import build_boundary_graph
+from plumbcalc.family import (
+    FamilyParams,
+    build_boundary_graph,
+    build_by_blowups,
+    standardize_mixed,
+)
 from plumbcalc.graphs import (
     DomainError,
     Edge,
@@ -45,6 +53,12 @@ from plumbcalc.graphs import (
     canonical_encoding,
     canonical_json,
     graphs_isomorphic,
+)
+from plumbcalc.plumbing import (
+    from_divisor_graph,
+    gauge_canonicalize,
+    normalize,
+    reverse_orientation,
 )
 
 RNG = random.Random(77003)
@@ -312,7 +326,7 @@ def oracle_standardize(g: WeightedGraph) -> tuple[WeightedGraph, list]:
                 )
             sub: list = []
             try:
-                nxt = _apply_move(state, move, sub)
+                nxt = apply_move(state, move, sub)
             except DomainError:
                 continue
             if not caps.admits(nxt):
@@ -584,3 +598,87 @@ def test_half_point_attach_contracts_down_the_twig():
     assert [e["move"] for e in log] == ["blowdown", "blowdown"]
     with pytest.raises(DomainError):
         half_point_attach(g, "v1")
+
+
+# -- the move registry -------------------------------------------------------------
+
+
+def test_search_moves_are_log_entries_replay_accepts():
+    """Every move the search tries is a well-formed log entry: applying
+    it fails, if at all, in the move itself, never in the entry check."""
+    for g in (flowed_dpart(3, 4, "L1_inf", "L2_0", 2), cycle(0, -1, -2),
+              chain(-1, 0, -3, 2)):
+        for entry in _search_moves(g):
+            assert "new_id" not in entry
+            try:
+                out = replay(g, [entry])
+            except DomainError as e:
+                assert not str(e).startswith("replay: "), (entry, e)
+                continue
+            log = []
+            assert apply_move(g, entry, log) == out
+            assert replay(g, log) == out
+
+
+@pytest.mark.parametrize("d1, d2", [(d1, d2) for d2 in range(1, 7)
+                                    for d1 in range(1, d2 + 1)])
+def test_normalize_log_replays_up_to_gauge(d1, d2):
+    """The R1/R3 log of `normalize` replays through the library's
+    `replay`; the normal form differs from the replayed graph only by the
+    unlogged `gauge_canonicalize`."""
+    plumbed = from_divisor_graph(build_boundary_graph(d1, d2).d_part())
+    nf = normalize(plumbed)
+    assert gauge_canonicalize(replay(plumbed, list(nf.log))) == nf.graph
+
+
+@pytest.mark.parametrize("name, g, entry", [
+    ("blow_up", chain(-2), {"move": "blowup", "center": {"vertex": "v0"}}),
+    ("blow_down", chain(-2, -1), {"move": "blowdown", "vertex": "v1"}),
+    ("elementary_flow", chain(-2, 0, -3),
+     {"move": "flow", "vertex": "v1", "toward": "v2"}),
+    ("move_R1", from_divisor_graph(chain(-2, -1)), {"move": "R1", "vertex": "v1"}),
+    ("move_R3", from_divisor_graph(chain(-2, 0, -3)), {"move": "R3", "vertex": "v1"}),
+])
+def test_registry_calls_each_move_through_its_module_global(monkeypatch, name, g,
+                                                             entry):
+    """A move rebound on `divisor` (as an outside tracer does) is the one
+    `replay` and the search apply."""
+    real, calls = getattr(divisor, name), []
+    monkeypatch.setattr(divisor, name, lambda *a: calls.append(a) or real(*a))
+    replay(g, [entry])
+    assert len(calls) == 1
+
+
+# Logged by `reverse_orientation`, not yet replayable.
+NOT_REPLAYABLE = {"negate", "chain_dual"}
+
+
+def test_every_logged_move_name_is_a_registry_key():
+    """Drift guard: a move some producer logs under a new name must join
+    MOVES (or, knowingly, NOT_REPLAYABLE)."""
+    names = set()
+    for d1 in range(1, 5):
+        for d2 in range(d1, 5):
+            fam = build_boundary_graph(d1, d2)
+            logs = [build_by_blowups(FamilyParams.default(d1, d2))[1],
+                    snc_minimalize(fam.graph)[1],
+                    standardize(fam.graph)[1],
+                    standardize(fam.d_part())[1],
+                    half_point_attach(fam.graph, "A1")[1]]
+            if (d1 == 1) != (d2 == 1):
+                logs.append(standardize_mixed(fam)[1])
+            nf = normalize(fam.d_part())
+            logs += [nf.log, reverse_orientation(nf).log]
+            names.update(entry["move"] for log in logs for entry in log)
+    assert names == set(MOVES) | NOT_REPLAYABLE
+    assert not NOT_REPLAYABLE & set(MOVES)
+
+
+def test_plumbing_does_not_import_divisor():
+    """`divisor` imports the plumbing moves for its registry, so the
+    reverse import would be a cycle."""
+    tree = ast.parse(Path(plumbing.__file__).read_text())
+    imported = {n.module for n in ast.walk(tree) if isinstance(n, ast.ImportFrom)}
+    imported |= {a.name for n in ast.walk(tree) if isinstance(n, ast.Import)
+                 for a in n.names}
+    assert not any(m and m.split(".")[-1] == "divisor" for m in imported)

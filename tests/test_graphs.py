@@ -542,7 +542,7 @@ def test_cokernel_examples():
     # Z/2 (+) Z/3 lands in the canonical SNF shape Z/6
     assert cokernel([[2, 0], [0, 3]]) == AbelianGroup(0, (6,))
     assert cokernel([[2, 0], [0, 4]]) == AbelianGroup(0, (2, 4))
-    assert cokernel([[0, 0]], ambient_rank=1) == AbelianGroup(1, ())
+    assert cokernel([[0, 0]]) == AbelianGroup(1, ())
     assert cokernel([[1]]) == AbelianGroup(0, ())
 
 

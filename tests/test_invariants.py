@@ -85,6 +85,17 @@ def test_abelianization_examples():
     )
     assert abelianization(GroupPresentation(("a", "b"), ())) == AbelianGroup(2, ())
     assert abelianization(GroupPresentation((), ())) == AbelianGroup(0, ())
+    # fewer or more relators than generators
+    assert abelianization(GroupPresentation(("a", "b"), ((1,),))) == AbelianGroup(1, ())
+    assert abelianization(GroupPresentation(("a", "b"), ((1, 1),))) == AbelianGroup(
+        1, (2,)
+    )
+    assert abelianization(GroupPresentation(("a",), ((1, 1), (1, 1, 1)))) == (
+        AbelianGroup(0, ())
+    )
+    assert abelianization(
+        GroupPresentation(("a", "b", "c"), ((1, 2, -1, -2),))
+    ) == AbelianGroup(3, ())
 
 
 def test_family_abelianization_is_z():

@@ -10,6 +10,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import plumbcalc.plumbing as plumbing
+from plumbcalc.cli import main
 from plumbcalc.family import build_boundary_graph
 from plumbcalc.graphs import (
     AbelianGroup,
@@ -394,6 +396,43 @@ def test_normalize_rejects_genus():
     g = WeightedGraph("plumbing", [Vertex("x", -2, genus=1)], [])
     with pytest.raises(OutOfScopeError):
         normalize(g)
+
+
+def r1_then_r3():
+    """u(-2) - z(0) - w(-3) - a(-1): R1 at a makes w a -2, then R3 at z
+    merges u and w."""
+    vs = [Vertex("u", -2), Vertex("z", 0), Vertex("w", -3), Vertex("a", -1)]
+    es = [Edge("u", "z"), Edge("z", "w"), Edge("w", "a")]
+    return WeightedGraph("plumbing", vs, es)
+
+
+def test_normalize_budget_counts_moves_applied(monkeypatch):
+    """A reduction of exactly MOVE_BUDGET moves succeeds; one more move
+    raises and says how far the run got."""
+    monkeypatch.setattr(plumbing, "MOVE_BUDGET", 1)
+    assert [e["move"] for e in normalize(pchain(-1, -3)).log] == ["R1"]
+    monkeypatch.setattr(plumbing, "MOVE_BUDGET", 2)
+    assert [e["move"] for e in normalize(r1_then_r3()).log] == ["R1", "R3"]
+    monkeypatch.setattr(plumbing, "MOVE_BUDGET", 1)
+    with pytest.raises(DomainError) as e:
+        normalize(r1_then_r3())
+    assert str(e.value) == (
+        "normalize: move budget 1 exceeded after 1 R1 and 0 R3 moves,"
+        " 3 vertices left"
+    )
+
+
+def test_cli_normalize_budget_exceeded_exits_1(monkeypatch, tmp_path, capsys):
+    path = tmp_path / "g.json"
+    path.write_text(r1_then_r3().to_json())
+    monkeypatch.setattr(plumbing, "MOVE_BUDGET", 1)
+    assert main(["normalize", str(path), "--json"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == (
+        "error: normalize: move budget 1 exceeded after 1 R1 and 0 R3 moves,"
+        " 3 vertices left\n"
+    )
 
 
 # -- orientation reversal --------------------------------------------------------------
