@@ -324,12 +324,13 @@ class _SearchCaps:
         wmax = max([abs(v.weight) for v in g.vertices.values()], default=0)
         self.max_abs_weight = max(wmax, 4) + 4
 
-    def admits(self, g: WeightedGraph) -> bool:
-        if len(g.vertices) > self.max_vertices:
+    def admits(self, n_vertices: int, weights) -> bool:
+        """Whether a graph of n_vertices vertices with these weights is
+        within the caps.  A child whose parent is within the caps may pass
+        only the weights its move changed or added."""
+        if n_vertices > self.max_vertices:
             return False
-        return all(
-            abs(v.weight) <= self.max_abs_weight for v in g.vertices.values()
-        )
+        return all(abs(w) <= self.max_abs_weight for w in weights)
 
 
 def _search_moves(g: WeightedGraph):
@@ -351,6 +352,32 @@ def _search_moves(g: WeightedGraph):
         yield {"move": "blowup", "center": {"vertex": vid}}
 
 
+def _circular_chain_vertices(g: WeightedGraph) -> frozenset:
+    """The vertices on circular chains of g minus its branching set."""
+    around, loops = _adjacency(g)
+    return frozenset(
+        vid
+        for order, circular in _chains(g, around, _branching(g, around, loops))
+        if circular
+        for vid in order
+    )
+
+
+def _never_standard_blowup(g: WeightedGraph, entry: dict, circular: frozenset):
+    """For a `_search_moves` blowup entry whose child cannot be standard,
+    the weights the child has that g lacks: the new (-1)-vertex and the
+    centre lowered by 1.  None for an inner blowup on an edge whose ends
+    both lie in `circular` (`_circular_chain_vertices(g)`), and for every
+    other move."""
+    if entry["move"] != "blowup":
+        return None
+    center = entry["center"]
+    ends = center.get("edge") or [center["vertex"]]
+    if len(ends) == 2 and circular.issuperset(ends):
+        return None
+    return [-1, *(g.vertices[vid].weight - 1 for vid in ends)]
+
+
 _STRATEGY = (
     "(strategy: minimalize, then BFS over blowdowns, flows and bounded "
     "blowups); this indicates a strategy gap, not a certified negative"
@@ -366,17 +393,33 @@ def standardize(g: WeightedGraph) -> tuple[WeightedGraph, list]:
     moves tried (a strategy failure, never a proof that no standard form
     exists).
 
-    Every child a move makes gets the goal test at once, and the first
-    standard child is returned.  Any other child is queued as its parent
-    and move-log entry, not as a graph.  Revisits are pruned when a state
-    is taken from the queue: its graph is rebuilt (the move is deterministic),
-    canonically encoded, and expanded only if no isomorphic state was
-    expanded before.  Standardness is invariant under isomorphism, and
-    only non-standard states are ever encoded, so no standard child is
-    pruned as a revisit.  A search that pruned each child as it was made
-    therefore expands the same states in the same order, returns the
-    same first standard child with the same log, and runs out of budget
-    or states at the same move.
+    Every child that could be standard is built and gets the goal test at
+    once, and the first standard child is returned.  Any other child is
+    queued as its parent and move-log entry, not as a graph.
+
+    Most blowup children cannot be standard, and are queued without being
+    built.  A standard form has (-1)-vertices only on circular chains:
+    `_linear_standard` admits no entry 1.  The new vertex of a blowup is
+    undecorated with one or two neighbours, so it is never branching, and
+    divisor graphs have no loops or multi-edges, so a blowup changes no
+    other vertex's branching.  After an outer blowup the new vertex is the
+    tip of a linear chain; after an inner blowup on the edge u-v it lies
+    on a circular chain exactly when u-v does in the parent.  So only the
+    inner blowups on circular chains are built and tested.  Any other
+    blowup child gets only the caps check, on its vertex count and the
+    weights the move changes, read off the parent; its other weights are
+    the parent's, which are within the caps.  The moves tried, the states
+    queued and expanded, the result and its log, and both errors are
+    therefore the same as when every child was built and tested.
+
+    Revisits are pruned when a state is taken from the queue: its graph
+    is rebuilt (the move is deterministic), canonically encoded, and
+    expanded only if no isomorphic state was expanded before.
+    Standardness is invariant under isomorphism, and only non-standard
+    states are ever encoded, so no standard child is pruned as a revisit.
+    A search that pruned each child as it was made therefore expands the
+    same states in the same order, returns the same first standard child
+    with the same log, and runs out of budget or states at the same move.
     """
     _require_divisor(g, "standardize")
     log: list = []
@@ -399,6 +442,7 @@ def standardize(g: WeightedGraph) -> tuple[WeightedGraph, list]:
             continue
         seen.add(enc)
         expanded += 1
+        circular = _circular_chain_vertices(state)
         for move in _search_moves(state):
             tried += 1
             if tried > caps.budget:
@@ -407,12 +451,18 @@ def standardize(g: WeightedGraph) -> tuple[WeightedGraph, list]:
                     f"{caps.budget} of {caps.budget} moves tried, "
                     f"{expanded} states expanded {_STRATEGY}"
                 )
+            added = _never_standard_blowup(state, move, circular)
+            if added is not None:
+                if caps.admits(len(state.vertices) + 1, added):
+                    queue.append((state, state_log, move))
+                continue
             sub = []
             try:
                 nxt = apply_move(state, move, sub)
             except DomainError:
                 continue
-            if not caps.admits(nxt):
+            if not caps.admits(len(nxt.vertices),
+                               [v.weight for v in nxt.vertices.values()]):
                 continue
             if _is_standard_form(nxt):
                 return nxt, [*state_log, *sub]

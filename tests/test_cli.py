@@ -1,6 +1,7 @@
 """Command-line interface: every subcommand in both text and JSON form,
 exit codes, byte-stable JSON output, file round trips."""
 
+import copy
 import io
 import itertools
 import json
@@ -12,9 +13,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import plumbcalc.divisor as divisor
 from plumbcalc.cli import main
 from plumbcalc.family import build_boundary_graph
 from plumbcalc.graphs import WeightedGraph, graphs_isomorphic
+from plumbcalc.invariants import dihedral_group
 from plumbcalc.plumbing import from_divisor_graph
 
 
@@ -481,6 +484,108 @@ def test_graph_commands_never_raise(a, b, sub):
         argv = [sub, str(paths[0])] + ([str(paths[1])] if sub == "compare" else [])
         with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
             code = main(argv + ["--json"])
+    assert code in (0, 1, 2, 3)
+
+
+JSON_JUNK = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(-2, 2)
+    | st.text(max_size=3),
+    lambda kids: st.lists(kids, max_size=3)
+    | st.dictionaries(st.text(max_size=3), kids, max_size=3),
+    max_leaves=5,
+)
+FIELD_NAMES = st.sampled_from(["id", "weight", "genus", "boundary", "label",
+                               "u", "v", "sign", "kind", "vertices", "edges",
+                               "order", "table", "name", "x"])
+
+
+def _slots(doc) -> list:
+    """(container, key) for every value nested in doc."""
+    out, stack = [], [doc]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, (dict, list)):
+            keys = list(node) if isinstance(node, dict) else range(len(node))
+            out += [(node, k) for k in keys]
+            stack += [node[k] for k in keys]
+    return out
+
+
+@st.composite
+def mutated(draw, doc):
+    """doc after one to three edits at random places, or sometimes replaced
+    by any JSON value (a non-object).  An edit replaces a value by any
+    JSON value (a wrong type) or by a small integer (an out-of-range
+    entry or order), drops an object field or list item (a missing field,
+    a ragged table), or adds one (an extra field, a duplicate vertex or
+    edge, a longer row)."""
+    if not draw(st.integers(0, 9)):
+        return draw(JSON_JUNK)
+    doc = copy.deepcopy(doc)
+    for _ in range(draw(st.integers(1, 3))):
+        node, key = draw(st.sampled_from(_slots(doc)))
+        edit = draw(st.sampled_from(["junk", "int", "drop", "add"]))
+        if edit == "junk":
+            node[key] = draw(JSON_JUNK)
+        elif edit == "int":
+            node[key] = draw(st.integers(-2, 9))
+        elif edit == "drop":
+            del node[key]
+        elif isinstance(node, dict):
+            node[draw(FIELD_NAMES)] = draw(JSON_JUNK)
+        else:
+            node.insert(key, copy.deepcopy(node[key]) if draw(st.booleans())
+                        else draw(JSON_JUNK))
+        if not _slots(doc):
+            break
+    return doc
+
+
+DPART_12 = build_boundary_graph(1, 2).d_part()
+VALID_GRAPHS = st.sampled_from([
+    DPART_12.to_json_dict(), from_divisor_graph(DPART_12).to_json_dict()])
+GRAPH_ARGV = [
+    ["standardize", "{g}"], ["minimalize", "{g}"], ["normalize", "{g}"],
+    ["reverse", "{g}"], ["h1", "{g}"], ["jsj", "{g}"], ["compare", "{g}", "{g}"],
+    ["flow", "{g}", "--vertex", "L1_inf", "--toward", "L2_0"],
+    ["bark", "{g}", "--twig", "T2_01"], ["replay", "{g}", "{log}"],
+]
+
+
+def run_quietly(argv) -> int:
+    with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+        return main(argv)
+
+
+@settings(max_examples=150, deadline=None)
+@given(VALID_GRAPHS.flatmap(mutated),
+       st.sampled_from(GRAPH_ARGV + [["dot", "{g}"]]))
+def test_malformed_graph_files_never_raise(data, argv):
+    """A divisor or plumbing graph file with wrong types, missing or extra
+    fields, or that is not an object ends in a documented exit code, never a traceback.  The
+    search budget is lowered so that a well-formed mutant standardizes or
+    gives up quickly."""
+    with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
+        mp.setattr(divisor._SearchCaps, "budget", 300)
+        g, log = Path(tmp) / "g.json", Path(tmp) / "log.json"
+        g.write_text(json.dumps(data))
+        log.write_text("[]")
+        argv = [a.format(g=g, log=log) for a in argv]
+        code = run_quietly(argv if argv[0] == "dot" else argv + ["--json"])
+    assert code in (0, 1, 2, 3)
+
+
+@settings(max_examples=150, deadline=None)
+@given(mutated(dihedral_group(3).to_json_dict()))
+def test_malformed_group_tables_never_raise(data):
+    """A `pi1 --group` table with wrong types, missing or extra fields, a
+    ragged or out-of-range table, or that is not an object ends in a
+    documented exit code, never a traceback."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "group.json"
+        path.write_text(json.dumps(data))
+        code = run_quietly(["pi1", "--d1", "1", "--d2", "2", "--group", str(path),
+                            "--json"])
     assert code in (0, 1, 2, 3)
 
 

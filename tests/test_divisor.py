@@ -262,15 +262,17 @@ PIN_FLOWS = (("L1_inf", "L2_inf"), ("L1_inf", "L2_0"),
 
 
 def standardize_pins() -> dict:
-    """`standardize` on the (2,3) and (3,4) D-parts moved 1-3 elementary
-    flows along each flow, ids as built: name -> output graph and log.
+    """`standardize` on the (1,1), (2,3) and (3,4) D-parts moved 1-3
+    elementary flows along each flow, ids as built: name -> output graph
+    and log.  The (1,1) D-part is a 4-cycle with no branching vertex, and
+    each of its runs ends in an inner blowup on that cycle.
 
     Regenerate the frozen file only on purpose:
     ``PYTHONPATH=src:tests python -c "import test_divisor as t;
     t.PINS.write_text(canonical_json(t.standardize_pins()))"``
     """
     out = {}
-    for d1, d2 in ((2, 3), (3, 4)):
+    for d1, d2 in ((1, 1), (2, 3), (3, 4)):
         for zero, toward in PIN_FLOWS:
             g = build_boundary_graph(d1, d2).d_part()
             for steps in (1, 2, 3):
@@ -329,7 +331,8 @@ def oracle_standardize(g: WeightedGraph) -> tuple[WeightedGraph, list]:
                 nxt = apply_move(state, move, sub)
             except DomainError:
                 continue
-            if not caps.admits(nxt):
+            if not caps.admits(len(nxt.vertices),
+                               [v.weight for v in nxt.vertices.values()]):
                 continue
             enc = canonical_encoding(nxt)
             if enc in seen:
@@ -380,11 +383,35 @@ def test_standardize_matches_the_generation_time_oracle(d1, d2, zero, toward):
 
 
 @st.composite
-def divisor_trees(draw):
-    n = draw(st.integers(2, 7))
+def divisor_trees(draw, min_vertices=2):
+    n = draw(st.integers(min_vertices, 7))
     vs = [Vertex(f"v{i}", draw(st.integers(-4, 2))) for i in range(n)]
     es = [Edge(f"v{i}", f"v{draw(st.integers(0, i - 1))}") for i in range(1, n)]
     return WeightedGraph("divisor", vs, es)
+
+
+@st.composite
+def divisor_graphs_with_cycles(draw):
+    """Connected divisor graphs on 3-7 vertices with at least one cycle: a
+    tree plus one to three more edges."""
+    tree = draw(divisor_trees(min_vertices=3))
+    ids = tree.sorted_ids()
+    rest = [(a, b) for i, a in enumerate(ids) for b in ids[i + 1:]
+            if Edge(a, b) not in tree.edges]
+    extra = draw(st.sets(st.sampled_from(rest), min_size=1, max_size=3))
+    return WeightedGraph("divisor", tree.vertices.values(),
+                         [*tree.edges, *(Edge(a, b) for a, b in extra)])
+
+
+def assert_matches_oracle_under_tight_caps(g, slack):
+    """With a lowered budget, and caps tightened by `slack` vertices so
+    that some searches run out of states before they run out of moves."""
+    admits = _SearchCaps.admits
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_SearchCaps, "budget", 1000)
+        mp.setattr(_SearchCaps, "admits", lambda caps, n, weights: (
+            n <= caps.max_vertices - slack and admits(caps, n, weights)))
+        assert_matches_oracle(g)
 
 
 @settings(max_examples=60, deadline=None)
@@ -394,14 +421,17 @@ def divisor_trees(draw):
 @example(chain(0, 0, 2), 0)   # exhausts the budget
 @example(chain(1, 1), 4)      # exhausts the search space
 def test_standardize_matches_the_oracle_on_trees(g, slack):
-    """With a lowered budget, and caps tightened by `slack` vertices so
-    that some searches run out of states before they run out of moves."""
-    admits = _SearchCaps.admits
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(_SearchCaps, "budget", 1000)
-        mp.setattr(_SearchCaps, "admits", lambda caps, h: (
-            len(h.vertices) <= caps.max_vertices - slack and admits(caps, h)))
-        assert_matches_oracle(g)
+    assert_matches_oracle_under_tight_caps(g, slack)
+
+
+@settings(max_examples=40, deadline=None)
+@given(divisor_graphs_with_cycles(), st.integers(0, 4))
+@example(cycle(0, 0, -1, -1), 0)
+@example(cycle(0, -2, -3), 0)
+@example(flowed_dpart(1, 1, "L1_inf", "L2_0", 2), 0)
+def test_standardize_matches_the_oracle_on_graphs_with_cycles(g, slack):
+    """Circular chains, where a blowup child can be standard."""
+    assert_matches_oracle_under_tight_caps(g, slack)
 
 
 def relabeled(g, rng):
@@ -446,6 +476,30 @@ def test_goal_test_is_is_standard_and_invariant_under_relabeling(g, rng):
         assert is_standard(relabeled(g, rng)).standard == verdict
 
 
+@settings(max_examples=200, deadline=None)
+@given(divisor_trees() | divisor_graphs_with_cycles()
+       | decorated_graphs().filter(lambda g: g.kind == "divisor"))
+@example(flowed_dpart(1, 1, "L1_inf", "L2_0", 2))
+@example(cycle(0, -2, -3))
+def test_blowups_the_search_leaves_unbuilt_cannot_be_standard(g):
+    """The search queues a blowup child without building it only when the
+    child is not standard, and reads the child's vertex count and changed
+    weights off the parent correctly."""
+    circular = divisor._circular_chain_vertices(g)
+    for entry in _search_moves(g):
+        added = divisor._never_standard_blowup(g, entry, circular)
+        if added is None:
+            continue
+        child = apply_move(g, entry)
+        assert is_standard(child).standard is False, entry
+        center = entry["center"]
+        ends = center.get("edge") or [center["vertex"]]
+        kept = [v.weight for vid, v in g.vertices.items() if vid not in ends]
+        assert len(child.vertices) == len(g.vertices) + 1
+        assert sorted(v.weight for v in child.vertices.values()) == sorted(
+            kept + added)
+
+
 def test_standardize_encodes_only_the_states_it_expands(monkeypatch):
     calls = []
 
@@ -456,6 +510,19 @@ def test_standardize_encodes_only_the_states_it_expands(monkeypatch):
     monkeypatch.setattr(divisor, "canonical_encoding", counting)
     standardize(flowed_dpart(3, 4, "L1_inf", "L2_0", 3))
     assert 0 < len(calls) <= 60  # 882 when every child was encoded
+
+
+def test_standardize_builds_few_blowup_children(monkeypatch):
+    """Blowup children that cannot be standard are queued unbuilt, so the
+    search builds fewer blowups than it expands states, not one per
+    blowup move tried."""
+    blowups, encodings = [], []
+    real = divisor.blow_up
+    monkeypatch.setattr(divisor, "blow_up", lambda *a: blowups.append(a) or real(*a))
+    monkeypatch.setattr(divisor, "canonical_encoding",
+                        lambda h: encodings.append(h) or canonical_encoding(h))
+    standardize(flowed_dpart(4, 5, "L1_inf", "L2_0", 3))
+    assert 0 < len(blowups) <= len(encodings)  # 1 164 against 51 when all were built
 
 
 def test_standardize_errors_say_how_far_the_search_got(monkeypatch):
@@ -474,7 +541,7 @@ def test_standardize_errors_say_how_far_the_search_got(monkeypatch):
         f"{len(expanded)} states expanded (strategy: ")
 
     expanded.clear()
-    monkeypatch.setattr(_SearchCaps, "admits", lambda caps, h: len(h.vertices) <= 2)
+    monkeypatch.setattr(_SearchCaps, "admits", lambda caps, n, weights: n <= 2)
     with pytest.raises(DomainError) as e:
         standardize(chain(1, 1))
     assert str(e.value).startswith(
