@@ -33,6 +33,7 @@ from .graphs import (
     det_exact,
     intersection_matrix,
 )
+from .invariants import Laurent, chain_complex_homology, kirby_handle_data
 
 
 class FamilyParams(namedtuple("FamilyParams", "p1 p2")):
@@ -222,122 +223,19 @@ def picard_check(d1: int, d2: int) -> dict:
 
 def surface_homology(d1: int, d2: int) -> dict:
     """Integral homology of the surface from its handle decomposition."""
-    from . import invariants
-
-    hd = invariants.kirby_handle_data(d1, d2)
-    h0, h1, h2 = invariants.chain_complex_homology(hd)
+    hd = kirby_handle_data(d1, d2)
+    h0, h1, h2 = chain_complex_homology(hd)
     chi = hd.euler_characteristic()
     return {"chi": chi, "H0": h0, "H1": h1, "H2": h2}
 
 
-# ---------------------------------------------------------------------------
-# exact Laurent arithmetic in two variables
+V1, V2 = Laurent.variables("v1", "v2")
+V1_INV, V2_INV = V1.reciprocal(), V2.reciprocal()
 
 
-class LaurentPoly2:
-    """Laurent polynomial in v1, v2 with Fraction coefficients, stored as
-    {(e1, e2): coeff} with zero coefficients dropped."""
-
-    __slots__ = ("terms",)
-
-    def __init__(self, terms=None):
-        self.terms = {}
-        if terms:
-            for exp, c in terms.items():
-                c = Fraction(c)
-                if c:
-                    self.terms[exp] = c
-
-    @staticmethod
-    def const(c) -> "LaurentPoly2":
-        return LaurentPoly2({(0, 0): Fraction(c)})
-
-    @staticmethod
-    def monomial(e1: int, e2: int, c=1) -> "LaurentPoly2":
-        return LaurentPoly2({(e1, e2): Fraction(c)})
-
-    def __add__(self, other):
-        other = _coerce(other)
-        out = dict(self.terms)
-        for exp, c in other.terms.items():
-            out[exp] = out.get(exp, Fraction(0)) + c
-        return LaurentPoly2(out)
-
-    def __sub__(self, other):
-        return self + (-_coerce(other))
-
-    def __neg__(self):
-        return LaurentPoly2({e: -c for e, c in self.terms.items()})
-
-    def __mul__(self, other):
-        other = _coerce(other)
-        out: dict = {}
-        for (a1, a2), ca in self.terms.items():
-            for (b1, b2), cb in other.terms.items():
-                key = (a1 + b1, a2 + b2)
-                out[key] = out.get(key, Fraction(0)) + ca * cb
-        return LaurentPoly2(out)
-
-    __radd__ = __add__
-    __rmul__ = __mul__
-
-    def __rsub__(self, other):
-        return _coerce(other) - self
-
-    def __pow__(self, n: int):
-        if n < 0:
-            raise DomainError("LaurentPoly2 powers must be >= 0; invert monomials directly")
-        out = LaurentPoly2.const(1)
-        for _ in range(n):
-            out = out * self
-        return out
-
-    def __eq__(self, other):
-        return self.terms == _coerce(other).terms
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def derivative(self, var: int) -> "LaurentPoly2":
-        out = {}
-        for (e1, e2), c in self.terms.items():
-            if var == 1 and e1:
-                out[(e1 - 1, e2)] = out.get((e1 - 1, e2), Fraction(0)) + c * e1
-            if var == 2 and e2:
-                out[(e1, e2 - 1)] = out.get((e1, e2 - 1), Fraction(0)) + c * e2
-        return LaurentPoly2(out)
-
-    def __str__(self):
-        if not self.terms:
-            return "0"
-        bits = []
-        for (e1, e2), c in sorted(self.terms.items()):
-            s = "" if c == 1 and (e1, e2) != (0, 0) else str(c)
-            for name, e in (("v1", e1), ("v2", e2)):
-                if e:
-                    s += ("*" if s else "") + (name if e == 1 else f"{name}^{e}")
-            bits.append(s or "1")
-        return " + ".join(bits)
-
-    __repr__ = __str__
-
-
-def _coerce(x) -> LaurentPoly2:
-    if isinstance(x, LaurentPoly2):
-        return x
-    return LaurentPoly2.const(x)
-
-
-V1 = LaurentPoly2.monomial(1, 0)
-V2 = LaurentPoly2.monomial(0, 1)
-V1_INV = LaurentPoly2.monomial(-1, 0)
-V2_INV = LaurentPoly2.monomial(0, -1)
-
-
-def _poly_at(coeffs, arg: LaurentPoly2) -> LaurentPoly2:
+def _poly_at(coeffs, arg: Laurent) -> Laurent:
     """Evaluate an ascending-coefficient polynomial at a Laurent value."""
-    out = LaurentPoly2.const(0)
-    power = LaurentPoly2.const(1)
+    out, power = 0 * arg, arg**0
     for c in coeffs:
         out = out + power * c
         power = power * arg
@@ -458,7 +356,8 @@ def verify_volume_form(case: str, params: FamilyParams) -> VolumeReport:
     +/- sigma(x1) * sigma(x2) identically."""
     sig = _chart_sigma(case, params)
     x1, x2 = sig["x1"], sig["x2"]
-    det = x1.derivative(1) * x2.derivative(2) - x1.derivative(2) * x2.derivative(1)
+    det = (x1.derivative("v1") * x2.derivative("v2")
+           - x1.derivative("v2") * x2.derivative("v1"))
     lhs = det * V1 * V2
     for sign in (1, -1):
         if lhs == x1 * x2 * sign:

@@ -20,7 +20,7 @@ from collections import namedtuple
 from fractions import Fraction
 from itertools import permutations, product
 
-from .graphs import AbelianGroup, DomainError, cokernel, smith_normal_form
+from .graphs import AbelianGroup, DomainError, cokernel
 
 HOM_BUDGET = 10**8
 
@@ -357,7 +357,7 @@ def kirby_handle_data(d1: int, d2: int) -> HandleData:
 
 
 def chain_complex_homology(h: HandleData) -> tuple:
-    """(H0, H1, H2) of the handle chain complex, via Smith normal form.
+    """(H0, H1, H2) of the handle chain complex, via one Smith normal form.
 
     d1: C1 -> C0 vanishes (each 1-handle runs from the 0-handle to
     itself), which the decomposition guarantees; so H0 = Z, H1 is the
@@ -366,13 +366,9 @@ def chain_complex_homology(h: HandleData) -> tuple:
     n0, n1, n2, n3 = h.counts
     if n0 != 1 or n3 != 0:
         raise DomainError("chain_complex_homology expects one 0-handle, no 3-handles")
-    d2 = h.boundary_2()
-    snf = smith_normal_form(d2)
-    rank = sum(1 for x in snf.diagonal if x)
-    h0 = AbelianGroup(1, ())
-    h1 = cokernel(d2)
-    h2 = AbelianGroup(n2 - rank, ())
-    return (h0, h1, h2)
+    h1 = cokernel(h.boundary_2())
+    rank = n1 - h1.rank
+    return (AbelianGroup(1, ()), h1, AbelianGroup(n2 - rank, ()))
 
 
 # -- 2-bridge knot invariants ----------------------------------------------------
@@ -408,119 +404,159 @@ def same_two_bridge_class(a: tuple, b: tuple) -> bool:
     return q2 in cands
 
 
-class LaurentPoly1:
-    """Integer Laurent polynomial in one variable; no stored zeros."""
+class Laurent:
+    """Sparse Laurent polynomial with exact coefficients in the variables
+    names: {exponent tuple: coefficient}, zero coefficients dropped.
 
-    __slots__ = ("coeffs",)
+    int and Fraction act as constants, and coefficients are stored as
+    given.  Only polynomials over the same names combine.
+    """
 
-    def __init__(self, coeffs: dict | None = None):
-        self.coeffs = {e: c for e, c in (coeffs or {}).items() if c}
+    __slots__ = ("names", "terms")
 
-    @staticmethod
-    def term(coeff: int, exp: int = 0) -> "LaurentPoly1":
-        return LaurentPoly1({exp: coeff})
+    def __init__(self, names, terms=None):
+        self.names = tuple(names)
+        self.terms = {e: c for e, c in (terms or {}).items() if c}
+
+    @classmethod
+    def variables(cls, *names) -> tuple:
+        """One polynomial per name, each that variable to the first power."""
+        return tuple(
+            cls(names, {tuple(int(i == j) for j in range(len(names))): 1})
+            for i in range(len(names))
+        )
+
+    @property
+    def coeffs(self) -> dict:
+        """{exponent: coefficient} of a one-variable polynomial."""
+        return {e: c for (e,), c in self.terms.items()}
+
+    def _coerce(self, x):
+        if isinstance(x, Laurent):
+            if x.names != self.names:
+                raise DomainError(f"variables {x.names} do not match {self.names}")
+            return x
+        if isinstance(x, (int, Fraction)):
+            return Laurent(self.names, {(0,) * len(self.names): x})
+        return None
 
     def __add__(self, other):
         other = self._coerce(other)
-        out = dict(self.coeffs)
-        for e, c in other.coeffs.items():
+        if other is None:
+            return NotImplemented
+        out = dict(self.terms)
+        for e, c in other.terms.items():
             out[e] = out.get(e, 0) + c
-        return LaurentPoly1(out)
-
-    def __sub__(self, other):
-        return self + (-self._coerce(other))
+        return Laurent(self.names, out)
 
     def __neg__(self):
-        return LaurentPoly1({e: -c for e, c in self.coeffs.items()})
+        return Laurent(self.names, {e: -c for e, c in self.terms.items()})
+
+    def __sub__(self, other):
+        return self + -other
+
+    def __rsub__(self, other):
+        return -self + other
 
     def __mul__(self, other):
         other = self._coerce(other)
+        if other is None:
+            return NotImplemented
         out: dict = {}
-        for e1, c1 in self.coeffs.items():
-            for e2, c2 in other.coeffs.items():
-                out[e1 + e2] = out.get(e1 + e2, 0) + c1 * c2
-        return LaurentPoly1(out)
+        for e1, c1 in self.terms.items():
+            for e2, c2 in other.terms.items():
+                e = tuple(a + b for a, b in zip(e1, e2))
+                out[e] = out.get(e, 0) + c1 * c2
+        return Laurent(self.names, out)
 
     __radd__ = __add__
     __rmul__ = __mul__
 
-    def __rsub__(self, other):
-        return self._coerce(other) - self
-
-    @staticmethod
-    def _coerce(x):
-        if isinstance(x, LaurentPoly1):
-            return x
-        if isinstance(x, int):
-            return LaurentPoly1({0: x})
-        raise TypeError(f"cannot coerce {type(x).__name__} to LaurentPoly1")
+    def __pow__(self, n: int):
+        if n < 0:
+            raise DomainError("Laurent powers must be >= 0; use reciprocal()")
+        out = self._coerce(1)
+        for _ in range(n):
+            out = out * self
+        return out
 
     def __eq__(self, other):
-        try:
+        if isinstance(other, (int, Fraction)):
             other = self._coerce(other)
-        except TypeError:
+        if not isinstance(other, Laurent):
             return NotImplemented
-        return self.coeffs == other.coeffs
+        return self.names == other.names and self.terms == other.terms
 
     def __hash__(self):
-        return hash(frozenset(self.coeffs.items()))
-
-    def shift(self, k: int) -> "LaurentPoly1":
-        return LaurentPoly1({e + k: c for e, c in self.coeffs.items()})
-
-    def reciprocal(self) -> "LaurentPoly1":
-        """Substitute t -> 1/t."""
-        return LaurentPoly1({-e: c for e, c in self.coeffs.items()})
-
-    def evaluate(self, x) -> Fraction:
-        x = Fraction(x)
-        if x == 0 and any(e < 0 for e in self.coeffs):
-            raise DomainError("cannot evaluate negative powers at 0")
-        return sum((c * x**e for e, c in self.coeffs.items()), Fraction(0))
+        return hash(frozenset(self.terms.items()))
 
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.terms
 
-    def support(self) -> tuple:
-        return tuple(sorted(self.coeffs))
+    def reciprocal(self) -> "Laurent":
+        """Substitute each variable by its inverse."""
+        return Laurent(
+            self.names, {tuple(-x for x in e): c for e, c in self.terms.items()}
+        )
+
+    def derivative(self, var: str) -> "Laurent":
+        """Partial derivative in the variable named var."""
+        i = self.names.index(var)
+        out: dict = {}
+        for e, c in self.terms.items():
+            if e[i]:
+                d = e[:i] + (e[i] - 1,) + e[i + 1 :]
+                out[d] = out.get(d, 0) + c * e[i]
+        return Laurent(self.names, out)
+
+    def evaluate(self, *point) -> Fraction:
+        if len(point) != len(self.names):
+            raise DomainError(f"need {len(self.names)} values, got {len(point)}")
+        point = [Fraction(x) for x in point]
+        total = Fraction(0)
+        for e, c in self.terms.items():
+            for x, k in zip(point, e):
+                if k < 0 and not x:
+                    raise DomainError("cannot evaluate negative powers at 0")
+                c *= x**k
+            total += c
+        return total
 
     def __str__(self):
-        if not self.coeffs:
-            return "0"
         parts = []
-        for e in sorted(self.coeffs):
-            c = self.coeffs[e]
-            if e == 0:
-                body = str(abs(c))
+        for e, c in sorted(self.terms.items()):
+            mono = "*".join(
+                v if k == 1 else f"{v}^{k}" for v, k in zip(self.names, e) if k
+            )
+            body = f"{abs(c)}*{mono}" if mono and abs(c) != 1 else mono or str(abs(c))
+            if parts:
+                parts.append(("- " if c < 0 else "+ ") + body)
             else:
-                t = "t" if e == 1 else f"t^{e}"
-                body = t if abs(c) == 1 else f"{abs(c)}*{t}"
-            parts.append(("- " if c < 0 else "+ ") + body)
-        head = parts[0].replace("+ ", "", 1).replace("- ", "-", 1)
-        return " ".join([head] + parts[1:])
+                parts.append(("-" if c < 0 else "") + body)
+        return " ".join(parts) or "0"
 
     def __repr__(self):
-        return f"LaurentPoly1({self.coeffs!r})"
+        return f"Laurent({self.names!r}, {self.terms!r})"
 
 
-def alexander_polynomial(d1: int, d2: int) -> LaurentPoly1:
+def alexander_polynomial(d1: int, d2: int) -> Laurent:
     """Alexander polynomial of K_[2d1, 2d2], symmetric-normalized.
 
     Computed as det(V - t V^T) from the genus-1 Seifert matrix
-    V = [[-d1, 1], [0, -d2]], then shifted so Delta(t) = Delta(1/t) and
-    scaled so Delta(1) = 1.  The matrix convention is validated by the
-    trefoil anchor at (1,1): t - 1 + 1/t.
+    V = [[-d1, 1], [0, -d2]], then multiplied by a power of t so
+    Delta(t) = Delta(1/t) and scaled so Delta(1) = 1.  The matrix
+    convention is validated by the trefoil anchor at (1,1): t - 1 + 1/t.
     """
     if d1 < 1 or d2 < 1:
         raise DomainError(f"need d1, d2 >= 1, got ({d1}, {d2})")
-    t = LaurentPoly1.term(1, 1)
+    (t,) = Laurent.variables("t")
     v = [[-d1, 1], [0, -d2]]
-    a = [[LaurentPoly1.term(v[i][j]) - t * v[j][i] for j in range(2)] for i in range(2)]
+    a = [[v[i][j] - t * v[j][i] for j in range(2)] for i in range(2)]
     det = a[0][0] * a[1][1] - a[0][1] * a[1][0]
-    lo, hi = det.support()[0], det.support()[-1]
+    lo, hi = min(det.coeffs), max(det.coeffs)
     if (lo + hi) % 2:
         raise AssertionError("determinant support cannot be centered")
-    det = det.shift(-(lo + hi) // 2)
+    det = det * Laurent(t.names, {(-(lo + hi) // 2,): 1})
     if det.evaluate(1) < 0:
         det = -det
     if det != det.reciprocal():

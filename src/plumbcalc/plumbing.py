@@ -617,23 +617,11 @@ def reverse_orientation(nf: NormalForm) -> NormalForm:
                 raise AssertionError(
                     f"seifert reversal mismatch: {out.seifert} vs {expected}"
                 )
-        result = NormalForm(
-            out.graph,
-            out.ordering,
-            out.certificate,
-            out.seifert,
-            tuple(log) + out.log,
-        )
     else:
-        dualized = _dualize_positive_twigs(flipped, log)
-        out = normalize(dualized)
-        result = NormalForm(
-            out.graph,
-            out.ordering,
-            out.certificate,
-            out.seifert,
-            tuple(log) + out.log,
-        )
+        out = normalize(_dualize_positive_twigs(flipped, log))
+    result = NormalForm(
+        out.graph, out.ordering, out.certificate, out.seifert, tuple(log) + out.log
+    )
     before = h1_from_graph(nf.graph)
     after = h1_from_graph(result.graph)
     if before != after:

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 import plumbcalc.divisor as divisor
 from plumbcalc.cli import main
 from plumbcalc.family import build_boundary_graph
-from plumbcalc.graphs import WeightedGraph, graphs_isomorphic
+from plumbcalc.graphs import WeightedGraph, canonical_json, graphs_isomorphic
 from plumbcalc.invariants import dihedral_group
 from plumbcalc.plumbing import from_divisor_graph
 
@@ -372,6 +372,50 @@ def test_verify_chart_unit_precondition(capsys):
                        "--p1", "0,1", "--p2", "0,3,1")
     assert code == 1
     assert "error:" in err
+
+
+LAURENT_PINS = Path(__file__).parent / "data" / "laurent_cli_pins.json"
+CHART_ARGS = (
+    ("aa", "1", "1"), ("aa", "0,1", "0,0,1"), ("aa", "1/2,1", "-3,2/3,1"),
+    ("aa", "-1/3,0,2,1", "1/2,1"), ("aa", "5,-7/4,0,1", "0,0,0,0,1"),
+    ("al1", "1", "1"), ("al1", "1/2,1", "1"), ("al1", "3,-2/5,1", "1"),
+    ("al1", "0,1", "0,3,1"),
+    ("al2", "1", "1"), ("al2", "1", "-1/2,1"), ("al2", "1", "0,3,1"),
+    ("al2", "2,1", "1,1"),
+    ("lc1", "1", "1"), ("lc1", "1", "0,1"),
+    ("lc2", "1", "1"), ("lc2", "1/2,1", "1"),
+    ("aa", "1,2", "1"),
+)
+
+
+def laurent_cli_pins() -> dict:
+    """Exit code, stdout and stderr of `alexander --json` for every
+    d1, d2 <= 6 and of `verify-chart --json` on CHART_ARGS, which cover
+    all five cases, Fraction coefficients and failed preconditions.
+
+    Regenerate the frozen file only on purpose:
+    ``PYTHONPATH=src:tests python -c "import test_cli as t;
+    t.LAURENT_PINS.write_text(t.canonical_json(t.laurent_cli_pins()))"``
+    """
+    argvs = [("alexander", "--d1", str(d1), "--d2", str(d2))
+             for d1 in range(1, 7) for d2 in range(1, 7)]
+    argvs += [("verify-chart", "--case", case, f"--p1={p1}", f"--p2={p2}")
+              for case, p1, p2 in CHART_ARGS]
+    out = {}
+    for argv in argvs:
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with redirect_stdout(stdout), redirect_stderr(stderr):
+            try:
+                code = main([*argv, "--json"])
+            except SystemExit as e:
+                code = e.code
+        out[" ".join(argv)] = {"code": code, "stdout": stdout.getvalue(),
+                               "stderr": stderr.getvalue()}
+    return out
+
+
+def test_alexander_and_verify_chart_match_frozen_pins():
+    assert laurent_cli_pins() == json.loads(LAURENT_PINS.read_text())
 
 
 # -- dot / errors ------------------------------------------------------------------

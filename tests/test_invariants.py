@@ -12,7 +12,7 @@ from plumbcalc.invariants import (
     FiniteGroupTable,
     abelianization,
     GroupPresentation,
-    LaurentPoly1,
+    Laurent,
     alexander_polynomial,
     alternating4_group,
     chain_complex_homology,
@@ -244,8 +244,8 @@ def test_two_bridge_classes():
 
 
 def test_laurent_arithmetic_and_display():
-    p = LaurentPoly1({-1: 1, 0: -3, 1: 2})
-    q = LaurentPoly1({0: 1, 1: 1})
+    p = Laurent(("t",), {(-1,): 1, (0,): -3, (1,): 2})
+    q = Laurent(("t",), {(0,): 1, (1,): 1})
     assert (p + q).coeffs == {-1: 1, 0: -2, 1: 3}
     assert (p - p).is_zero()
     assert (p * q).coeffs == {-1: 1, 0: -2, 1: -1, 2: 2}
@@ -253,6 +253,64 @@ def test_laurent_arithmetic_and_display():
     assert p.evaluate(Fraction(1)) == 0
     assert p.reciprocal().coeffs == {1: 1, 0: -3, -1: 2}
     assert (2 * q - q).coeffs == q.coeffs
+
+
+COEFFS = st.integers(-4, 4) | st.fractions(-3, 3, max_denominator=4)
+
+
+@st.composite
+def laurent_triples(draw):
+    """Three polynomials over ("t",) or ("v1", "v2"), int and Fraction
+    coefficients mixed, plus a point with nonzero coordinates."""
+    names = draw(st.sampled_from([("t",), ("v1", "v2")]))
+    exps = st.tuples(*[st.integers(-3, 3)] * len(names))
+    polys = [Laurent(names, draw(st.dictionaries(exps, COEFFS, max_size=4)))
+             for _ in range(3)]
+    nonzero = COEFFS.filter(bool)
+    point = draw(st.tuples(*[nonzero] * len(names)))
+    return (*polys, point)
+
+
+@settings(max_examples=60, deadline=None)
+@given(laurent_triples(), COEFFS)
+def test_laurent_ring_laws(polys, c):
+    p, q, r, _ = polys
+    assert p + q == q + p and p * q == q * p
+    assert (p + q) + r == p + (q + r) and (p * q) * r == p * (q * r)
+    assert p * (q + r) == p * q + p * r
+    assert p + 0 == p and p * 1 == p and (p * 0).is_zero()
+    assert (p - q) + q == p and (p - p).is_zero() and -(-p) == p
+    assert c + p == p + c and c * p == p * c and c - p == -(p - c)
+    assert p ** 3 == p * p * p and p ** 0 == 1
+    with pytest.raises(DomainError):
+        p ** -1
+    assert hash(p * q) == hash(q * p)
+
+
+@settings(max_examples=60, deadline=None)
+@given(laurent_triples())
+def test_laurent_reciprocal_derivative_and_evaluate(polys):
+    p, q, _, point = polys
+    assert p.reciprocal().reciprocal() == p
+    assert (p * q).reciprocal() == p.reciprocal() * q.reciprocal()
+    for var in p.names:
+        assert (p * q).derivative(var) == (
+            p.derivative(var) * q + p * q.derivative(var))
+    assert (p * q).evaluate(*point) == p.evaluate(*point) * q.evaluate(*point)
+
+
+def test_laurent_rejects_foreign_operands():
+    (t,) = Laurent.variables("t")
+    p = 2 * t - 1
+    assert (p == "x") is False
+    with pytest.raises(TypeError):
+        p + "x"
+    with pytest.raises(TypeError):
+        "x" * p
+    v1, _ = Laurent.variables("v1", "v2")
+    assert p != v1
+    with pytest.raises(DomainError):
+        p + v1
 
 
 def test_alexander_closed_form():

@@ -80,8 +80,8 @@ def _records():
     }
 
 
-# records holding a WeightedGraph or a Laurent polynomial are not hashable
-UNHASHABLE = {"LabeledFamilyGraph", "ChartReport", "NormalForm"}
+# records holding a WeightedGraph are not hashable
+UNHASHABLE = {"LabeledFamilyGraph", "NormalForm"}
 
 
 @pytest.mark.parametrize("name", sorted(_records()))
