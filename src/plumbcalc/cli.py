@@ -88,6 +88,12 @@ def _load_json(path: str):
         raise DomainError(f"{path} is not UTF-8 text: {e}") from e
 
 
+def _coeffs_help(flag: str) -> str:
+    # argparse reads "--p1 -1/2,1" as a missing value followed by an option
+    return (f"ascending monic coefficients, e.g. 0,1; attach a list that "
+            f"starts with a negative one: {flag}=-1/2,1")
+
+
 def _parse_coeffs(text: str, flag: str) -> tuple:
     out = []
     for part in text.split(","):
@@ -409,8 +415,8 @@ def _build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="build by the recorded blowup sequence instead of directly",
     )
-    sp.add_argument("--p1", help="ascending monic coefficients, e.g. 0,1")
-    sp.add_argument("--p2", help="ascending monic coefficients")
+    sp.add_argument("--p1", help=_coeffs_help("--p1"))
+    sp.add_argument("--p2", help=_coeffs_help("--p2"))
     sp.add_argument(
         "--d-part",
         action="store_true",
@@ -533,8 +539,8 @@ def _build_parser() -> argparse.ArgumentParser:
         help="residuals and volume-form sign for one coordinate chart",
     )
     sp.add_argument("--case", required=True, choices=list(CHART_CASES))
-    sp.add_argument("--p1", required=True, help="ascending monic coefficients")
-    sp.add_argument("--p2", required=True, help="ascending monic coefficients")
+    sp.add_argument("--p1", required=True, help=_coeffs_help("--p1"))
+    sp.add_argument("--p2", required=True, help=_coeffs_help("--p2"))
     sp.set_defaults(func=cmd_verify_chart)
 
     sp = sub.add_parser("dot", help="Graphviz DOT rendering (write-only)")

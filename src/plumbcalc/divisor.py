@@ -352,30 +352,53 @@ def _search_moves(g: WeightedGraph):
         yield {"move": "blowup", "center": {"vertex": vid}}
 
 
-def _circular_chain_vertices(g: WeightedGraph) -> frozenset:
-    """The vertices on circular chains of g minus its branching set."""
+def _survey(g: WeightedGraph) -> tuple:
+    """One walk over the chains of g minus its branching set, as
+    (around, circular, nonstandard): the `around` half of `_adjacency`,
+    the set of vertices on circular chains, and the vertex set of each
+    chain that is not standard.  g is standard exactly when nonstandard
+    is empty."""
     around, loops = _adjacency(g)
-    return frozenset(
-        vid
-        for order, circular in _chains(g, around, _branching(g, around, loops))
-        if circular
-        for vid in order
-    )
+    circular: set = set()
+    nonstandard = []
+    for order, is_circular in _chains(g, around, _branching(g, around, loops)):
+        if is_circular:
+            circular.update(order)
+        entries = _entries(g, order)
+        if not (_circular_standard if is_circular else _linear_standard)(entries):
+            nonstandard.append(frozenset(order))
+    return around, circular, nonstandard
 
 
-def _never_standard_blowup(g: WeightedGraph, entry: dict, circular: frozenset):
-    """For a `_search_moves` blowup entry whose child cannot be standard,
-    the weights the child has that g lacks: the new (-1)-vertex and the
-    centre lowered by 1.  None for an inner blowup on an edge whose ends
-    both lie in `circular` (`_circular_chain_vertices(g)`), and for every
-    other move."""
-    if entry["move"] != "blowup":
-        return None
-    center = entry["center"]
-    ends = center.get("edge") or [center["vertex"]]
-    if len(ends) == 2 and circular.issuperset(ends):
-        return None
-    return [-1, *(g.vertices[vid].weight - 1 for vid in ends)]
+def _never_standard_child(g: WeightedGraph, entry: dict, survey: tuple):
+    """For a `_search_moves` entry whose child cannot be standard, the
+    child's vertex count and the weights it has that g lacks; None when the
+    child could be standard.  survey is `_survey(g)`."""
+    around, circular, nonstandard = survey
+    w = g.vertices
+    kind = entry["move"]
+    if kind == "blowup":
+        center = entry["center"]
+        touched = center.get("edge") or [center["vertex"]]
+        unbuilt = (len(w) + 1, [-1, *(w[x].weight - 1 for x in touched)])
+        if len(touched) == 1 or not circular.issuperset(touched):
+            return unbuilt
+    elif kind == "flow":
+        t = entry["toward"]
+        (a, _), (b, _) = around[entry["vertex"]]
+        o = b if a == t else a
+        touched = (t, o)
+        unbuilt = (len(w), [w[t].weight + 1, w[o].weight - 1])
+    else:
+        v = entry["vertex"]
+        nbrs = [x for x, _ in around[v]]
+        touched = {v, *nbrs}
+        if len(nbrs) == 1:
+            touched.update(x for x, _ in around[nbrs[0]])
+        unbuilt = (len(w) - 1, [w[a].weight + 1 for a in nbrs])
+    if any(chain.isdisjoint(touched) for chain in nonstandard):
+        return unbuilt
+    return None
 
 
 _STRATEGY = (
@@ -397,20 +420,46 @@ def standardize(g: WeightedGraph) -> tuple[WeightedGraph, list]:
     once, and the first standard child is returned.  Any other child is
     queued as its parent and move-log entry, not as a graph.
 
-    Most blowup children cannot be standard, and are queued without being
-    built.  A standard form has (-1)-vertices only on circular chains:
-    `_linear_standard` admits no entry 1.  The new vertex of a blowup is
-    undecorated with one or two neighbours, so it is never branching, and
-    divisor graphs have no loops or multi-edges, so a blowup changes no
-    other vertex's branching.  After an outer blowup the new vertex is the
-    tip of a linear chain; after an inner blowup on the edge u-v it lies
-    on a circular chain exactly when u-v does in the parent.  So only the
-    inner blowups on circular chains are built and tested.  Any other
-    blowup child gets only the caps check, on its vertex count and the
-    weights the move changes, read off the parent; its other weights are
-    the parent's, which are within the caps.  The moves tried, the states
-    queued and expanded, the result and its log, and both errors are
-    therefore the same as when every child was built and tested.
+    Most children cannot be standard, and are queued without being built.
+    Each expanded state is surveyed once (`_survey`): its circular-chain
+    vertices and its chains that are not standard.  The survey is also
+    the goal test of the minimalized input.
+
+    Blowups: a standard form has (-1)-vertices only on circular chains,
+    since `_linear_standard` admits no entry 1.  The new vertex of a
+    blowup is undecorated with one or two neighbours, so it is never
+    branching, and divisor graphs have no loops or multi-edges, so a
+    blowup changes no other vertex's branching.  After an outer blowup
+    the new vertex is the tip of a linear chain; after an inner blowup on
+    the edge u-v it lies on a circular chain exactly when u-v does in the
+    parent.  So every outer blowup child, and every inner one off the
+    circular chains, is not standard.
+
+    Flows, blowdowns and the remaining inner blowups: a chain of the
+    parent that contains no vertex of the move's touched set T is a
+    maximal chain of the child, with the same entries.  So if some
+    non-standard chain of the parent is disjoint from T, the child is not
+    standard.  T holds every vertex whose weight, edges or branching the
+    move changes, and their neighbours where a chain could grow through
+    them:
+
+    - flow on z toward t: T = {t, o}, o the other neighbour of z; the
+      edges stay as they are;
+    - blowdown of v: T = {v} and the neighbours of v, plus the
+      neighbours of a when v is a tip on a, since a loses an edge end
+      and may stop branching; when v has two neighbours, each keeps its
+      number of edge ends;
+    - inner blowup on u-v: T = {u, v}.
+
+    A child that cannot be standard gets only the caps check, on its
+    vertex count and the weights the move changes or adds, read off the
+    parent; its other weights are the parent's, which are within the caps.
+    `_search_moves` yields only blowdowns of superfluous vertices and
+    flows on 0-vertices with two neighbours, which `apply_move` always
+    accepts, so no child that was skipped for a DomainError is queued.
+    The moves tried, the states queued and expanded, the result and its
+    log, and both errors are therefore the same as when every child was
+    built and tested.
 
     Revisits are pruned when a state is taken from the queue: its graph
     is rebuilt (the move is deterministic), canonically encoded, and
@@ -424,7 +473,8 @@ def standardize(g: WeightedGraph) -> tuple[WeightedGraph, list]:
     _require_divisor(g, "standardize")
     log: list = []
     cur = _minimalize(g, log, lambda _g, vid: vid)
-    if _is_standard_form(cur):
+    survey = _survey(cur)
+    if not survey[2]:
         return cur, log
 
     caps = _SearchCaps(cur)
@@ -442,7 +492,8 @@ def standardize(g: WeightedGraph) -> tuple[WeightedGraph, list]:
             continue
         seen.add(enc)
         expanded += 1
-        circular = _circular_chain_vertices(state)
+        if move is not None:  # the input was surveyed before the loop
+            survey = _survey(state)
         for move in _search_moves(state):
             tried += 1
             if tried > caps.budget:
@@ -451,9 +502,9 @@ def standardize(g: WeightedGraph) -> tuple[WeightedGraph, list]:
                     f"{caps.budget} of {caps.budget} moves tried, "
                     f"{expanded} states expanded {_STRATEGY}"
                 )
-            added = _never_standard_blowup(state, move, circular)
-            if added is not None:
-                if caps.admits(len(state.vertices) + 1, added):
+            unbuilt = _never_standard_child(state, move, survey)
+            if unbuilt is not None:
+                if caps.admits(*unbuilt):
                     queue.append((state, state_log, move))
                 continue
             sub = []

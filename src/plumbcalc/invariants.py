@@ -488,6 +488,9 @@ class Laurent:
         return self.names == other.names and self.terms == other.terms
 
     def __hash__(self):
+        zero = (0,) * len(self.names)
+        if self.terms.keys() <= {zero}:  # a constant hashes like its number
+            return hash(self.terms.get(zero, 0))
         return hash(frozenset(self.terms.items()))
 
     def is_zero(self) -> bool:

@@ -374,6 +374,22 @@ def test_verify_chart_unit_precondition(capsys):
     assert "error:" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("construct", "--d1", "2", "--d2", "3", "--by-blowups", "--p2", "0,0,1"),
+    ("verify-chart", "--case", "aa", "--p2", "0,0,1"),
+])
+def test_negative_leading_coefficient_is_attached_to_its_flag(capsys, argv):
+    """argparse reads -1/2,1 after a space as an option, so the help and
+    README give the attached form --p1=-1/2,1; the spaced form is a usage
+    error, not a traceback."""
+    code, _, err = run(capsys, *argv, "--p1=-1/2,1")
+    assert code == 0, err
+    code, out, err = run(capsys, *argv, "--p1", "-1/2,1")
+    assert code == 2 and out == ""
+    assert "argument --p1: expected one argument" in err
+    assert "Traceback" not in err
+
+
 LAURENT_PINS = Path(__file__).parent / "data" / "laurent_cli_pins.json"
 CHART_ARGS = (
     ("aa", "1", "1"), ("aa", "0,1", "0,0,1"), ("aa", "1/2,1", "-3,2/3,1"),

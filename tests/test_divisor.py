@@ -78,6 +78,12 @@ def cycle(*weights):
     return WeightedGraph("divisor", vs, es)
 
 
+def tree(weights, edges):
+    """Vertices v0, v1, ... with these weights, joined by the index pairs."""
+    return WeightedGraph("divisor", [Vertex(f"v{i}", w) for i, w in enumerate(weights)],
+                         [Edge(f"v{a}", f"v{b}") for a, b in edges])
+
+
 # -- blowups -------------------------------------------------------------------
 
 
@@ -476,28 +482,55 @@ def test_goal_test_is_is_standard_and_invariant_under_relabeling(g, rng):
         assert is_standard(relabeled(g, rng)).standard == verdict
 
 
-@settings(max_examples=200, deadline=None)
-@given(divisor_trees() | divisor_graphs_with_cycles()
-       | decorated_graphs().filter(lambda g: g.kind == "divisor"))
-@example(flowed_dpart(1, 1, "L1_inf", "L2_0", 2))
-@example(cycle(0, -2, -3))
-def test_blowups_the_search_leaves_unbuilt_cannot_be_standard(g):
-    """The search queues a blowup child without building it only when the
-    child is not standard, and reads the child's vertex count and changed
-    weights off the parent correctly."""
-    circular = divisor._circular_chain_vertices(g)
+def assert_unbuilt_children_are_not_standard(g, kinds):
+    """The search queues a child of g made by one of these kinds of move
+    without building it only when the child is not standard, and reads
+    the child's vertex count and changed weights off the parent
+    correctly."""
+    survey = divisor._survey(g)
+    assert (not survey[2]) == is_standard(g).standard
     for entry in _search_moves(g):
-        added = divisor._never_standard_blowup(g, entry, circular)
-        if added is None:
+        if entry["move"] not in kinds:
+            continue
+        unbuilt = divisor._never_standard_child(g, entry, survey)
+        if unbuilt is None:
             continue
         child = apply_move(g, entry)
         assert is_standard(child).standard is False, entry
-        center = entry["center"]
-        ends = center.get("edge") or [center["vertex"]]
-        kept = [v.weight for vid, v in g.vertices.items() if vid not in ends]
-        assert len(child.vertices) == len(g.vertices) + 1
+        n_vertices, added = unbuilt
+        kept = [v.weight for vid, v in g.vertices.items()
+                if child.vertices.get(vid) == v]
+        assert len(child.vertices) == n_vertices
         assert sorted(v.weight for v in child.vertices.values()) == sorted(
             kept + added)
+
+
+ANY_DIVISOR_GRAPH = (divisor_trees() | divisor_graphs_with_cycles()
+                     | decorated_graphs().filter(lambda g: g.kind == "divisor"))
+
+
+@settings(max_examples=200, deadline=None)
+@given(ANY_DIVISOR_GRAPH)
+@example(flowed_dpart(1, 1, "L1_inf", "L2_0", 2))
+@example(cycle(0, -2, -3))
+def test_blowups_the_search_leaves_unbuilt_cannot_be_standard(g):
+    assert_unbuilt_children_are_not_standard(g, {"blowup"})
+
+
+@settings(max_examples=200, deadline=None)
+@given(ANY_DIVISOR_GRAPH)
+# blowing down the (-1)-tip v1 unbranches v0 and joins the non-standard
+# chain [0, 2] of v2, v3 to the zeros of v4, v5: [0, 0, 0, 0, 2] is standard
+@example(tree([-1, -1, 0, -2, 0, 0], [(0, 1), (0, 2), (2, 3), (0, 4), (4, 5)]))
+# the flow on v0 reweights only the branching vertices v1 and v2
+@example(tree([0, -1, -2, -1, -3, -2, 0], [(0, 1), (0, 2), (1, 3), (1, 4),
+                                            (2, 5), (2, 6)]))
+@example(flowed_dpart(2, 3, "L1_inf", "L2_0", 2))
+def test_flows_and_blowdowns_the_search_leaves_unbuilt_cannot_be_standard(g):
+    """A parent chain that misses the move's touched set is a chain of the
+    child with the same entries, so a non-standard one there makes the
+    child non-standard."""
+    assert_unbuilt_children_are_not_standard(g, {"flow", "blowdown"})
 
 
 def test_standardize_encodes_only_the_states_it_expands(monkeypatch):
@@ -523,6 +556,23 @@ def test_standardize_builds_few_blowup_children(monkeypatch):
                         lambda h: encodings.append(h) or canonical_encoding(h))
     standardize(flowed_dpart(4, 5, "L1_inf", "L2_0", 3))
     assert 0 < len(blowups) <= len(encodings)  # 1 164 against 51 when all were built
+
+
+def test_standardize_builds_few_flow_and_blowdown_children(monkeypatch):
+    """A flow or blowdown child that keeps a non-standard chain of its
+    parent is queued unbuilt, so the search builds about one flow or
+    blowdown per expanded state (the rebuild of a queued state included)."""
+    built, expanded = [], []
+    for name in ("elementary_flow", "blow_down"):
+        real = getattr(divisor, name)
+        monkeypatch.setattr(divisor, name,
+                            lambda *a, real=real: built.append(a) or real(*a))
+    monkeypatch.setattr(divisor, "_search_moves",
+                        lambda h: expanded.append(h) or _search_moves(h))
+    standardize(flowed_dpart(4, 5, "L1_inf", "L2_0", 3))
+    # 92 flows + 47 blowdowns against 48 expanded states when all were
+    # built; 20 + 17 now
+    assert 0 < len(built) <= len(expanded) + 1
 
 
 def test_standardize_errors_say_how_far_the_search_got(monkeypatch):

@@ -299,6 +299,22 @@ def test_laurent_reciprocal_derivative_and_evaluate(polys):
     assert (p * q).evaluate(*point) == p.evaluate(*point) * q.evaluate(*point)
 
 
+@settings(max_examples=60, deadline=None)
+@given(laurent_triples(), COEFFS)
+def test_laurent_equal_values_hash_equal(polys, c):
+    """== and hash agree, also between a constant polynomial and the int or
+    Fraction it equals, so sets and dict keys can mix them."""
+    p, q, _, _ = polys
+    const = Laurent(p.names, {(0,) * len(p.names): c})
+    for a, b in ((p, q), (p, p * 1), (p - p, 0), (const, c), (p * 0 + c, c)):
+        if a == b:
+            assert hash(a) == hash(b)
+    assert const == c and const in {c} and c in {const}
+    assert Laurent(("t",), {(0,): 3}) in {3}
+    assert Laurent(("t",), {}) in {0} and Laurent(("t",), {(0,): Fraction(1, 2)}) in {
+        Fraction(1, 2)}
+
+
 def test_laurent_rejects_foreign_operands():
     (t,) = Laurent.variables("t")
     p = 2 * t - 1
