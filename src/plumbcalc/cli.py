@@ -2,9 +2,10 @@
 modules.
 
 One interchange format everywhere: graphs are read and written as the
-JSON produced by WeightedGraph.to_json_dict (DOT is write-only).  All
-structured output goes through canonical_json, so --json output is
-byte-stable for identical inputs.
+JSON produced by WeightedGraph.to_json_dict (DOT is write-only).  Every
+subcommand handler returns its answer as a JSON-ready payload and as text
+lines; main alone writes stdout, the payload through canonical_json under
+--json, so --json output is byte-stable for identical inputs.
 
 Exit codes: 0 success, 1 domain error (a violated precondition, message
 verbatim), 2 usage error, 3 out-of-scope graph.
@@ -62,18 +63,7 @@ from .plumbing import (
 
 
 class UsageError(Exception):
-    """Bad flag combination or unreadable input file."""
-
-
-def _load_graph(path: str) -> WeightedGraph:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    except OSError as e:
-        raise UsageError(f"cannot read {path}: {e.strerror or e}") from e
-    except UnicodeDecodeError as e:
-        raise DomainError(f"{path} is not UTF-8 text: {e}") from e
-    return WeightedGraph.from_json(text)
+    """Bad flag combination, unreadable input file or unwritable log file."""
 
 
 def _load_json(path: str):
@@ -86,6 +76,10 @@ def _load_json(path: str):
         raise DomainError(f"{path} is not valid JSON: {e}") from e
     except UnicodeDecodeError as e:
         raise DomainError(f"{path} is not UTF-8 text: {e}") from e
+
+
+def _load_graph(path: str) -> WeightedGraph:
+    return WeightedGraph.from_json_dict(_load_json(path))
 
 
 def _coeffs_help(flag: str) -> str:
@@ -134,44 +128,27 @@ def _seifert_line(sd) -> str:
     )
 
 
-def _emit(args, payload, lines: list) -> None:
-    if getattr(args, "json", False):
-        print(canonical_json(payload))
-    else:
-        for line in lines:
-            print(line)
-
-
-def _emit_graph(args, g: WeightedGraph, extra_lines: list | None = None) -> None:
-    if args.json:
-        print(canonical_json(g.to_json_dict()))
-    else:
-        for line in _graph_lines(g) + (extra_lines or []):
-            print(line)
-
-
-def _emit_normal_form(args, nf: NormalForm) -> None:
-    if args.json:
-        print(canonical_json(nf.to_json_dict()))
-        return
-    print(f"certificate: {nf.certificate}  ({len(nf.log)} moves)")
+def _normal_form_lines(nf: NormalForm) -> list:
+    lines = [f"certificate: {nf.certificate}  ({len(nf.log)} moves)"]
     if nf.seifert is not None:
-        print(_seifert_line(nf.seifert))
-    for line in _graph_lines(nf.graph):
-        print(line)
+        lines.append(_seifert_line(nf.seifert))
+    return lines + _graph_lines(nf.graph)
 
 
 def _write_log(path: str | None, log: list) -> None:
     if path is None:
         return
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(canonical_json(list(log)) + "\n")
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(canonical_json(list(log)) + "\n")
+    except OSError as e:
+        raise UsageError(f"cannot write {path}: {e.strerror or e}") from e
 
 
-# -- subcommand handlers -------------------------------------------------------
+# -- subcommand handlers: each returns (payload, lines) ------------------------
 
 
-def cmd_construct(args) -> int:
+def cmd_construct(args) -> tuple:
     if (args.p1 or args.p2) and not args.by_blowups:
         raise UsageError("--p1/--p2 require --by-blowups")
     if args.by_blowups:
@@ -191,54 +168,47 @@ def cmd_construct(args) -> int:
         fam = build_boundary_graph(args.d1, args.d2)
         note = []
     g = fam.d_part() if args.d_part else fam.graph
-    _emit_graph(args, g, note)
-    return 0
+    return g.to_json_dict(), _graph_lines(g) + note
 
 
-def cmd_standardize(args) -> int:
+def cmd_standardize(args) -> tuple:
     g, log = standardize(_load_graph(args.file))
     _write_log(args.log_out, log)
-    _emit_graph(args, g, [f"moves applied: {len(log)}"])
-    return 0
+    return g.to_json_dict(), _graph_lines(g) + [f"moves applied: {len(log)}"]
 
 
-def cmd_minimalize(args) -> int:
+def cmd_minimalize(args) -> tuple:
     g, log = snc_minimalize(_load_graph(args.file))
     _write_log(args.log_out, log)
-    _emit_graph(args, g, [f"moves applied: {len(log)}"])
-    return 0
+    return g.to_json_dict(), _graph_lines(g) + [f"moves applied: {len(log)}"]
 
 
-def cmd_flow(args) -> int:
+def cmd_flow(args) -> tuple:
     log: list = []
     g = elementary_flow(_load_graph(args.file), args.vertex, args.toward, log)
     _write_log(args.log_out, log)
-    _emit_graph(args, g)
-    return 0
+    return g.to_json_dict(), _graph_lines(g)
 
 
-def cmd_bark(args) -> int:
+def cmd_bark(args) -> tuple:
     twig = [t.strip() for t in args.twig.split(",") if t.strip()]
     coeffs = bark(_load_graph(args.file), twig)
     payload = {vid: str(c) for vid, c in coeffs.items()}
     lines = [f"  {vid}: {coeffs[vid]}" for vid in twig]
-    _emit(args, payload, ["bark coefficients (tip first):"] + lines)
-    return 0
+    return payload, ["bark coefficients (tip first):"] + lines
 
 
-def cmd_normalize(args) -> int:
+def cmd_normalize(args) -> tuple:
     nf = normalize(_load_graph(args.file))
-    _emit_normal_form(args, nf)
-    return 0
+    return nf.to_json_dict(), _normal_form_lines(nf)
 
 
-def cmd_reverse(args) -> int:
+def cmd_reverse(args) -> tuple:
     nf = reverse_orientation(normalize(_load_graph(args.file)))
-    _emit_normal_form(args, nf)
-    return 0
+    return nf.to_json_dict(), _normal_form_lines(nf)
 
 
-def cmd_compare(args) -> int:
+def cmd_compare(args) -> tuple:
     iso, mapping = graphs_isomorphic(_load_graph(args.a), _load_graph(args.b))
     payload = {"isomorphic": iso, "mapping": mapping}
     if iso:
@@ -247,31 +217,28 @@ def cmd_compare(args) -> int:
         ]
     else:
         lines = ["not isomorphic"]
-    _emit(args, payload, lines)
-    return 0
+    return payload, lines
 
 
-def cmd_jsj(args) -> int:
+def cmd_jsj(args) -> tuple:
     pieces = jsj_cut(_load_graph(args.file))
     payload = [sd.to_json_dict() for sd in pieces]
     lines = [f"{len(pieces)} piece(s):"] + [
         "  " + _seifert_line(sd) for sd in pieces
     ]
-    _emit(args, payload, lines)
-    return 0
+    return payload, lines
 
 
-def cmd_h1(args) -> int:
+def cmd_h1(args) -> tuple:
     g = _load_graph(args.file)
     if g.kind == "divisor":
         g = from_divisor_graph(g)
     ab = h1_from_graph(g)
     payload = {"rank": ab.rank, "torsion": list(ab.torsion), "display": str(ab)}
-    _emit(args, payload, [f"H1 = {ab}"])
-    return 0
+    return payload, [f"H1 = {ab}"]
 
 
-def cmd_pi1(args) -> int:
+def cmd_pi1(args) -> tuple:
     p = pi1_presentation(args.d1, args.d2)
     ab = abelianization(p)
     payload = {
@@ -300,11 +267,10 @@ def cmd_pi1(args) -> int:
         payload["quotients"] = counts
         lines.append("homomorphism counts:")
         lines += [f"  {name}: {counts[name]}" for name in sorted(counts)]
-    _emit(args, payload, lines)
-    return 0
+    return payload, lines
 
 
-def cmd_alexander(args) -> int:
+def cmd_alexander(args) -> tuple:
     poly = alexander_polynomial(args.d1, args.d2)
     p, q = two_bridge_fraction(args.d1, args.d2)
     payload = {
@@ -318,11 +284,10 @@ def cmd_alexander(args) -> int:
         f"determinant |Delta(-1)|: {payload['determinant']}",
         f"two-bridge fraction: {p}/{q}",
     ]
-    _emit(args, payload, lines)
-    return 0
+    return payload, lines
 
 
-def cmd_homology(args) -> int:
+def cmd_homology(args) -> tuple:
     h = kirby_handle_data(args.d1, args.d2)
     h0, h1, h2 = chain_complex_homology(h)
     payload = {
@@ -339,18 +304,15 @@ def cmd_homology(args) -> int:
         f"chi: {h.euler_characteristic()}",
         f"H0 = {h0}, H1 = {h1}, H2 = {h2}",
     ]
-    _emit(args, payload, lines)
-    return 0
+    return payload, lines
 
 
-def cmd_picard(args) -> int:
+def cmd_picard(args) -> tuple:
     report = picard_check(args.d1, args.d2)
-    lines = [f"{k}: {v}" for k, v in report.items()]
-    _emit(args, report, lines)
-    return 0
+    return report, [f"{k}: {v}" for k, v in report.items()]
 
 
-def cmd_verify_chart(args) -> int:
+def cmd_verify_chart(args) -> tuple:
     params = FamilyParams(
         _parse_coeffs(args.p1, "--p1"), _parse_coeffs(args.p2, "--p2")
     )
@@ -364,22 +326,20 @@ def cmd_verify_chart(args) -> int:
         if volume.extends
         else "volume form extends: False",
     ]
-    _emit(args, payload, lines)
-    return 0
+    return payload, lines
 
 
-def cmd_dot(args) -> int:
-    print(_load_graph(args.file).to_dot())
-    return 0
+def cmd_dot(args) -> tuple:
+    return None, [_load_graph(args.file).to_dot()]
 
 
-def cmd_replay(args) -> int:
+def cmd_replay(args) -> tuple:
     g = _load_graph(args.file)
     log = _load_json(args.log)
     if not isinstance(log, list):
         raise DomainError(f"{args.log}: replay log must be a JSON list")
-    _emit_graph(args, replay(g, log))
-    return 0
+    g = replay(g, log)
+    return g.to_json_dict(), _graph_lines(g)
 
 
 # -- parser --------------------------------------------------------------------
@@ -558,10 +518,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        payload, lines = args.func(args)
     except UsageError as e:
         print(f"usage error: {e}", file=sys.stderr)
         return 2
@@ -571,6 +530,8 @@ def main(argv=None) -> int:
     except OutOfScopeError as e:
         print(f"out of scope: {e}", file=sys.stderr)
         return 3
+    print(canonical_json(payload) if args.json else "\n".join(lines))
+    return 0
 
 
 if __name__ == "__main__":

@@ -370,35 +370,33 @@ def _survey(g: WeightedGraph) -> tuple:
     return around, circular, nonstandard
 
 
-def _never_standard_child(g: WeightedGraph, entry: dict, survey: tuple):
-    """For a `_search_moves` entry whose child cannot be standard, the
-    child's vertex count and the weights it has that g lacks; None when the
-    child could be standard.  survey is `_survey(g)`."""
+def _child_shape(g: WeightedGraph, entry: dict, survey: tuple) -> tuple:
+    """For a `_search_moves` entry, read off g without building the
+    child: (vertex count, the weights the move changes or adds, whether
+    the child could be standard).  survey is `_survey(g)`."""
     around, circular, nonstandard = survey
     w = g.vertices
     kind = entry["move"]
     if kind == "blowup":
         center = entry["center"]
         touched = center.get("edge") or [center["vertex"]]
-        unbuilt = (len(w) + 1, [-1, *(w[x].weight - 1 for x in touched)])
+        shape = (len(w) + 1, [-1, *(w[x].weight - 1 for x in touched)])
         if len(touched) == 1 or not circular.issuperset(touched):
-            return unbuilt
+            return (*shape, False)
     elif kind == "flow":
         t = entry["toward"]
         (a, _), (b, _) = around[entry["vertex"]]
         o = b if a == t else a
         touched = (t, o)
-        unbuilt = (len(w), [w[t].weight + 1, w[o].weight - 1])
+        shape = (len(w), [w[t].weight + 1, w[o].weight - 1])
     else:
         v = entry["vertex"]
         nbrs = [x for x, _ in around[v]]
         touched = {v, *nbrs}
         if len(nbrs) == 1:
             touched.update(x for x, _ in around[nbrs[0]])
-        unbuilt = (len(w) - 1, [w[a].weight + 1 for a in nbrs])
-    if any(chain.isdisjoint(touched) for chain in nonstandard):
-        return unbuilt
-    return None
+        shape = (len(w) - 1, [w[a].weight + 1 for a in nbrs])
+    return (*shape, not any(chain.isdisjoint(touched) for chain in nonstandard))
 
 
 _STRATEGY = (
@@ -416,9 +414,13 @@ def standardize(g: WeightedGraph) -> tuple[WeightedGraph, list]:
     moves tried (a strategy failure, never a proof that no standard form
     exists).
 
-    Every child that could be standard is built and gets the goal test at
-    once, and the first standard child is returned.  Any other child is
-    queued as its parent and move-log entry, not as a graph.
+    Every child is first checked against the caps, on its vertex count
+    and the weights its move changes or adds, read off the parent
+    (`_child_shape`); its other weights are the parent's, which are within
+    the caps.  A child within the caps that could be standard is built
+    and gets the goal test at once, and the first standard child is
+    returned.  Any other child is queued as its parent and move-log entry,
+    not as a graph.
 
     Most children cannot be standard, and are queued without being built.
     Each expanded state is surveyed once (`_survey`): its circular-chain
@@ -451,9 +453,6 @@ def standardize(g: WeightedGraph) -> tuple[WeightedGraph, list]:
       number of edge ends;
     - inner blowup on u-v: T = {u, v}.
 
-    A child that cannot be standard gets only the caps check, on its
-    vertex count and the weights the move changes or adds, read off the
-    parent; its other weights are the parent's, which are within the caps.
     `_search_moves` yields only blowdowns of superfluous vertices and
     flows on 0-vertices with two neighbours, which `apply_move` always
     accepts, so no child that was skipped for a DomainError is queued.
@@ -502,21 +501,18 @@ def standardize(g: WeightedGraph) -> tuple[WeightedGraph, list]:
                     f"{caps.budget} of {caps.budget} moves tried, "
                     f"{expanded} states expanded {_STRATEGY}"
                 )
-            unbuilt = _never_standard_child(state, move, survey)
-            if unbuilt is not None:
-                if caps.admits(*unbuilt):
-                    queue.append((state, state_log, move))
+            n_vertices, weights, could_be_standard = _child_shape(
+                state, move, survey)
+            if not caps.admits(n_vertices, weights):
                 continue
-            sub = []
-            try:
-                nxt = apply_move(state, move, sub)
-            except DomainError:
-                continue
-            if not caps.admits(len(nxt.vertices),
-                               [v.weight for v in nxt.vertices.values()]):
-                continue
-            if _is_standard_form(nxt):
-                return nxt, [*state_log, *sub]
+            if could_be_standard:
+                sub = []
+                try:
+                    nxt = apply_move(state, move, sub)
+                except DomainError:
+                    continue
+                if _is_standard_form(nxt):
+                    return nxt, [*state_log, *sub]
             queue.append((state, state_log, move))
     raise DomainError(
         "standardize: search space exhausted under caps after "

@@ -87,23 +87,21 @@ def _tid(j: int, i: int) -> str:
     return f"T{j}_{i:02d}"
 
 
+def _line_cycle(w0: int) -> tuple[list, list]:
+    """Vertices and edges of the 4-cycle of lines, in its order
+    L1_inf -- L2_inf -- L1_0 -- L2_0 -- L1_inf; the L_{j,inf} have weight 0
+    and the L_{j,0} weight w0."""
+    vs = [Vertex(f"L{j}_{end}", w0 if end == "0" else 0, label=f"L_{{{j},{end}}}")
+          for end in ("inf", "0") for j in (1, 2)]
+    return vs, [Edge(a.id, b.id) for a, b in zip(vs, vs[1:] + vs[:1])]
+
+
 def build_boundary_graph(d1: int, d2: int) -> LabeledFamilyGraph:
     """Direct description of the blown-up boundary plus the two
     attachment curves A1, A2."""
     if d1 < 1 or d2 < 1:
         raise DomainError("degrees must be >= 1")
-    vs = [
-        Vertex("L1_inf", 0, label="L_{1,inf}"),
-        Vertex("L2_inf", 0, label="L_{2,inf}"),
-        Vertex("L1_0", -1, label="L_{1,0}"),
-        Vertex("L2_0", -1, label="L_{2,0}"),
-    ]
-    es = [
-        Edge("L1_inf", "L2_inf"),
-        Edge("L2_inf", "L1_0"),
-        Edge("L1_0", "L2_0"),
-        Edge("L2_0", "L1_inf"),
-    ]
+    vs, es = _line_cycle(-1)
     for j, d in ((1, d1), (2, d2)):
         prev = f"L{j}_0"
         for i in range(1, d):
@@ -119,19 +117,7 @@ def build_by_blowups(params: FamilyParams) -> tuple[LabeledFamilyGraph, list]:
     """Replay the construction: the 4-cycle of lines with all weights 0,
     then d_j outer blowups over L_{j,0} (each after the first sitting on
     the previous exceptional)."""
-    vs = [
-        Vertex("L1_inf", 0, label="L_{1,inf}"),
-        Vertex("L2_inf", 0, label="L_{2,inf}"),
-        Vertex("L1_0", 0, label="L_{1,0}"),
-        Vertex("L2_0", 0, label="L_{2,0}"),
-    ]
-    es = [
-        Edge("L1_inf", "L2_inf"),
-        Edge("L2_inf", "L1_0"),
-        Edge("L1_0", "L2_0"),
-        Edge("L2_0", "L1_inf"),
-    ]
-    g = WeightedGraph("divisor", vs, es)
+    g = WeightedGraph("divisor", *_line_cycle(0))
     log: list = []
     for j, d in ((1, params.d1), (2, params.d2)):
         prev = f"L{j}_0"

@@ -221,14 +221,6 @@ class WeightedGraph:
             es.append(Edge(row["u"], row["v"], _int_field(row, "edge", "sign", 1)))
         return WeightedGraph(data["kind"], vs, es)
 
-    @staticmethod
-    def from_json(text: str) -> "WeightedGraph":
-        try:
-            data = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise DomainError(f"invalid JSON: {exc}") from exc
-        return WeightedGraph.from_json_dict(data)
-
     def to_dot(self) -> str:
         """Graphviz rendering (write-only; not an interchange format)."""
         lines = ["graph G {", "  node [shape=circle];"]

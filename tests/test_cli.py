@@ -2,6 +2,7 @@
 exit codes, byte-stable JSON output, file round trips."""
 
 import copy
+import hashlib
 import io
 import itertools
 import json
@@ -125,6 +126,18 @@ def test_minimalize_reports_zero_moves_on_minimal_input(capsys, dpart_file):
     code, out, _ = run(capsys, "minimalize", dpart_file)
     assert code == 0
     assert "moves applied: 0" in out
+
+
+@pytest.mark.parametrize("argv", [
+    ("standardize", "{g}"), ("minimalize", "{g}"),
+    ("flow", "{g}", "--vertex", "L1_inf", "--toward", "L2_0"),
+])
+def test_unwritable_log_out_is_a_usage_error(capsys, dpart_file, tmp_path, argv):
+    code, out, err = run(capsys, *(a.format(g=dpart_file) for a in argv),
+                         "--log-out", str(tmp_path), "--json")
+    assert (code, out) == (2, "")
+    assert err.startswith(f"usage error: cannot write {tmp_path}: ")
+    assert "Traceback" not in err
 
 
 def test_flow_and_replay_round_trip(capsys, tmp_path):
@@ -432,6 +445,99 @@ def laurent_cli_pins() -> dict:
 
 def test_alexander_and_verify_chart_match_frozen_pins():
     assert laurent_cli_pins() == json.loads(LAURENT_PINS.read_text())
+
+
+CLI_PINS = Path(__file__).parent / "data" / "cli_pins.json"
+D_FLAGS = ("--d1", "{d1}", "--d2", "{d2}")
+PIN_ARGVS = (
+    ("construct", *D_FLAGS),
+    ("construct", *D_FLAGS, "--d-part"),
+    ("construct", *D_FLAGS, "--by-blowups"),
+    ("standardize", "{full}", "--log-out", "{log}"),
+    ("minimalize", "{full}"),
+    ("flow", "{part}", "--vertex", "L1_inf", "--toward", "L2_0", "--log-out",
+     "{flow_log}"),
+    ("bark", "{part}", "--twig", "{twig}"),
+    ("normalize", "{part}"),
+    ("reverse", "{part}"),
+    ("compare", "{part}", "{part}"),
+    ("compare", "{part}", "{full}"),
+    ("jsj", "{part}"),
+    ("h1", "{part}"),
+    ("pi1", *D_FLAGS, "--quotients", "6"),
+    ("pi1", *D_FLAGS, "--group", "{group}"),
+    ("alexander", *D_FLAGS),
+    ("homology", *D_FLAGS),
+    ("picard", *D_FLAGS),
+    *(("verify-chart", "--case", case, "--p1={p1}", "--p2={p2}")
+      for case in ("aa", "al1", "al2", "lc1", "lc2")),
+    ("replay", "{full}", "{log}"),
+    ("replay", "{full}", "{flow_log}"),
+    ("normalize", "{missing}"),
+    ("normalize", "{group}"),
+    ("normalize", "{notjson}"),
+    ("pi1", *D_FLAGS, "--quotients", "0"),
+)
+
+
+def cli_pins(tmp: Path) -> dict:
+    """Exit code and sha256 of stdout of every subcommand on the pairs
+    (1,1) and (2,3), in text form and with --json (`dot` in text form
+    only), plus the sha256 of each move log written by --log-out.  Graph
+    files are made by `construct` under tmp; the keys name them by role,
+    so no pin holds a path.
+
+    Regenerate the frozen file only on purpose:
+    ``PYTHONPATH=src:tests python -c "import tempfile, pathlib, test_cli as t;
+    t.CLI_PINS.write_text(t.canonical_json(t.cli_pins(pathlib.Path(
+    tempfile.mkdtemp()))))"``
+    """
+    def call(argv):
+        stdout = io.StringIO()
+        with redirect_stdout(stdout), redirect_stderr(io.StringIO()):
+            try:
+                code = main(argv)
+            except SystemExit as e:
+                code = e.code
+        return code, stdout.getvalue()
+
+    def sha(text: str) -> str:
+        return hashlib.sha256(text.encode()).hexdigest()
+
+    group = tmp / "group.json"
+    group.write_text(json.dumps(dihedral_group(3).to_json_dict()))
+    notjson = tmp / "notjson.json"
+    notjson.write_text("{")
+    out = {}
+    for d1, d2 in ((1, 1), (2, 3)):
+        files = {role: tmp / f"{role}_{d1}_{d2}.json"
+                 for role in ("full", "part", "log", "flow_log")}
+        for role, extra in (("full", []), ("part", ["--d-part"])):
+            files[role].write_text(call(["construct", "--d1", str(d1), "--d2",
+                                         str(d2), "--json", *extra])[1])
+        fields = {
+            "d1": d1, "d2": d2, "group": group, "notjson": notjson,
+            "missing": tmp / "missing.json",
+            "twig": ",".join(f"T2_{i:02d}" for i in range(d2 - 1, 0, -1)),
+            "p1": ",".join(["0"] * (d1 - 1) + ["1"]),
+            "p2": ",".join(["0"] * (d2 - 1) + ["1"]),
+            **files,
+        }
+        argvs = [(argv, json_flag) for argv in PIN_ARGVS
+                 for json_flag in ((), ("--json",))]
+        argvs.append((("dot", "{part}"), ()))
+        for argv, json_flag in argvs:
+            key = f"{d1},{d2}: " + " ".join(argv + json_flag)
+            code, stdout = call([a.format(**fields) for a in argv + json_flag])
+            out[key] = {"code": code, "stdout_sha256": sha(stdout)}
+            for role in ("log", "flow_log"):
+                if "{%s}" % role in argv and argv[0] != "replay":
+                    out[f"{key} [{role}]"] = sha(files[role].read_text())
+    return out
+
+
+def test_every_subcommand_matches_frozen_pins(tmp_path):
+    assert cli_pins(tmp_path) == json.loads(CLI_PINS.read_text())
 
 
 # -- dot / errors ------------------------------------------------------------------

@@ -483,21 +483,20 @@ def test_goal_test_is_is_standard_and_invariant_under_relabeling(g, rng):
 
 
 def assert_unbuilt_children_are_not_standard(g, kinds):
-    """The search queues a child of g made by one of these kinds of move
-    without building it only when the child is not standard, and reads
-    the child's vertex count and changed weights off the parent
-    correctly."""
+    """The search reads the vertex count and changed weights of every
+    child of g made by one of these kinds of move off the parent
+    correctly, and queues the child without building it only when the
+    child is not standard."""
     survey = divisor._survey(g)
     assert (not survey[2]) == is_standard(g).standard
     for entry in _search_moves(g):
         if entry["move"] not in kinds:
             continue
-        unbuilt = divisor._never_standard_child(g, entry, survey)
-        if unbuilt is None:
-            continue
+        n_vertices, added, could_be_standard = divisor._child_shape(
+            g, entry, survey)
         child = apply_move(g, entry)
-        assert is_standard(child).standard is False, entry
-        n_vertices, added = unbuilt
+        if not could_be_standard:
+            assert is_standard(child).standard is False, entry
         kept = [v.weight for vid, v in g.vertices.items()
                 if child.vertices.get(vid) == v]
         assert len(child.vertices) == n_vertices

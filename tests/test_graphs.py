@@ -4,6 +4,7 @@ isomorphism."""
 import ast
 import gc
 import itertools
+import json
 import math
 import os
 import random
@@ -152,7 +153,7 @@ def test_json_round_trip_preserves_everything():
         [Vertex("a", -2, genus=1, boundary=2, label="core"), Vertex("b", 3)],
         [Edge("a", "b", -1), Edge("a", "a")],
     )
-    back = WeightedGraph.from_json(g.to_json())
+    back = WeightedGraph.from_json_dict(json.loads(g.to_json()))
     assert back == g
     assert back.vertices["a"].label == "core"
     assert back.kind == "plumbing"
