@@ -74,6 +74,8 @@ def _load_json(path: str):
         raise UsageError(f"cannot read {path}: {e.strerror or e}") from e
     except json.JSONDecodeError as e:
         raise DomainError(f"{path} is not valid JSON: {e}") from e
+    except RecursionError as e:
+        raise DomainError(f"{path} is not valid JSON: nested too deeply") from e
     except UnicodeDecodeError as e:
         raise DomainError(f"{path} is not UTF-8 text: {e}") from e
 

@@ -27,7 +27,7 @@ from .graphs import (
     _adjacency,
     _bareiss,
     _branching,
-    _chains,
+    _chains_through,
     _entries,
     _sparse,
     branching_number,
@@ -303,13 +303,15 @@ def is_standard(g: WeightedGraph) -> StandardReport:
     )
 
 
-def _is_standard_form(g: WeightedGraph) -> bool:
+def _is_standard_form(g: WeightedGraph, starts=None) -> bool:
     """`is_standard(g).standard`, without the report: stops at the first
-    chain that is not standard.  `_linear_standard` and
-    `_circular_standard` try every orientation and rotation, so the
+    chain that is not standard.  With starts, only the chains through
+    those of its vertices that are in g are walked.  `_linear_standard`
+    and `_circular_standard` try every orientation and rotation, so the
     chains need no orienting."""
     around, loops = _adjacency(g)
-    for order, circular in _chains(g, around, _branching(g, around, loops)):
+    starts = g.vertices if starts is None else [x for x in starts if x in around]
+    for order, circular in _chains_through(around, _branching(g, around, loops), starts):
         entries = _entries(g, order)
         if not (_circular_standard if circular else _linear_standard)(entries):
             return False
@@ -337,10 +339,11 @@ def _search_moves(g: WeightedGraph):
     """Deterministic move enumeration for the standardization search, as
     log entries; a blowup entry names no new_id, so the move picks
     `fresh_id`."""
-    for vid in g.sorted_ids():
+    ids = g.sorted_ids()
+    for vid in ids:
         if is_superfluous(g, vid):
             yield {"move": "blowdown", "vertex": vid}
-    for vid in g.sorted_ids():
+    for vid in ids:
         v = g.vertices[vid]
         if v.weight == 0 and v.genus == 0 and v.boundary == 0:
             if branching_number(g, vid) == 2 and len(g.neighbors(vid)) == 2:
@@ -348,20 +351,21 @@ def _search_moves(g: WeightedGraph):
                     yield {"move": "flow", "vertex": vid, "toward": n}
     for e in g.edges:
         yield {"move": "blowup", "center": {"edge": [e.u, e.v]}}
-    for vid in g.sorted_ids():
+    for vid in ids:
         yield {"move": "blowup", "center": {"vertex": vid}}
 
 
-def _survey(g: WeightedGraph) -> tuple:
+def _survey(g: WeightedGraph, adjacency: tuple) -> tuple:
     """One walk over the chains of g minus its branching set, as
-    (around, circular, nonstandard): the `around` half of `_adjacency`,
-    the set of vertices on circular chains, and the vertex set of each
-    chain that is not standard.  g is standard exactly when nonstandard
-    is empty."""
-    around, loops = _adjacency(g)
+    (around, circular, nonstandard): the `around` half of adjacency, which
+    is `_adjacency(g)`, the set of vertices on circular chains, and the
+    vertex set of each chain that is not standard.  g is standard exactly
+    when nonstandard is empty."""
+    around, loops = adjacency
     circular: set = set()
     nonstandard = []
-    for order, is_circular in _chains(g, around, _branching(g, around, loops)):
+    for order, is_circular in _chains_through(
+            around, _branching(g, around, loops), g.vertices):
         if is_circular:
             circular.update(order)
         entries = _entries(g, order)
@@ -370,33 +374,48 @@ def _survey(g: WeightedGraph) -> tuple:
     return around, circular, nonstandard
 
 
-def _child_shape(g: WeightedGraph, entry: dict, survey: tuple) -> tuple:
-    """For a `_search_moves` entry, read off g without building the
-    child: (vertex count, the weights the move changes or adds, whether
-    the child could be standard).  survey is `_survey(g)`."""
+def _could_be_standard(entry: dict, survey: tuple):
+    """For a `_search_moves` entry on a graph with this `_survey`, read
+    off the survey without building the child: the move's touched set T
+    when the child could be standard, else None."""
     around, circular, nonstandard = survey
-    w = g.vertices
     kind = entry["move"]
     if kind == "blowup":
-        center = entry["center"]
-        touched = center.get("edge") or [center["vertex"]]
-        shape = (len(w) + 1, [-1, *(w[x].weight - 1 for x in touched)])
-        if len(touched) == 1 or not circular.issuperset(touched):
-            return (*shape, False)
+        touched = entry["center"].get("edge")
+        if touched is None or not circular.issuperset(touched):
+            return None
     elif kind == "flow":
         t = entry["toward"]
         (a, _), (b, _) = around[entry["vertex"]]
-        o = b if a == t else a
-        touched = (t, o)
-        shape = (len(w), [w[t].weight + 1, w[o].weight - 1])
+        touched = (t, b if a == t else a)
     else:
         v = entry["vertex"]
         nbrs = [x for x, _ in around[v]]
         touched = {v, *nbrs}
         if len(nbrs) == 1:
             touched.update(x for x, _ in around[nbrs[0]])
-        shape = (len(w) - 1, [w[a].weight + 1 for a in nbrs])
-    return (*shape, not any(chain.isdisjoint(touched) for chain in nonstandard))
+    if any(chain.isdisjoint(touched) for chain in nonstandard):
+        return None
+    return touched
+
+
+def _child_shape(g: WeightedGraph, entry: dict, around: dict) -> tuple:
+    """For a `_search_moves` entry, read off g without building the
+    child: (vertex count, the weights the move changes or adds), the
+    arguments of `_SearchCaps.admits`.  around is the `around` half of
+    `_adjacency(g)`."""
+    w = g.vertices
+    kind = entry["move"]
+    if kind == "blowup":
+        center = entry["center"]
+        touched = center.get("edge") or [center["vertex"]]
+        return len(w) + 1, [-1, *(w[x].weight - 1 for x in touched)]
+    if kind == "flow":
+        t = entry["toward"]
+        (a, _), (b, _) = around[entry["vertex"]]
+        o = b if a == t else a
+        return len(w), [w[t].weight + 1, w[o].weight - 1]
+    return len(w) - 1, [w[a].weight + 1 for a, _ in around[entry["vertex"]]]
 
 
 _STRATEGY = (
@@ -414,18 +433,24 @@ def standardize(g: WeightedGraph) -> tuple[WeightedGraph, list]:
     moves tried (a strategy failure, never a proof that no standard form
     exists).
 
-    Every child is first checked against the caps, on its vertex count
-    and the weights its move changes or adds, read off the parent
-    (`_child_shape`); its other weights are the parent's, which are within
-    the caps.  A child within the caps that could be standard is built
-    and gets the goal test at once, and the first standard child is
-    returned.  Any other child is queued as its parent and move-log entry,
-    not as a graph.
+    Work on a child is paid only when the child is taken from the queue,
+    except the test of whether it could be standard (`_could_be_standard`),
+    read off the parent's survey.  Each expanded state is surveyed once
+    (`_survey`): its circular-chain vertices and its chains that are not
+    standard.
 
-    Most children cannot be standard, and are queued without being built.
-    Each expanded state is surveyed once (`_survey`): its circular-chain
-    vertices and its chains that are not standard.  The survey is also
-    the goal test of the minimalized input.
+    Most children cannot be standard.  Such a child is queued as its
+    parent, the parent's log and survey, and its move-log entry, not as a
+    graph.  When it is taken from the queue it is checked against the
+    caps, on its vertex count and the weights its move changes or adds,
+    read off the parent (`_child_shape`); its other weights are the
+    parent's, which are within the caps.  A child outside the caps is
+    dropped there, before it is built or encoded.
+
+    A child that could be standard is checked against the caps at once,
+    built and given the goal test, and the first standard child is
+    returned.  Any other is queued as its built graph and log, so it is
+    never built twice.
 
     Blowups: a standard form has (-1)-vertices only on circular chains,
     since `_linear_standard` admits no entry 1.  The new vertex of a
@@ -453,6 +478,16 @@ def standardize(g: WeightedGraph) -> tuple[WeightedGraph, list]:
       number of edge ends;
     - inner blowup on u-v: T = {u, v}.
 
+    Conversely, a chain of the child with no vertex in T is a chain of
+    the parent with the same entries.  Outside T no vertex changes its
+    weight, its edges or its decorations.  No move whose child could be
+    standard gives a vertex more edge ends, so a vertex branching in the
+    child is branching in the parent.  And the new vertex of an inner
+    blowup on a circular chain lies on the chain of u and v.  When the
+    child could be standard, every non-standard chain of the parent meets
+    T, so such a chain is standard.  The goal test therefore walks only
+    the chains through T.
+
     `_search_moves` yields only blowdowns of superfluous vertices and
     flows on 0-vertices with two neighbours, which `apply_move` always
     accepts, so no child that was skipped for a DomainError is queued.
@@ -461,8 +496,10 @@ def standardize(g: WeightedGraph) -> tuple[WeightedGraph, list]:
     built and tested.
 
     Revisits are pruned when a state is taken from the queue: its graph
-    is rebuilt (the move is deterministic), canonically encoded, and
-    expanded only if no isomorphic state was expanded before.
+    is built if it was queued unbuilt, canonically encoded, and expanded
+    only if no isomorphic state was expanded before.  Dropping a child
+    outside the caps when it is taken from the queue, not when it is
+    made, leaves the other entries in the same order.
     Standardness is invariant under isomorphism, and only non-standard
     states are ever encoded, so no standard child is pruned as a revisit.
     A search that pruned each child as it was made therefore expands the
@@ -472,27 +509,30 @@ def standardize(g: WeightedGraph) -> tuple[WeightedGraph, list]:
     _require_divisor(g, "standardize")
     log: list = []
     cur = _minimalize(g, log, lambda _g, vid: vid)
-    survey = _survey(cur)
-    if not survey[2]:
+    if _is_standard_form(cur):
         return cur, log
 
     caps = _SearchCaps(cur)
     seen = set()
-    queue = deque([(cur, tuple(log), None)])
+    # (graph, log, None, None) for a built state; (parent, parent's log,
+    # parent's survey, move) for a child queued unbuilt
+    queue = deque([(cur, tuple(log), None, None)])
     tried = expanded = 0
     while queue:
-        state, state_log, move = queue.popleft()
+        state, state_log, survey, move = queue.popleft()
         if move is not None:
+            if not caps.admits(*_child_shape(state, move, survey[0])):
+                continue
             sub: list = []
             state = apply_move(state, move, sub)
             state_log += tuple(sub)
-        enc = canonical_encoding(state)
+        adjacency = _adjacency(state)
+        enc = canonical_encoding(state, adjacency)
         if enc in seen:
             continue
         seen.add(enc)
         expanded += 1
-        if move is not None:  # the input was surveyed before the loop
-            survey = _survey(state)
+        survey = _survey(state, adjacency)
         for move in _search_moves(state):
             tried += 1
             if tried > caps.budget:
@@ -501,19 +541,21 @@ def standardize(g: WeightedGraph) -> tuple[WeightedGraph, list]:
                     f"{caps.budget} of {caps.budget} moves tried, "
                     f"{expanded} states expanded {_STRATEGY}"
                 )
-            n_vertices, weights, could_be_standard = _child_shape(
-                state, move, survey)
-            if not caps.admits(n_vertices, weights):
+            touched = _could_be_standard(move, survey)
+            if touched is None:
+                queue.append((state, state_log, survey, move))
                 continue
-            if could_be_standard:
-                sub = []
-                try:
-                    nxt = apply_move(state, move, sub)
-                except DomainError:
-                    continue
-                if _is_standard_form(nxt):
-                    return nxt, [*state_log, *sub]
-            queue.append((state, state_log, move))
+            if not caps.admits(*_child_shape(state, move, survey[0])):
+                continue
+            sub = []
+            try:
+                nxt = apply_move(state, move, sub)
+            except DomainError:
+                continue
+            nxt_log = (*state_log, *sub)
+            if _is_standard_form(nxt, touched):
+                return nxt, list(nxt_log)
+            queue.append((nxt, nxt_log, None, None))
     raise DomainError(
         "standardize: search space exhausted under caps after "
         f"{tried} of {caps.budget} moves tried, {expanded} states expanded "

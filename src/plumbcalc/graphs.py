@@ -176,9 +176,6 @@ class WeightedGraph:
         es = [{"u": e.u, "v": e.v, "sign": e.sign} for e in self.edges]
         return {"kind": self.kind, "vertices": vs, "edges": es}
 
-    def to_json(self) -> str:
-        return canonical_json(self.to_json_dict())
-
     @staticmethod
     def from_json_dict(data: dict) -> "WeightedGraph":
         if not isinstance(data, dict):
@@ -737,37 +734,61 @@ def _entries(g: WeightedGraph, vids) -> tuple:
     return tuple(-g.vertices[x].weight for x in vids)
 
 
+def _chain_at(around: dict, b: frozenset, start: str) -> tuple:
+    """The maximal chain through start of the graph minus the branching
+    set b, on the `around` half of `_adjacency`, as (vertex order,
+    circular).
+
+    One walk in each direction from start.  Each step leaves by an edge
+    end other than the one it came in by, so a 2-cycle of parallel edges
+    closes.  A cycle comes back as start followed by the cycle from its
+    first edge end; a path runs from tip to tip with start somewhere in
+    between, its orientation not fixed.
+    """
+    ends = [x for x, _ in around[start] if x not in b]
+    halves = ([], [])
+    for half, first in zip(halves, ends):
+        prev, cur = start, first
+        while cur != start:
+            half.append(cur)
+            nxt = [x for x, _ in around[cur] if x not in b]
+            nxt.remove(prev)
+            if not nxt:
+                break
+            prev, cur = cur, nxt[0]
+        else:
+            return [start, *half], True
+    return [*reversed(halves[1]), start, *halves[0]], False
+
+
+def _chains_through(around: dict, b: frozenset, starts):
+    """Yield (vertex order, circular) once for each maximal chain of the
+    graph minus the branching set b through one of the vertices starts,
+    each walked once by `_chain_at` and not oriented."""
+    seen: set[str] = set()
+    for start in starts:
+        if start in b or start in seen:
+            continue
+        order, circular = _chain_at(around, b, start)
+        seen.update(order)
+        yield order, circular
+
+
 def _chains(g: WeightedGraph, around: dict, b: frozenset):
     """Yield (vertex order, circular) for each maximal chain of the graph
     minus the branching set b, on the `around` half of `_adjacency`.
 
-    Chains come in the id order of their least vertex.  A path is walked
-    from its least tip, a cycle from its least vertex toward that
-    vertex's least neighbour.
+    Chains come in the id order of their least vertex, each walked once
+    from that vertex.  A path is oriented from its least tip.  A cycle
+    runs from its least vertex toward that vertex's least neighbour,
+    which `_chain_at` takes first: edges are in id order, and every other
+    vertex of the cycle has a larger id, so the cycle edges at the least
+    vertex come in the order of their other ends.
     """
-    rest = [vid for vid in g.sorted_ids() if vid not in b]
-    sub_adj = {
-        vid: sorted(x for x, _ in around[vid] if x not in b)
-        for vid in rest
-    }
-    seen: set[str] = set()
-    for start in rest:
-        if start in seen:
-            continue
-        comp = {start}
-        stack = [start]
-        while stack:
-            x = stack.pop()
-            for y in sub_adj[x]:
-                if y not in comp:
-                    comp.add(y)
-                    stack.append(y)
-        seen |= comp
-        tip = min((x for x in comp if len(sub_adj[x]) <= 1), default=None)
-        if tip is None:
-            yield _walk_cycle(sub_adj, min(comp)), True
-        else:
-            yield _walk_path(sub_adj, tip), False
+    for order, circular in _chains_through(around, b, g.sorted_ids()):
+        if not circular and order[-1] < order[0]:
+            order.reverse()
+        yield order, circular
 
 
 def classify_segments(g: WeightedGraph) -> SegmentReport:
@@ -809,36 +830,6 @@ def classify_segments(g: WeightedGraph) -> SegmentReport:
         )
     segments.sort(key=lambda s: s.vertices)
     return SegmentReport(b, tuple(segments))
-
-
-def _walk_path(adj, tip):
-    order = [tip]
-    prev = None
-    cur = tip
-    while True:
-        nxt = [x for x in adj[cur] if x != prev]
-        if not nxt:
-            return order
-        prev, cur = cur, nxt[0]
-        order.append(cur)
-
-
-def _walk_cycle(adj, start):
-    """The cycle from start, first toward its least neighbour; each step
-    leaves by an edge end other than the one it came in by, so a 2-cycle
-    of parallel edges closes."""
-    order = [start]
-    prev = None
-    cur = start
-    while True:
-        ends = list(adj[cur])
-        if prev is not None:
-            ends.remove(prev)
-        step = min(ends)
-        if step == start:
-            return order
-        order.append(step)
-        prev, cur = cur, step
 
 
 def _orient_path(g, order, att):
@@ -883,17 +874,26 @@ def _refine(around: dict, cols: dict) -> dict:
     `around` half of `_adjacency`.
 
     Signatures always include the current color, so the partition only
-    ever refines; stability is detected by the class count.  A discrete
+    ever refines; stability is detected by the class count.  A vertex
+    alone in its cell gets the signature (color, ()): its color alone
+    fixes its rank, since signatures sort by color first.  The input
+    colors are replaced by their ranks, and a neighbour's (color, sign)
+    pair by the integer 2 * color + (sign > 0); both maps keep order and
+    equality, so every round ranks the signatures as before.  A discrete
     colouring is returned at once: another round would renumber it to
     itself.
     """
-    classes = len(set(cols.values()))
+    ranks = {c: i for i, c in enumerate(sorted(set(cols.values())))}
+    cols = {v: ranks[c] for v, c in cols.items()}
+    classes = len(ranks)
     n = len(cols)
     while True:
-        sig = {
-            vid: (cols[vid], tuple(sorted([(cols[x], s) for x, s in pairs])))
-            for vid, pairs in around.items()
-        }
+        sizes = Counter(cols.values())
+        sig = {}
+        for vid, pairs in around.items():
+            c = cols[vid]
+            sig[vid] = (c, ()) if sizes[c] == 1 else (
+                c, tuple(sorted([2 * cols[x] + (s > 0) for x, s in pairs])))
         ordered = sorted(set(sig.values()))
         remap = {s: i for i, s in enumerate(ordered)}
         cols = {vid: remap[s] for vid, s in sig.items()}
@@ -972,12 +972,14 @@ def canonical_ordering(g: WeightedGraph) -> tuple:
     return _canonical_search(g)[0]
 
 
-def canonical_encoding(g: WeightedGraph) -> tuple:
-    """`encode_with_order` under `canonical_ordering`."""
-    return _canonical_search(g)[1]
+def canonical_encoding(g: WeightedGraph, adjacency: tuple | None = None) -> tuple:
+    """`encode_with_order` under `canonical_ordering`.  adjacency, when
+    given, is `_adjacency(g)`, so a caller that needs it too builds it
+    once."""
+    return _canonical_search(g, adjacency)[1]
 
 
-def _canonical_search(g: WeightedGraph) -> tuple:
+def _canonical_search(g: WeightedGraph, adjacency: tuple | None = None) -> tuple:
     """The canonical order and its encoding, as (order, encoding).
 
     Individualization-refinement with automorphism pruning (McKay 1981,
@@ -997,7 +999,7 @@ def _canonical_search(g: WeightedGraph) -> tuple:
     """
     if not g.vertices:
         return (), encode_with_order(g, ())
-    around, loops = _adjacency(g)
+    around, loops = adjacency or _adjacency(g)
     best: dict = {"enc": None, "order": None, "path": None}
     _search_below(g, around, best, [],
                   _refine(around, _initial_colors(g, around, loops)), [])

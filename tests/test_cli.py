@@ -755,6 +755,21 @@ def test_malformed_group_tables_never_raise(data):
     assert code in (0, 1, 2, 3)
 
 
+@pytest.mark.parametrize("argv", [
+    ["normalize", "{f}"],
+    ["pi1", "--d1", "1", "--d2", "2", "--group", "{f}", "--json"],
+])
+def test_deeply_nested_json_is_an_error_not_a_traceback(capsys, tmp_path, argv):
+    """A graph file or group table of 200 000 nested arrays overflows the
+    JSON reader's recursion; that is an input error, exit 1."""
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 200_000)
+    code, out, err = run(capsys, *(a.format(f=path) for a in argv))
+    assert code == 1
+    assert out == ""
+    assert err == f"error: {path} is not valid JSON: nested too deeply\n"
+
+
 @pytest.mark.parametrize("signs", [(1, 1), (1, -1), (-1, -1)])
 def test_two_cycle_of_parallel_edges(capsys, tmp_path, signs):
     """Two vertices joined by two parallel edges and nothing else form a

@@ -50,6 +50,7 @@ from plumbcalc.graphs import (
     Edge,
     Vertex,
     WeightedGraph,
+    _adjacency,
     canonical_encoding,
     canonical_json,
     graphs_isomorphic,
@@ -268,9 +269,9 @@ PIN_FLOWS = (("L1_inf", "L2_inf"), ("L1_inf", "L2_0"),
 
 
 def standardize_pins() -> dict:
-    """`standardize` on the (1,1), (2,3) and (3,4) D-parts moved 1-3
-    elementary flows along each flow, ids as built: name -> output graph
-    and log.  The (1,1) D-part is a 4-cycle with no branching vertex, and
+    """`standardize` on the (1,1), (2,3), (3,4) and (4,5) D-parts moved
+    1-3 elementary flows along each flow, ids as built: name -> output
+    graph and log.  The (1,1) D-part is a 4-cycle with no branching vertex, and
     each of its runs ends in an inner blowup on that cycle.
 
     Regenerate the frozen file only on purpose:
@@ -278,7 +279,7 @@ def standardize_pins() -> dict:
     t.PINS.write_text(canonical_json(t.standardize_pins()))"``
     """
     out = {}
-    for d1, d2 in ((1, 1), (2, 3), (3, 4)):
+    for d1, d2 in ((1, 1), (2, 3), (3, 4), (4, 5)):
         for zero, toward in PIN_FLOWS:
             g = build_boundary_graph(d1, d2).d_part()
             for steps in (1, 2, 3):
@@ -368,7 +369,7 @@ def assert_matches_oracle(g):
         assert str(got.value).endswith(" (strategy" + rest)
         return
     out, log = standardize(g)
-    assert out.to_json() == want[0].to_json()
+    assert canonical_json(out.to_json_dict()) == canonical_json(want[0].to_json_dict())
     assert canonical_json(log) == canonical_json(want[1])
 
 
@@ -487,16 +488,18 @@ def assert_unbuilt_children_are_not_standard(g, kinds):
     child of g made by one of these kinds of move off the parent
     correctly, and queues the child without building it only when the
     child is not standard."""
-    survey = divisor._survey(g)
+    survey = divisor._survey(g, _adjacency(g))
     assert (not survey[2]) == is_standard(g).standard
     for entry in _search_moves(g):
         if entry["move"] not in kinds:
             continue
-        n_vertices, added, could_be_standard = divisor._child_shape(
-            g, entry, survey)
+        n_vertices, added = divisor._child_shape(g, entry, survey[0])
+        touched = divisor._could_be_standard(entry, survey)
         child = apply_move(g, entry)
-        if not could_be_standard:
+        if touched is None:
             assert is_standard(child).standard is False, entry
+        else:
+            assert _is_standard_form(child, touched) == is_standard(child).standard
         kept = [v.weight for vid, v in g.vertices.items()
                 if child.vertices.get(vid) == v]
         assert len(child.vertices) == n_vertices
@@ -535,13 +538,45 @@ def test_flows_and_blowdowns_the_search_leaves_unbuilt_cannot_be_standard(g):
 def test_standardize_encodes_only_the_states_it_expands(monkeypatch):
     calls = []
 
-    def counting(h):
+    def counting(h, *adjacency):
         calls.append(h)
-        return canonical_encoding(h)
+        return canonical_encoding(h, *adjacency)
 
     monkeypatch.setattr(divisor, "canonical_encoding", counting)
     standardize(flowed_dpart(3, 4, "L1_inf", "L2_0", 3))
     assert 0 < len(calls) <= 60  # 882 when every child was encoded
+
+
+def test_standardize_pays_only_for_the_children_it_pops(monkeypatch):
+    """A child that cannot be standard is checked against the caps only
+    when it is taken from the queue, and a child that could be standard
+    is built once, not again when it is taken from the queue."""
+    pops, checks, candidates, builds = [], [], [], []
+
+    class CountingDeque(deque):
+        def popleft(self):
+            pops.append(1)
+            return super().popleft()
+
+    admits, could_be_standard = _SearchCaps.admits, divisor._could_be_standard
+
+    def noting_candidates(*a):
+        touched = could_be_standard(*a)
+        if touched is not None:
+            candidates.append(touched)
+        return touched
+
+    monkeypatch.setattr(divisor, "deque", CountingDeque)
+    monkeypatch.setattr(_SearchCaps, "admits",
+                        lambda caps, *a: checks.append(a) or admits(caps, *a))
+    monkeypatch.setattr(divisor, "_could_be_standard", noting_candidates)
+    monkeypatch.setattr(divisor, "apply_move",
+                        lambda *a: builds.append(a) or apply_move(*a))
+    standardize(flowed_dpart(4, 5, "L1_inf", "L2_0", 3))
+    # 1 253 caps checks, one per move tried, and 81 builds when every
+    # child was checked as it was made and rebuilt when taken
+    assert 0 < len(checks) <= len(pops) + len(candidates)
+    assert 0 < len(builds) < 81
 
 
 def test_standardize_builds_few_blowup_children(monkeypatch):
@@ -552,7 +587,7 @@ def test_standardize_builds_few_blowup_children(monkeypatch):
     real = divisor.blow_up
     monkeypatch.setattr(divisor, "blow_up", lambda *a: blowups.append(a) or real(*a))
     monkeypatch.setattr(divisor, "canonical_encoding",
-                        lambda h: encodings.append(h) or canonical_encoding(h))
+                        lambda h, *a: encodings.append(h) or canonical_encoding(h, *a))
     standardize(flowed_dpart(4, 5, "L1_inf", "L2_0", 3))
     assert 0 < len(blowups) <= len(encodings)  # 1 164 against 51 when all were built
 
@@ -560,7 +595,8 @@ def test_standardize_builds_few_blowup_children(monkeypatch):
 def test_standardize_builds_few_flow_and_blowdown_children(monkeypatch):
     """A flow or blowdown child that keeps a non-standard chain of its
     parent is queued unbuilt, so the search builds about one flow or
-    blowdown per expanded state (the rebuild of a queued state included)."""
+    blowdown per expanded state (the build of a state queued unbuilt
+    included)."""
     built, expanded = [], []
     for name in ("elementary_flow", "blow_down"):
         real = getattr(divisor, name)
@@ -601,7 +637,7 @@ def test_standardize_errors_say_how_far_the_search_got(monkeypatch):
 
 def test_cli_standardize_budget_exhausted_exits_1(monkeypatch, tmp_path, capsys):
     path = tmp_path / "g.json"
-    path.write_text(chain(0, 0, 2).to_json())
+    path.write_text(canonical_json(chain(0, 0, 2).to_json_dict()))
     monkeypatch.setattr(_SearchCaps, "budget", 50)
     assert main(["standardize", str(path), "--json"]) == 1
     out, err = capsys.readouterr()

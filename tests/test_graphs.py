@@ -153,7 +153,7 @@ def test_json_round_trip_preserves_everything():
         [Vertex("a", -2, genus=1, boundary=2, label="core"), Vertex("b", 3)],
         [Edge("a", "b", -1), Edge("a", "a")],
     )
-    back = WeightedGraph.from_json_dict(json.loads(g.to_json()))
+    back = WeightedGraph.from_json_dict(json.loads(canonical_json(g.to_json_dict())))
     assert back == g
     assert back.vertices["a"].label == "core"
     assert back.kind == "plumbing"
@@ -651,6 +651,107 @@ def test_one_branching_rule(g):
         assert (vid in b) == bool(v.genus or v.boundary or loop or ends >= 3)
 
 
+# `_chains` as it was before it walked each chain once: a DFS over a
+# sorted sub-adjacency finds each chain and a second walk orders it.  Kept
+# verbatim as the reference the one-walk version must match.
+def oracle_chains(g: WeightedGraph, around: dict, b: frozenset):
+    """Yield (vertex order, circular) for each maximal chain of the graph
+    minus the branching set b, on the `around` half of `_adjacency`.
+
+    Chains come in the id order of their least vertex.  A path is walked
+    from its least tip, a cycle from its least vertex toward that
+    vertex's least neighbour.
+    """
+    rest = [vid for vid in g.sorted_ids() if vid not in b]
+    sub_adj = {
+        vid: sorted(x for x, _ in around[vid] if x not in b)
+        for vid in rest
+    }
+    seen: set[str] = set()
+    for start in rest:
+        if start in seen:
+            continue
+        comp = {start}
+        stack = [start]
+        while stack:
+            x = stack.pop()
+            for y in sub_adj[x]:
+                if y not in comp:
+                    comp.add(y)
+                    stack.append(y)
+        seen |= comp
+        tip = min((x for x in comp if len(sub_adj[x]) <= 1), default=None)
+        if tip is None:
+            yield _walk_cycle(sub_adj, min(comp)), True
+        else:
+            yield _walk_path(sub_adj, tip), False
+
+
+def _walk_path(adj, tip):
+    order = [tip]
+    prev = None
+    cur = tip
+    while True:
+        nxt = [x for x in adj[cur] if x != prev]
+        if not nxt:
+            return order
+        prev, cur = cur, nxt[0]
+        order.append(cur)
+
+
+def _walk_cycle(adj, start):
+    """The cycle from start, first toward its least neighbour; each step
+    leaves by an edge end other than the one it came in by, so a 2-cycle
+    of parallel edges closes."""
+    order = [start]
+    prev = None
+    cur = start
+    while True:
+        ends = list(adj[cur])
+        if prev is not None:
+            ends.remove(prev)
+        step = min(ends)
+        if step == start:
+            return order
+        order.append(step)
+        prev, cur = cur, step
+
+
+@st.composite
+def chain_graphs(draw):
+    """Divisor graphs and plumbing multigraphs on 1-10 vertices whose ids
+    sort in a drawn order, sparse enough for long chains: cycles, 2-cycles
+    of parallel edges, loops, isolated vertices and decorated vertices."""
+    ids = draw(st.permutations([f"c{i}" for i in range(draw(st.integers(1, 10)))]))
+    deco = st.sampled_from([0, 0, 0, 0, 1])
+    vs = [Vertex(x, draw(st.integers(-3, 1)), draw(deco), draw(deco)) for x in ids]
+    if draw(st.booleans()):
+        pairs = [(a, b) for i, a in enumerate(ids) for b in ids[i + 1:]]
+        chosen = draw(st.sets(st.sampled_from(pairs), max_size=12)) if pairs else ()
+        return WeightedGraph("divisor", vs, [Edge(a, b) for a, b in chosen])
+    edge = st.builds(Edge, st.sampled_from(ids), st.sampled_from(ids),
+                     st.sampled_from([1, -1]))
+    return WeightedGraph("plumbing", vs, draw(st.lists(edge, max_size=14)))
+
+
+@settings(max_examples=400, deadline=None)
+@given(chain_graphs() | multigraphs(decorated=True))
+@example(cycle(0, -2, -3))
+@example(cycle(-1, 0, -2, -4, -3, kind="plumbing"))
+@example(WeightedGraph("plumbing", [Vertex("a", -3), Vertex("c", -2)],
+                       [Edge("a", "c", 1), Edge("a", "c", -1)]))
+@example(WeightedGraph("plumbing", [Vertex("b", 0), Vertex("a", -1), Vertex("z", 2)],
+                       [Edge("a", "a", 1), Edge("a", "b", 1)]))
+@example(build_boundary_graph(3, 4).d_part())
+@example(from_divisor_graph(build_boundary_graph(1, 1).d_part()))
+def test_chains_match_the_dfs_oracle(g):
+    """The one-walk `_chains` yields the same chains, in the same order,
+    each with the same vertex order and circular flag."""
+    around, loops = graphs._adjacency(g)
+    b = graphs._branching(g, around, loops)
+    assert list(graphs._chains(g, around, b)) == list(oracle_chains(g, around, b))
+
+
 # -- isomorphism ----------------------------------------------------------------
 
 
@@ -871,14 +972,14 @@ def assert_index_matches_scan(g):
 
 
 def assert_moves_keep_input(g, moves):
-    before = g.to_json()
+    before = canonical_json(g.to_json_dict())
     for move in moves:
         try:
             out = move()
         except DomainError:
             continue
         assert_index_matches_scan(out)
-    assert g.to_json() == before
+    assert canonical_json(g.to_json_dict()) == before
 
 
 @settings(max_examples=100, deadline=None)

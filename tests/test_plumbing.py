@@ -21,6 +21,7 @@ from plumbcalc.graphs import (
     OutOfScopeError,
     Vertex,
     WeightedGraph,
+    canonical_json,
     graphs_isomorphic,
 )
 from plumbcalc.plumbing import (
@@ -424,7 +425,7 @@ def test_normalize_budget_counts_moves_applied(monkeypatch):
 
 def test_cli_normalize_budget_exceeded_exits_1(monkeypatch, tmp_path, capsys):
     path = tmp_path / "g.json"
-    path.write_text(r1_then_r3().to_json())
+    path.write_text(canonical_json(r1_then_r3().to_json_dict()))
     monkeypatch.setattr(plumbing, "MOVE_BUDGET", 1)
     assert main(["normalize", str(path), "--json"]) == 1
     out, err = capsys.readouterr()
