@@ -24,9 +24,7 @@ from .graphs import (
     Segment,
     Vertex,
     WeightedGraph,
-    _adjacency,
     _bareiss,
-    _branching,
     _chains_through,
     _entries,
     _sparse,
@@ -78,7 +76,7 @@ def blow_up(g: WeightedGraph, center, log: list | None = None,
         entry = {"move": "blowup", "center": {"vertex": vid}, "new_id": eid}
     elif isinstance(center, OnEdge):
         target = Edge(center.u, center.v)
-        if target not in g.edges_at(target.u):
+        if (target.v, 1) not in g.around.get(target.u, ()):
             raise DomainError(
                 f"blow_up center edge ({center.u!r},{center.v!r}) not found"
             )
@@ -106,6 +104,8 @@ def blow_down(g: WeightedGraph, vid: str, log: list | None = None) -> WeightedGr
         raise DomainError(f"blow_down: weight of {vid!r} is {v.weight}, not -1")
     if v.genus != 0:
         raise DomainError(f"blow_down: {vid!r} has genus {v.genus}, not 0")
+    if v.boundary != 0:
+        raise DomainError(f"blow_down: {vid!r} has boundary {v.boundary}, not 0")
     beta = branching_number(g, vid)
     if beta > 2:
         raise DomainError(f"blow_down: branching number of {vid!r} is {beta} > 2")
@@ -309,9 +309,8 @@ def _is_standard_form(g: WeightedGraph, starts=None) -> bool:
     those of its vertices that are in g are walked.  `_linear_standard`
     and `_circular_standard` try every orientation and rotation, so the
     chains need no orienting."""
-    around, loops = _adjacency(g)
-    starts = g.vertices if starts is None else [x for x in starts if x in around]
-    for order, circular in _chains_through(around, _branching(g, around, loops), starts):
+    starts = g.vertices if starts is None else [x for x in starts if x in g.vertices]
+    for order, circular in _chains_through(g, branching_set(g), starts):
         entries = _entries(g, order)
         if not (_circular_standard if circular else _linear_standard)(entries):
             return False
@@ -355,30 +354,28 @@ def _search_moves(g: WeightedGraph):
         yield {"move": "blowup", "center": {"vertex": vid}}
 
 
-def _survey(g: WeightedGraph, adjacency: tuple) -> tuple:
+def _survey(g: WeightedGraph) -> tuple:
     """One walk over the chains of g minus its branching set, as
-    (around, circular, nonstandard): the `around` half of adjacency, which
-    is `_adjacency(g)`, the set of vertices on circular chains, and the
-    vertex set of each chain that is not standard.  g is standard exactly
-    when nonstandard is empty."""
-    around, loops = adjacency
+    (circular, nonstandard): the set of vertices on circular chains, and
+    the vertex set of each chain that is not standard.  g is standard
+    exactly when nonstandard is empty."""
     circular: set = set()
     nonstandard = []
-    for order, is_circular in _chains_through(
-            around, _branching(g, around, loops), g.vertices):
+    for order, is_circular in _chains_through(g, branching_set(g), g.vertices):
         if is_circular:
             circular.update(order)
         entries = _entries(g, order)
         if not (_circular_standard if is_circular else _linear_standard)(entries):
             nonstandard.append(frozenset(order))
-    return around, circular, nonstandard
+    return circular, nonstandard
 
 
-def _could_be_standard(entry: dict, survey: tuple):
-    """For a `_search_moves` entry on a graph with this `_survey`, read
-    off the survey without building the child: the move's touched set T
+def _could_be_standard(g: WeightedGraph, entry: dict, survey: tuple):
+    """For a `_search_moves` entry on g, whose `_survey` this is, read off
+    g and the survey without building the child: the move's touched set T
     when the child could be standard, else None."""
-    around, circular, nonstandard = survey
+    around = g.around
+    circular, nonstandard = survey
     kind = entry["move"]
     if kind == "blowup":
         touched = entry["center"].get("edge")
@@ -399,12 +396,11 @@ def _could_be_standard(entry: dict, survey: tuple):
     return touched
 
 
-def _child_shape(g: WeightedGraph, entry: dict, around: dict) -> tuple:
+def _child_shape(g: WeightedGraph, entry: dict) -> tuple:
     """For a `_search_moves` entry, read off g without building the
     child: (vertex count, the weights the move changes or adds), the
-    arguments of `_SearchCaps.admits`.  around is the `around` half of
-    `_adjacency(g)`."""
-    w = g.vertices
+    arguments of `_SearchCaps.admits`."""
+    w, around = g.vertices, g.around
     kind = entry["move"]
     if kind == "blowup":
         center = entry["center"]
@@ -435,17 +431,17 @@ def standardize(g: WeightedGraph) -> tuple[WeightedGraph, list]:
 
     Work on a child is paid only when the child is taken from the queue,
     except the test of whether it could be standard (`_could_be_standard`),
-    read off the parent's survey.  Each expanded state is surveyed once
-    (`_survey`): its circular-chain vertices and its chains that are not
-    standard.
+    read off the parent and its survey.  Each expanded state is surveyed
+    once (`_survey`): its circular-chain vertices and its chains that are
+    not standard.
 
     Most children cannot be standard.  Such a child is queued as its
-    parent, the parent's log and survey, and its move-log entry, not as a
-    graph.  When it is taken from the queue it is checked against the
-    caps, on its vertex count and the weights its move changes or adds,
-    read off the parent (`_child_shape`); its other weights are the
-    parent's, which are within the caps.  A child outside the caps is
-    dropped there, before it is built or encoded.
+    parent, the parent's log and its move-log entry, not as a graph.
+    When it is taken from the queue it is checked against the caps, on
+    its vertex count and the weights its move changes or adds, read off
+    the parent (`_child_shape`); its other weights are the parent's,
+    which are within the caps.  A child outside the caps is dropped
+    there, before it is built or encoded.
 
     A child that could be standard is checked against the caps at once,
     built and given the goal test, and the first standard child is
@@ -514,25 +510,24 @@ def standardize(g: WeightedGraph) -> tuple[WeightedGraph, list]:
 
     caps = _SearchCaps(cur)
     seen = set()
-    # (graph, log, None, None) for a built state; (parent, parent's log,
-    # parent's survey, move) for a child queued unbuilt
-    queue = deque([(cur, tuple(log), None, None)])
+    # (graph, log, None) for a built state; (parent, parent's log, move)
+    # for a child queued unbuilt
+    queue = deque([(cur, tuple(log), None)])
     tried = expanded = 0
     while queue:
-        state, state_log, survey, move = queue.popleft()
+        state, state_log, move = queue.popleft()
         if move is not None:
-            if not caps.admits(*_child_shape(state, move, survey[0])):
+            if not caps.admits(*_child_shape(state, move)):
                 continue
             sub: list = []
             state = apply_move(state, move, sub)
             state_log += tuple(sub)
-        adjacency = _adjacency(state)
-        enc = canonical_encoding(state, adjacency)
+        enc = canonical_encoding(state)
         if enc in seen:
             continue
         seen.add(enc)
         expanded += 1
-        survey = _survey(state, adjacency)
+        survey = _survey(state)
         for move in _search_moves(state):
             tried += 1
             if tried > caps.budget:
@@ -541,11 +536,11 @@ def standardize(g: WeightedGraph) -> tuple[WeightedGraph, list]:
                     f"{caps.budget} of {caps.budget} moves tried, "
                     f"{expanded} states expanded {_STRATEGY}"
                 )
-            touched = _could_be_standard(move, survey)
+            touched = _could_be_standard(state, move, survey)
             if touched is None:
-                queue.append((state, state_log, survey, move))
+                queue.append((state, state_log, move))
                 continue
-            if not caps.admits(*_child_shape(state, move, survey[0])):
+            if not caps.admits(*_child_shape(state, move)):
                 continue
             sub = []
             try:
@@ -555,7 +550,7 @@ def standardize(g: WeightedGraph) -> tuple[WeightedGraph, list]:
             nxt_log = (*state_log, *sub)
             if _is_standard_form(nxt, touched):
                 return nxt, list(nxt_log)
-            queue.append((nxt, nxt_log, None, None))
+            queue.append((nxt, nxt_log, None))
     raise DomainError(
         "standardize: search space exhausted under caps after "
         f"{tried} of {caps.budget} moves tried, {expanded} states expanded "

@@ -183,13 +183,13 @@ def picard_check(d1: int, d2: int) -> dict:
 
     def pairing(vec: dict) -> dict:
         """The intersection form applied to {vertex: coefficient}, through
-        the incidence index; only nonzero pairings are kept."""
+        the incidence index; only nonzero pairings are kept.  A divisor
+        graph has no loops."""
         out: dict = {}
         for u, x in vec.items():
             out[u] = out.get(u, 0) + g.vertices[u].weight * x
-            for e in g.edges_at(u):
-                w = e.other(u)
-                out[w] = out.get(w, 0) + (2 if e.is_loop else 1) * e.sign * x
+            for w, s in g.around[u]:
+                out[w] = out.get(w, 0) + s * x
         return {vid: y for vid, y in out.items() if y}
 
     relations_ok = True

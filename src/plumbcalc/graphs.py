@@ -78,9 +78,15 @@ class WeightedGraph:
     comparison.  A graph is never changed after it is built: every
     operation returns a new graph, so the constructor's checks and its
     incidence index cover every graph.
+
+    The incidence index is built once, in the constructor's one pass over
+    the sorted edges: the list around[v] holds the (other end, sign) pair
+    of each non-loop edge at v, in edge order, and the tuple loops[v] the
+    signs of the loops at v, sorted.  Like the graph, the index is never
+    changed.  A vertex has len(around[v]) + 2 * len(loops[v]) edge ends.
     """
 
-    __slots__ = ("kind", "vertices", "edges", "_at")
+    __slots__ = ("kind", "vertices", "edges", "around", "loops")
 
     def __init__(self, kind: str, vertices, edges):
         if kind not in ("divisor", "plumbing"):
@@ -92,14 +98,16 @@ class WeightedGraph:
                 raise DomainError(f"duplicate vertex id {vid!r}")
             vs[vid] = v
         es = tuple(sorted(edges, key=_edge_key))
-        at: dict[str, list[Edge]] = {vid: [] for vid in vs}
-        for e in es:
-            u, v, _ = e
+        around: dict[str, list] = {vid: [] for vid in vs}
+        loops: dict[str, tuple] = dict.fromkeys(vs, ())
+        for u, v, s in es:
             if u not in vs or v not in vs:
                 raise DomainError(f"edge ({u!r},{v!r}) references missing vertex")
-            at[u].append(e)
-            if u != v:
-                at[v].append(e)
+            if u == v:
+                loops[u] = (s, *loops[u])  # +1 loops come first, so this sorts
+            else:
+                around[u].append((v, s))
+                around[v].append((u, s))
         if kind == "divisor":
             seen = set()
             for u, v, s in es:
@@ -115,7 +123,8 @@ class WeightedGraph:
         self.kind = kind
         self.vertices = vs
         self.edges = es
-        self._at = {vid: tuple(x) for vid, x in at.items()}
+        self.around = around
+        self.loops = loops
 
     # -- basic accessors ----------------------------------------------------
 
@@ -124,12 +133,19 @@ class WeightedGraph:
 
     def edges_at(self, vid: str) -> tuple:
         """Edges meeting the vertex in edge order, a loop listed once; read
-        from the incidence index the constructor builds."""
-        return self._at.get(vid, ())
+        off the incidence index.  Edges sort by their ends, so the edges
+        from smaller ids come first, then the loops, sign +1 first, then
+        the edges to larger ids."""
+        pairs = self.around.get(vid, ())
+        return (
+            *(Edge(x, vid, s) for x, s in pairs if x < vid),
+            *(Edge(vid, vid, s) for s in reversed(self.loops.get(vid, ()))),
+            *(Edge(vid, x, s) for x, s in pairs if x > vid),
+        )
 
     def neighbors(self, vid: str) -> list[str]:
         """Distinct neighbors, loops excluded, sorted."""
-        return sorted({e.other(vid) for e in self._at.get(vid, ()) if not e.is_loop})
+        return sorted({x for x, _ in self.around.get(vid, ())})
 
     def induced(self, ids) -> "WeightedGraph":
         """The subgraph on the given vertex ids with every edge between them."""
@@ -275,8 +291,7 @@ def branching_number(g: WeightedGraph, vid: str) -> int:
     """Number of edge ends at the vertex; a loop contributes 2."""
     if vid not in g.vertices:
         raise DomainError(f"no vertex {vid!r}")
-    at = g._at[vid]
-    return len(at) + sum(e.is_loop for e in at)
+    return len(g.around[vid]) + 2 * len(g.loops[vid])
 
 
 def connected_components(g: WeightedGraph) -> list[set[str]]:
@@ -698,46 +713,22 @@ class SegmentReport(namedtuple("SegmentReport", "branching segments")):
     __slots__ = ()
 
 
-def _adjacency(g: WeightedGraph) -> tuple:
-    """One pass over the edges, as (around, loops): around[v] holds the
-    (other end, sign) pair of each non-loop edge at v, in edge order, and
-    loops[v] the signs of the loops at v, sorted.  A vertex has
-    len(around[v]) + 2 * len(loops[v]) edge ends."""
-    around = {vid: [] for vid in g.vertices}
-    loops = {vid: [] for vid in g.vertices}
-    for u, v, s in g.edges:
-        if u == v:
-            loops[u].append(s)
-        else:
-            around[u].append((v, s))
-            around[v].append((u, s))
-    for signs in loops.values():
-        signs.sort()
-    return around, loops
-
-
-def _branching(g: WeightedGraph, around: dict, loops: dict) -> frozenset:
-    """`branching_set` on the two halves of `_adjacency`."""
-    return frozenset(
-        vid for vid, v in g.vertices.items()
-        if v.genus or v.boundary or loops[vid] or len(around[vid]) >= 3
-    )
-
-
 def branching_set(g: WeightedGraph) -> frozenset:
     """Vertices forced outside every chain: branching number >= 3, loop
     carriers, nonzero genus, or nonzero boundary."""
-    return _branching(g, *_adjacency(g))
+    return frozenset(
+        vid for vid, v in g.vertices.items()
+        if v.genus or v.boundary or g.loops[vid] or len(g.around[vid]) >= 3
+    )
 
 
 def _entries(g: WeightedGraph, vids) -> tuple:
     return tuple(-g.vertices[x].weight for x in vids)
 
 
-def _chain_at(around: dict, b: frozenset, start: str) -> tuple:
-    """The maximal chain through start of the graph minus the branching
-    set b, on the `around` half of `_adjacency`, as (vertex order,
-    circular).
+def _chain_at(g: WeightedGraph, b: frozenset, start: str) -> tuple:
+    """The maximal chain through start of g minus the branching set b,
+    walked on g's incidence index, as (vertex order, circular).
 
     One walk in each direction from start.  Each step leaves by an edge
     end other than the one it came in by, so a 2-cycle of parallel edges
@@ -745,6 +736,7 @@ def _chain_at(around: dict, b: frozenset, start: str) -> tuple:
     first edge end; a path runs from tip to tip with start somewhere in
     between, its orientation not fixed.
     """
+    around = g.around
     ends = [x for x, _ in around[start] if x not in b]
     halves = ([], [])
     for half, first in zip(halves, ends):
@@ -761,7 +753,7 @@ def _chain_at(around: dict, b: frozenset, start: str) -> tuple:
     return [*reversed(halves[1]), start, *halves[0]], False
 
 
-def _chains_through(around: dict, b: frozenset, starts):
+def _chains_through(g: WeightedGraph, b: frozenset, starts):
     """Yield (vertex order, circular) once for each maximal chain of the
     graph minus the branching set b through one of the vertices starts,
     each walked once by `_chain_at` and not oriented."""
@@ -769,14 +761,14 @@ def _chains_through(around: dict, b: frozenset, starts):
     for start in starts:
         if start in b or start in seen:
             continue
-        order, circular = _chain_at(around, b, start)
+        order, circular = _chain_at(g, b, start)
         seen.update(order)
         yield order, circular
 
 
-def _chains(g: WeightedGraph, around: dict, b: frozenset):
+def _chains(g: WeightedGraph, b: frozenset):
     """Yield (vertex order, circular) for each maximal chain of the graph
-    minus the branching set b, on the `around` half of `_adjacency`.
+    minus the branching set b.
 
     Chains come in the id order of their least vertex, each walked once
     from that vertex.  A path is oriented from its least tip.  A cycle
@@ -785,7 +777,7 @@ def _chains(g: WeightedGraph, around: dict, b: frozenset):
     vertex of the cycle has a larger id, so the cycle edges at the least
     vertex come in the order of their other ends.
     """
-    for order, circular in _chains_through(around, b, g.sorted_ids()):
+    for order, circular in _chains_through(g, b, g.sorted_ids()):
         if not circular and order[-1] < order[0]:
             order.reverse()
         yield order, circular
@@ -801,10 +793,10 @@ def classify_segments(g: WeightedGraph) -> SegmentReport:
     edges has two attachments, and two vertices joined by two parallel
     edges form a circular chain.
     """
-    around, loops = _adjacency(g)
-    b = _branching(g, around, loops)
+    around = g.around
+    b = branching_set(g)
     segments = []
-    for order, circular in _chains(g, around, b):
+    for order, circular in _chains(g, b):
         if circular:
             canon = _canonical_cycle(_entries(g, order))
             segments.append(
@@ -861,17 +853,18 @@ def _canonical_cycle(entries: tuple) -> tuple:
 # isomorphism and canonical labeling
 
 
-def _initial_colors(g: WeightedGraph, around: dict, loops: dict) -> dict:
+def _initial_colors(g: WeightedGraph) -> dict:
+    around, loops = g.around, g.loops
     return {
         vid: (v.weight, v.genus, v.boundary,
-              len(around[vid]) + 2 * len(loops[vid]), tuple(loops[vid]))
+              len(around[vid]) + 2 * len(loops[vid]), loops[vid])
         for vid, v in g.vertices.items()
     }
 
 
-def _refine(around: dict, cols: dict) -> dict:
-    """Weisfeiler-Leman style color refinement until stable, on the
-    `around` half of `_adjacency`.
+def _refine(g: WeightedGraph, cols: dict) -> dict:
+    """Weisfeiler-Leman style color refinement of g until stable, on its
+    incidence index.
 
     Signatures always include the current color, so the partition only
     ever refines; stability is detected by the class count.  A vertex
@@ -890,7 +883,7 @@ def _refine(around: dict, cols: dict) -> dict:
     while True:
         sizes = Counter(cols.values())
         sig = {}
-        for vid, pairs in around.items():
+        for vid, pairs in g.around.items():
             c = cols[vid]
             sig[vid] = (c, ()) if sizes[c] == 1 else (
                 c, tuple(sorted([2 * cols[x] + (s > 0) for x, s in pairs])))
@@ -923,8 +916,7 @@ def graphs_isomorphic(g: WeightedGraph, h: WeightedGraph):
         return False, None
     if len(g.vertices) != len(h.vertices) or len(g.edges) != len(h.edges):
         return False, None
-    if (sorted(_initial_colors(g, *_adjacency(g)).values())
-            != sorted(_initial_colors(h, *_adjacency(h)).values())
+    if (sorted(_initial_colors(g).values()) != sorted(_initial_colors(h).values())
             or sorted(e.sign for e in g.edges) != sorted(e.sign for e in h.edges)):
         return False, None
     order_g, order_h = canonical_ordering(g), canonical_ordering(h)
@@ -972,14 +964,12 @@ def canonical_ordering(g: WeightedGraph) -> tuple:
     return _canonical_search(g)[0]
 
 
-def canonical_encoding(g: WeightedGraph, adjacency: tuple | None = None) -> tuple:
-    """`encode_with_order` under `canonical_ordering`.  adjacency, when
-    given, is `_adjacency(g)`, so a caller that needs it too builds it
-    once."""
-    return _canonical_search(g, adjacency)[1]
+def canonical_encoding(g: WeightedGraph) -> tuple:
+    """`encode_with_order` under `canonical_ordering`."""
+    return _canonical_search(g)[1]
 
 
-def _canonical_search(g: WeightedGraph, adjacency: tuple | None = None) -> tuple:
+def _canonical_search(g: WeightedGraph) -> tuple:
     """The canonical order and its encoding, as (order, encoding).
 
     Individualization-refinement with automorphism pruning (McKay 1981,
@@ -999,14 +989,12 @@ def _canonical_search(g: WeightedGraph, adjacency: tuple | None = None) -> tuple
     """
     if not g.vertices:
         return (), encode_with_order(g, ())
-    around, loops = adjacency or _adjacency(g)
     best: dict = {"enc": None, "order": None, "path": None}
-    _search_below(g, around, best, [],
-                  _refine(around, _initial_colors(g, around, loops)), [])
+    _search_below(g, best, [], _refine(g, _initial_colors(g)), [])
     return best["order"], best["enc"]
 
 
-def _search_below(g, around, best, autos, cols, path) -> int:
+def _search_below(g, best, autos, cols, path) -> int:
     """Search below the node that individualized `path`, updating `best`
     and `autos`; return the depth of the node to go on from.
 
@@ -1030,8 +1018,8 @@ def _search_below(g, around, best, autos, cols, path) -> int:
         fixing = [a for a in autos if all(a[p] == p for p in path)]
         if _orbit(x, fixing).isdisjoint(tried):
             tried.append(x)
-            child = _refine(around, {v: (cols[v], v != x) for v in cols})
-            back = _search_below(g, around, best, autos, child, path + [x])
+            child = _refine(g, {v: (cols[v], v != x) for v in cols})
+            back = _search_below(g, best, autos, child, path + [x])
             if back < len(path):
                 return back
     return len(path)

@@ -81,11 +81,11 @@ def _r1_obstruction(g: WeightedGraph, vid: str) -> str | None:
         return f"move_R1: vertex {vid!r} must be rational and closed"
     if v.weight not in (1, -1):
         return f"move_R1: vertex {vid!r} has weight {v.weight}, need +-1"
-    at = g.edges_at(vid)
-    if any(e.is_loop for e in at):
+    if g.loops[vid]:
         return f"move_R1: vertex {vid!r} carries a loop"
-    if len(at) > 2:
-        return f"move_R1: vertex {vid!r} has beta={len(at)} > 2"
+    beta = len(g.around[vid])
+    if beta > 2:
+        return f"move_R1: vertex {vid!r} has beta={beta} > 2"
 
 
 def move_R1(g: WeightedGraph, vid: str, log: list | None = None) -> WeightedGraph:
@@ -100,19 +100,17 @@ def move_R1(g: WeightedGraph, vid: str, log: list | None = None) -> WeightedGrap
     why = _r1_obstruction(g, vid)
     if why is not None:
         raise DomainError(why)
-    at = g.edges_at(vid)
+    at = g.around[vid]
     eps = g.vertices[vid].weight
 
     edges = [e for e in g.edges if vid not in (e.u, e.v)]
     adjust: dict[str, int] = {}
-    for e in at:
-        other = e.other(vid)
+    for other, _ in at:
         adjust[other] = adjust.get(other, 0) - eps
     vertices = reweighted((w for w in g.vertices.values() if w.id != vid), adjust)
     if len(at) == 2:
-        s = -eps * at[0].sign * at[1].sign
-        u, w = at[0].other(vid), at[1].other(vid)
-        edges.append(Edge(u, w, s))
+        (u, s1), (w, s2) = at
+        edges.append(Edge(u, w, -eps * s1 * s2))
     out = WeightedGraph("plumbing", vertices, edges)
     if log is not None:
         log.append({"move": "R1", "vertex": vid})
@@ -128,15 +126,15 @@ def _r3_obstruction(g: WeightedGraph, vid: str) -> str | None:
         return f"move_R3: vertex {vid!r} must be rational and closed"
     if v.weight != 0:
         return f"move_R3: vertex {vid!r} has weight {v.weight}, need 0"
-    at = g.edges_at(vid)
-    if any(e.is_loop for e in at):
+    if g.loops[vid]:
         return (
             f"move_R3: vertex {vid!r} carries a loop (self-absorption is"
             " out of scope for this move)"
         )
+    at = g.around[vid]
     if len(at) != 2:
         return f"move_R3: vertex {vid!r} has beta={len(at)}, need 2"
-    u, w = at[0].other(vid), at[1].other(vid)
+    (u, _), (w, _) = at
     if u == w:
         return (
             f"move_R3: both edges of {vid!r} reach {u!r}; absorbing would"
@@ -164,10 +162,9 @@ def move_R3(g: WeightedGraph, vid: str, log: list | None = None) -> WeightedGrap
     why = _r3_obstruction(g, vid)
     if why is not None:
         raise DomainError(why)
-    at = g.edges_at(vid)
-    u, w = at[0].other(vid), at[1].other(vid)
+    (u, s1), (w, s2) = g.around[vid]
     keep, drop = (u, w) if u < w else (w, u)
-    mult = -at[0].sign * at[1].sign  # applied per edge end at the dropped vertex
+    mult = -s1 * s2  # applied per edge end at the dropped vertex
 
     ku, kw = g.vertices[keep], g.vertices[drop]
     merged = Vertex(
@@ -223,7 +220,9 @@ def inverse_R1_on_edge(
     new vertex restores the input graph up to gauge.
     """
     _require_plumbing(g, "inverse_R1_on_edge")
-    if edge not in g.edges_at(edge.u):
+    u, v, s = edge
+    present = s in g.loops.get(u, ()) if u == v else (v, s) in g.around.get(u, ())
+    if not present:
         raise DomainError(f"no edge ({edge.u!r},{edge.v!r},{edge.sign:+d})")
     if edge.is_loop:
         raise DomainError("inverse_R1_on_edge does not subdivide loops")
@@ -291,12 +290,9 @@ def gauge_canonicalize(g: WeightedGraph) -> WeightedGraph:
         queue = [root]
         while queue:
             cur = queue.pop(0)
-            for e in g.edges_at(cur):
-                if e.is_loop:
-                    continue
-                other = e.other(cur)
+            for other, s in g.around[cur]:
                 if other not in flip:
-                    flip[other] = flip[cur] * e.sign
+                    flip[other] = flip[cur] * s
                     queue.append(other)
     edges = []
     for e in g.edges:
@@ -802,7 +798,7 @@ def jsj_cut(g) -> list:
                 " shape unrecognized"
             )
         a, b = doubles[0]
-        cut_edges = [e for e in graph.edges_at(a) if e.other(a) == b]
+        cut_edges = [Edge(a, b, s) for x, s in graph.around[a] if x == b]
 
     touched: dict[str, int] = {}
     for e in cut_edges:

@@ -50,7 +50,6 @@ from plumbcalc.graphs import (
     Edge,
     Vertex,
     WeightedGraph,
-    _adjacency,
     canonical_encoding,
     canonical_json,
     graphs_isomorphic,
@@ -114,6 +113,19 @@ def test_blow_down_requires_contractible_vertex():
     assert Edge("v0", "v2") in out.edges
     with pytest.raises(DomainError):
         blow_down(chain(-2, -3), "v0")
+
+
+def test_blow_down_refuses_a_vertex_with_boundary():
+    """A (-1)-vertex with boundary circles is not superfluous, and neither
+    blow_down nor replay contracts it: that would drop its boundary
+    count."""
+    g = WeightedGraph("divisor", [Vertex("a", -1, boundary=2), Vertex("b", -2),
+                                  Vertex("c", -3)], [Edge("a", "b"), Edge("a", "c")])
+    assert not is_superfluous(g, "a")
+    with pytest.raises(DomainError, match="boundary 2"):
+        blow_down(g, "a")
+    with pytest.raises(DomainError, match="boundary 2"):
+        replay(g, [{"move": "blowdown", "vertex": "a"}])
 
 
 def test_blow_down_refuses_to_break_snc():
@@ -488,13 +500,13 @@ def assert_unbuilt_children_are_not_standard(g, kinds):
     child of g made by one of these kinds of move off the parent
     correctly, and queues the child without building it only when the
     child is not standard."""
-    survey = divisor._survey(g, _adjacency(g))
-    assert (not survey[2]) == is_standard(g).standard
+    survey = divisor._survey(g)
+    assert (not survey[1]) == is_standard(g).standard
     for entry in _search_moves(g):
         if entry["move"] not in kinds:
             continue
-        n_vertices, added = divisor._child_shape(g, entry, survey[0])
-        touched = divisor._could_be_standard(entry, survey)
+        n_vertices, added = divisor._child_shape(g, entry)
+        touched = divisor._could_be_standard(g, entry, survey)
         child = apply_move(g, entry)
         if touched is None:
             assert is_standard(child).standard is False, entry
@@ -538,9 +550,9 @@ def test_flows_and_blowdowns_the_search_leaves_unbuilt_cannot_be_standard(g):
 def test_standardize_encodes_only_the_states_it_expands(monkeypatch):
     calls = []
 
-    def counting(h, *adjacency):
+    def counting(h):
         calls.append(h)
-        return canonical_encoding(h, *adjacency)
+        return canonical_encoding(h)
 
     monkeypatch.setattr(divisor, "canonical_encoding", counting)
     standardize(flowed_dpart(3, 4, "L1_inf", "L2_0", 3))
@@ -587,7 +599,7 @@ def test_standardize_builds_few_blowup_children(monkeypatch):
     real = divisor.blow_up
     monkeypatch.setattr(divisor, "blow_up", lambda *a: blowups.append(a) or real(*a))
     monkeypatch.setattr(divisor, "canonical_encoding",
-                        lambda h, *a: encodings.append(h) or canonical_encoding(h, *a))
+                        lambda h: encodings.append(h) or canonical_encoding(h))
     standardize(flowed_dpart(4, 5, "L1_inf", "L2_0", 3))
     assert 0 < len(blowups) <= len(encodings)  # 1 164 against 51 when all were built
 

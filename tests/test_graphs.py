@@ -656,7 +656,7 @@ def test_one_branching_rule(g):
 # verbatim as the reference the one-walk version must match.
 def oracle_chains(g: WeightedGraph, around: dict, b: frozenset):
     """Yield (vertex order, circular) for each maximal chain of the graph
-    minus the branching set b, on the `around` half of `_adjacency`.
+    minus the branching set b, on the graph's `around` index.
 
     Chains come in the id order of their least vertex.  A path is walked
     from its least tip, a cycle from its least vertex toward that
@@ -747,9 +747,8 @@ def chain_graphs(draw):
 def test_chains_match_the_dfs_oracle(g):
     """The one-walk `_chains` yields the same chains, in the same order,
     each with the same vertex order and circular flag."""
-    around, loops = graphs._adjacency(g)
-    b = graphs._branching(g, around, loops)
-    assert list(graphs._chains(g, around, b)) == list(oracle_chains(g, around, b))
+    b = graphs.branching_set(g)
+    assert list(graphs._chains(g, b)) == list(oracle_chains(g, g.around, b))
 
 
 # -- isomorphism ----------------------------------------------------------------
@@ -883,23 +882,22 @@ def signed_path():
 @example(normalize(from_divisor_graph(build_boundary_graph(16, 16).d_part())).graph,
          [0, 1])
 def test_refinement_matches_the_per_edge_oracle(g, picks):
-    """The one-pass adjacency gives the colour values of the per-edge
-    refinement it replaced, at the root and after each individualization
-    (of the pick-th vertex in id order), so the search's leaves and
-    orders are unchanged."""
-    around, loops = graphs._adjacency(g)
+    """The refinement on the graph's incidence index gives the colour
+    values of the per-edge refinement it replaced, at the root and after
+    each individualization (of the pick-th vertex in id order), so the
+    search's leaves and orders are unchanged."""
     old = oracle_initial_colors(g)
-    new = graphs._initial_colors(g, around, loops)
+    new = graphs._initial_colors(g)
     assert new == old
     ids = sorted(g.vertices)
     for i in picks:
         old = oracle_refine(g, old)
-        new = graphs._refine(around, new)
+        new = graphs._refine(g, new)
         assert new == old
         x = ids[i % len(ids)]
         old = {v: (old[v], v != x) for v in old}
         new = {v: (new[v], v != x) for v in new}
-    assert graphs._refine(around, new) == oracle_refine(g, old)
+    assert graphs._refine(g, new) == oracle_refine(g, old)
 
 
 @settings(max_examples=50, deadline=None)
@@ -915,7 +913,7 @@ def test_canonical_encoding_invariant_under_relabeling(g, rng):
 
 
 def test_canonical_search_leaves_no_reference_cycles():
-    """Each search frees its adjacency, colourings and best leaf by
+    """Each search frees its colourings and best leaf by
     reference counting alone, without the cyclic collector."""
     g = build_boundary_graph(3, 4).d_part()
     gc.collect()
@@ -964,9 +962,15 @@ def test_graphs_isomorphic_matches_networkx_vf2(g, other, rng, data):
 
 
 def assert_index_matches_scan(g):
+    """edges_at, neighbors, branching_number and the index behind them,
+    around and loops, agree with a scan of g.edges at every vertex."""
+    assert list(g.around) == list(g.loops) == list(g.vertices)
     for vid in g.vertices:
         scan = [e for e in g.edges if e.u == vid or e.v == vid]
         assert list(g.edges_at(vid)) == scan
+        assert g.around[vid] == [(e.other(vid), e.sign) for e in scan
+                                 if not e.is_loop]
+        assert g.loops[vid] == tuple(sorted(e.sign for e in scan if e.is_loop))
         assert g.neighbors(vid) == sorted({e.other(vid) for e in scan if not e.is_loop})
         assert branching_number(g, vid) == sum((e.u == vid) + (e.v == vid) for e in g.edges)
 
@@ -980,6 +984,22 @@ def assert_moves_keep_input(g, moves):
             continue
         assert_index_matches_scan(out)
     assert canonical_json(g.to_json_dict()) == before
+
+
+def test_incidence_index_on_loops_parallel_edges_and_an_isolated_vertex():
+    """Loops of both signs, signed parallel edges on both sides of the
+    loop carrier in id order, and an isolated vertex."""
+    g = WeightedGraph("plumbing", [Vertex(x, -1) for x in "abcd"],
+                      [Edge("b", "b", -1), Edge("b", "b", 1), Edge("c", "b", -1),
+                       Edge("b", "c", 1), Edge("a", "b", 1), Edge("a", "b", 1),
+                       Edge("a", "c", -1)])
+    assert_index_matches_scan(g)
+    assert g.around["b"] == [("a", 1), ("a", 1), ("c", 1), ("c", -1)]
+    assert g.loops["b"] == (-1, 1)
+    assert g.around["d"] == [] and g.loops["d"] == ()
+    assert [tuple(e) for e in g.edges_at("b")] == [
+        ("a", "b", 1), ("a", "b", 1), ("b", "b", 1), ("b", "b", -1),
+        ("b", "c", 1), ("b", "c", -1)]
 
 
 @settings(max_examples=100, deadline=None)
@@ -1068,3 +1088,85 @@ def test_library_is_stdlib_only():
     allowed = sys.stdlib_module_names | {"plumbcalc"}
     assert [(where, top) for where, top in library_imports()
             if top not in allowed] == []
+
+
+# Library definitions that no entry point reaches.  Tests call them, and
+# each awaits a caller on the paper's chain or its removal; a new
+# definition that nothing reaches fails the reachability test, and one
+# that gains a caller or leaves the library must leave this list.
+UNREACHED = {
+    ("divisor", "d_sharp_coefficients"), ("divisor", "half_point_attach"),
+    ("divisor", "is_snc_minimal"), ("family", "standardize_mixed"),
+    ("family", "surface_homology"), ("invariants", "same_two_bridge_class"),
+    ("plumbing", "inverse_R1_on_edge"), ("plumbing", "inverse_R1_on_vertex"),
+    ("plumbing", "is_lens_space"), ("plumbing", "is_prime"),
+}
+
+
+def library_definitions():
+    """({(module, name): node} for each top-level function, class and
+    assigned name of the library, {module: {local name: (module, name)}}
+    for its relative imports, name None for a whole module)."""
+    defs, imports = {}, {}
+    for path in sorted(Path(plumbcalc.__file__).parent.glob("*.py")):
+        mod, names = path.stem, {}
+        imports[mod] = names
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defs[mod, node.name] = node
+            elif isinstance(node, ast.Assign):
+                for target in node.targets:
+                    if isinstance(target, ast.Name):
+                        defs[mod, target.id] = node
+            elif isinstance(node, ast.ImportFrom) and node.level == 1:
+                for alias in node.names:
+                    names[alias.asname or alias.name] = (
+                        (node.module, alias.name) if node.module else (alias.name, None))
+    return defs, imports
+
+
+def references(node, mod, defs, imports):
+    """The library definitions a node names: its module's own top-level
+    names, names imported from a sibling module, and `module.name` for an
+    imported module.  A local that shadows a top-level name counts, so
+    this over-approximates; a class's methods count with the class."""
+    for n in ast.walk(node):
+        if isinstance(n, ast.Name):
+            hit = (mod, n.id) if (mod, n.id) in defs else imports[mod].get(n.id)
+        elif isinstance(n, ast.Attribute) and isinstance(n.value, ast.Name):
+            via = imports[mod].get(n.value.id)
+            hit = (via[0], n.attr) if via and via[1] is None else None
+        else:
+            continue
+        if hit in defs:
+            yield hit
+
+
+def test_every_library_definition_is_reached_or_listed():
+    """Walk the library from its entry points: `cli.main`, the move
+    registry `divisor.MOVES`, and the names the benchmark calls
+    (`M.<module>.<name>` in perfbench/workloads.py) or traces
+    (perfbench/tracing.py's TRACED).  Every top-level function and class
+    it misses must be in UNREACHED, and every name there missed."""
+    defs, imports = library_definitions()
+    bench = Path(__file__).resolve().parents[1] / "perfbench"
+    roots = [("cli", "main"), *references(defs["divisor", "MOVES"], "divisor",
+                                          defs, imports)]
+    for node in ast.walk(ast.parse((bench / "workloads.py").read_text(encoding="utf-8"))):
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Attribute)
+                and node.value.attr in imports):
+            roots.append((node.value.attr, node.attr))
+    for node in ast.parse((bench / "tracing.py").read_text(encoding="utf-8")).body:
+        if isinstance(node, ast.Assign) and ast.unparse(node.targets[0]) == "TRACED":
+            roots += [(mod, name) for mod, names in ast.literal_eval(node.value).items()
+                      for name in names]
+    assert set(roots) <= defs.keys()
+    reached, stack = set(), roots
+    while stack:
+        key = stack.pop()
+        if key not in reached:
+            reached.add(key)
+            stack.extend(references(defs[key], key[0], defs, imports))
+    unreached = {key for key, node in defs.items() if key not in reached
+                 and isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+    assert unreached == UNREACHED
