@@ -21,7 +21,6 @@ from fractions import Fraction
 from .graphs import (
     DomainError,
     Edge,
-    Segment,
     Vertex,
     WeightedGraph,
     _bareiss,
@@ -303,20 +302,6 @@ def is_standard(g: WeightedGraph) -> StandardReport:
     )
 
 
-def _is_standard_form(g: WeightedGraph, starts=None) -> bool:
-    """`is_standard(g).standard`, without the report: stops at the first
-    chain that is not standard.  With starts, only the chains through
-    those of its vertices that are in g are walked.  `_linear_standard`
-    and `_circular_standard` try every orientation and rotation, so the
-    chains need no orienting."""
-    starts = g.vertices if starts is None else [x for x in starts if x in g.vertices]
-    for order, circular in _chains_through(g, branching_set(g), starts):
-        entries = _entries(g, order)
-        if not (_circular_standard if circular else _linear_standard)(entries):
-            return False
-    return True
-
-
 class _SearchCaps:
     budget = 100_000  # moves tried, over all expanded states
 
@@ -326,9 +311,8 @@ class _SearchCaps:
         self.max_abs_weight = max(wmax, 4) + 4
 
     def admits(self, n_vertices: int, weights) -> bool:
-        """Whether a graph of n_vertices vertices with these weights is
-        within the caps.  A child whose parent is within the caps may pass
-        only the weights its move changed or added."""
+        """Whether a graph is within the caps, given its vertex count and
+        all of its weights."""
         if n_vertices > self.max_vertices:
             return False
         return all(abs(w) <= self.max_abs_weight for w in weights)
@@ -354,14 +338,18 @@ def _search_moves(g: WeightedGraph):
         yield {"move": "blowup", "center": {"vertex": vid}}
 
 
-def _survey(g: WeightedGraph) -> tuple:
+def _survey(g: WeightedGraph, starts=None) -> tuple:
     """One walk over the chains of g minus its branching set, as
     (circular, nonstandard): the set of vertices on circular chains, and
     the vertex set of each chain that is not standard.  g is standard
-    exactly when nonstandard is empty."""
+    exactly when nonstandard is empty.  With starts, only the chains
+    through those of its vertices that are in g are walked.
+    `_linear_standard` and `_circular_standard` try every orientation and
+    rotation, so the chains need no orienting."""
+    starts = g.vertices if starts is None else [x for x in starts if x in g.vertices]
     circular: set = set()
     nonstandard = []
-    for order, is_circular in _chains_through(g, branching_set(g), g.vertices):
+    for order, is_circular in _chains_through(g, branching_set(g), starts):
         if is_circular:
             circular.update(order)
         entries = _entries(g, order)
@@ -396,22 +384,16 @@ def _could_be_standard(g: WeightedGraph, entry: dict, survey: tuple):
     return touched
 
 
-def _child_shape(g: WeightedGraph, entry: dict) -> tuple:
-    """For a `_search_moves` entry, read off g without building the
-    child: (vertex count, the weights the move changes or adds), the
-    arguments of `_SearchCaps.admits`."""
-    w, around = g.vertices, g.around
-    kind = entry["move"]
-    if kind == "blowup":
-        center = entry["center"]
-        touched = center.get("edge") or [center["vertex"]]
-        return len(w) + 1, [-1, *(w[x].weight - 1 for x in touched)]
-    if kind == "flow":
-        t = entry["toward"]
-        (a, _), (b, _) = around[entry["vertex"]]
-        o = b if a == t else a
-        return len(w), [w[t].weight + 1, w[o].weight - 1]
-    return len(w) - 1, [w[a].weight + 1 for a, _ in around[entry["vertex"]]]
+def _build(state: WeightedGraph, state_log: tuple, move: dict,
+           caps: _SearchCaps):
+    """Apply a `_search_moves` entry to a state of the search: the child
+    and its log, or None when the child is outside the caps."""
+    sub: list = []
+    child = apply_move(state, move, sub)
+    if not caps.admits(len(child.vertices),
+                       [v.weight for v in child.vertices.values()]):
+        return None
+    return child, (*state_log, *sub)
 
 
 _STRATEGY = (
@@ -435,18 +417,15 @@ def standardize(g: WeightedGraph) -> tuple[WeightedGraph, list]:
     once (`_survey`): its circular-chain vertices and its chains that are
     not standard.
 
-    Most children cannot be standard.  Such a child is queued as its
-    parent, the parent's log and its move-log entry, not as a graph.
-    When it is taken from the queue it is checked against the caps, on
-    its vertex count and the weights its move changes or adds, read off
-    the parent (`_child_shape`); its other weights are the parent's,
-    which are within the caps.  A child outside the caps is dropped
-    there, before it is built or encoded.
-
-    A child that could be standard is checked against the caps at once,
-    built and given the goal test, and the first standard child is
-    returned.  Any other is queued as its built graph and log, so it is
-    never built twice.
+    A child is built in one way (`_build`): the move is applied, and the
+    built child is checked against the caps on its vertex count and all
+    of its weights; a child outside the caps is dropped before it is
+    encoded.  Most children cannot be standard.  Such a child is queued
+    as its parent, the parent's log and its move-log entry, not as a
+    graph, and built when it is taken from the queue.  A child that could
+    be standard is built at once and given the goal test, and the first
+    standard child is returned.  Any other is queued as its built graph
+    and log, so it is never built twice.
 
     Blowups: a standard form has (-1)-vertices only on circular chains,
     since `_linear_standard` admits no entry 1.  The new vertex of a
@@ -481,15 +460,15 @@ def standardize(g: WeightedGraph) -> tuple[WeightedGraph, list]:
     child is branching in the parent.  And the new vertex of an inner
     blowup on a circular chain lies on the chain of u and v.  When the
     child could be standard, every non-standard chain of the parent meets
-    T, so such a chain is standard.  The goal test therefore walks only
-    the chains through T.
+    T, so such a chain is standard.  The goal test, `_survey` of the
+    child from T, therefore walks only the chains through T.
 
-    `_search_moves` yields only blowdowns of superfluous vertices and
-    flows on 0-vertices with two neighbours, which `apply_move` always
-    accepts, so no child that was skipped for a DomainError is queued.
-    The moves tried, the states queued and expanded, the result and its
-    log, and both errors are therefore the same as when every child was
-    built and tested.
+    `_search_moves` yields only blowups, blowdowns of superfluous
+    vertices and flows on 0-vertices with two neighbours, which
+    `apply_move` always accepts, so building a child never fails.  The
+    moves tried, the states queued and expanded, the result and its log,
+    and both errors are therefore the same as when every child was built
+    and tested.
 
     Revisits are pruned when a state is taken from the queue: its graph
     is built if it was queued unbuilt, canonically encoded, and expanded
@@ -505,7 +484,7 @@ def standardize(g: WeightedGraph) -> tuple[WeightedGraph, list]:
     _require_divisor(g, "standardize")
     log: list = []
     cur = _minimalize(g, log, lambda _g, vid: vid)
-    if _is_standard_form(cur):
+    if not _survey(cur)[1]:
         return cur, log
 
     caps = _SearchCaps(cur)
@@ -517,11 +496,10 @@ def standardize(g: WeightedGraph) -> tuple[WeightedGraph, list]:
     while queue:
         state, state_log, move = queue.popleft()
         if move is not None:
-            if not caps.admits(*_child_shape(state, move)):
+            built = _build(state, state_log, move, caps)
+            if built is None:
                 continue
-            sub: list = []
-            state = apply_move(state, move, sub)
-            state_log += tuple(sub)
+            state, state_log = built
         enc = canonical_encoding(state)
         if enc in seen:
             continue
@@ -540,15 +518,11 @@ def standardize(g: WeightedGraph) -> tuple[WeightedGraph, list]:
             if touched is None:
                 queue.append((state, state_log, move))
                 continue
-            if not caps.admits(*_child_shape(state, move)):
+            built = _build(state, state_log, move, caps)
+            if built is None:
                 continue
-            sub = []
-            try:
-                nxt = apply_move(state, move, sub)
-            except DomainError:
-                continue
-            nxt_log = (*state_log, *sub)
-            if _is_standard_form(nxt, touched):
+            nxt, nxt_log = built
+            if not _survey(nxt, touched)[1]:
                 return nxt, list(nxt_log)
             queue.append((nxt, nxt_log, None))
     raise DomainError(

@@ -61,9 +61,6 @@ class Edge(namedtuple("Edge", "u v sign")):
     def is_loop(self) -> bool:
         return self.u == self.v
 
-    def other(self, x: str) -> str:
-        return self.v if x == self.u else self.u
-
 
 def _edge_key(e: Edge) -> tuple:
     return (e.u, e.v, -e.sign)
@@ -80,10 +77,11 @@ class WeightedGraph:
     incidence index cover every graph.
 
     The incidence index is built once, in the constructor's one pass over
-    the sorted edges: the list around[v] holds the (other end, sign) pair
-    of each non-loop edge at v, in edge order, and the tuple loops[v] the
-    signs of the loops at v, sorted.  Like the graph, the index is never
-    changed.  A vertex has len(around[v]) + 2 * len(loops[v]) edge ends.
+    the sorted edges, which also checks the divisor rules: the list
+    around[v] holds the (other end, sign) pair of each non-loop edge at
+    v, in edge order, and the tuple loops[v] the signs of the loops at v,
+    sorted.  Like the graph, the index is never changed.  A vertex has
+    len(around[v]) + 2 * len(loops[v]) edge ends.
     """
 
     __slots__ = ("kind", "vertices", "edges", "around", "loops")
@@ -100,26 +98,26 @@ class WeightedGraph:
         es = tuple(sorted(edges, key=_edge_key))
         around: dict[str, list] = {vid: [] for vid in vs}
         loops: dict[str, tuple] = dict.fromkeys(vs, ())
-        for u, v, s in es:
+        divisor, last = kind == "divisor", None
+        for e in es:
+            u, v, s = e
             if u not in vs or v not in vs:
                 raise DomainError(f"edge ({u!r},{v!r}) references missing vertex")
+            if divisor:
+                if u == v:
+                    raise DomainError("divisor graphs cannot carry loops")
+                if s != 1:
+                    raise DomainError("divisor graphs have only +1 edges")
+                if e == last:  # sorted, so parallel copies are adjacent
+                    raise DomainError(
+                        f"divisor graphs cannot carry multi-edges ({u!r},{v!r})"
+                    )
+                last = e
             if u == v:
                 loops[u] = (s, *loops[u])  # +1 loops come first, so this sorts
             else:
                 around[u].append((v, s))
                 around[v].append((u, s))
-        if kind == "divisor":
-            seen = set()
-            for u, v, s in es:
-                if u == v:
-                    raise DomainError("divisor graphs cannot carry loops")
-                if s != 1:
-                    raise DomainError("divisor graphs have only +1 edges")
-                if (u, v) in seen:
-                    raise DomainError(
-                        f"divisor graphs cannot carry multi-edges ({u!r},{v!r})"
-                    )
-                seen.add((u, v))
         self.kind = kind
         self.vertices = vs
         self.edges = es
@@ -704,10 +702,6 @@ class Segment(namedtuple("Segment", "vertices chain_type attachments")):
         a, b = self.attachments
         return (a is None) != (b is None)
 
-    @property
-    def is_free(self) -> bool:
-        return self.attachments == (None, None) and not self.chain_type.circular
-
 
 class SegmentReport(namedtuple("SegmentReport", "branching segments")):
     __slots__ = ()
@@ -919,8 +913,8 @@ def graphs_isomorphic(g: WeightedGraph, h: WeightedGraph):
     if (sorted(_initial_colors(g).values()) != sorted(_initial_colors(h).values())
             or sorted(e.sign for e in g.edges) != sorted(e.sign for e in h.edges)):
         return False, None
-    order_g, order_h = canonical_ordering(g), canonical_ordering(h)
-    if encode_with_order(g, order_g) != encode_with_order(h, order_h):
+    (order_g, enc_g), (order_h, enc_h) = _canonical_search(g), _canonical_search(h)
+    if enc_g != enc_h:
         return False, None
     mapping = dict(zip(order_g, order_h))
     # final sanity: full edge multisets agree under the mapping

@@ -20,7 +20,6 @@ from plumbcalc.divisor import (
     OnEdge,
     OnVertex,
     _SearchCaps,
-    _is_standard_form,
     _minimalize,
     _require_divisor,
     _search_moves,
@@ -490,37 +489,44 @@ def test_goal_test_is_is_standard_and_invariant_under_relabeling(g, rng):
     depend on vertex names: the argument that pruning on expansion keeps
     the result rests on this."""
     verdict = is_standard(g).standard
-    assert _is_standard_form(g) == verdict
+    assert (not divisor._survey(g)[1]) == verdict
     for _ in range(5):
         assert is_standard(relabeled(g, rng)).standard == verdict
 
 
 def assert_unbuilt_children_are_not_standard(g, kinds):
-    """The search reads the vertex count and changed weights of every
-    child of g made by one of these kinds of move off the parent
-    correctly, and queues the child without building it only when the
-    child is not standard."""
+    """The search queues a child of g made by one of these kinds of move
+    without building it only when the child is not standard, and its goal
+    test on a child it builds is `is_standard`."""
     survey = divisor._survey(g)
     assert (not survey[1]) == is_standard(g).standard
     for entry in _search_moves(g):
         if entry["move"] not in kinds:
             continue
-        n_vertices, added = divisor._child_shape(g, entry)
         touched = divisor._could_be_standard(g, entry, survey)
         child = apply_move(g, entry)
         if touched is None:
             assert is_standard(child).standard is False, entry
         else:
-            assert _is_standard_form(child, touched) == is_standard(child).standard
-        kept = [v.weight for vid, v in g.vertices.items()
-                if child.vertices.get(vid) == v]
-        assert len(child.vertices) == n_vertices
-        assert sorted(v.weight for v in child.vertices.values()) == sorted(
-            kept + added)
+            assert (not divisor._survey(child, touched)[1]) == is_standard(
+                child).standard
 
 
 ANY_DIVISOR_GRAPH = (divisor_trees() | divisor_graphs_with_cycles()
                      | decorated_graphs().filter(lambda g: g.kind == "divisor"))
+
+
+@settings(max_examples=200, deadline=None)
+@given(ANY_DIVISOR_GRAPH)
+@example(cycle(0, -1, -2))
+@example(flowed_dpart(2, 3, "L1_inf", "L2_0", 2))
+def test_apply_move_accepts_every_search_move(g):
+    """`standardize` builds children with no DomainError handler: every
+    move the search tries on a divisor graph is one `apply_move` accepts."""
+    for entry in _search_moves(g):
+        log = []
+        child = apply_move(g, entry, log)
+        assert child.kind == "divisor" and replay(g, log) == child
 
 
 @settings(max_examples=200, deadline=None)
