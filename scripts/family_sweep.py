@@ -22,7 +22,7 @@ def sweep_row(d1, d2):
     d_part = fam.d_part()
     pic = picard_check(d1, d2)
     nf = normalize(d_part)
-    h1 = h1_from_graph(nf.graph if nf.graph.vertices else d_part)
+    h1 = h1_from_graph(nf)
     alex = alexander_polynomial(d1, d2)
     p, q = two_bridge_fraction(d1, d2)
     return {

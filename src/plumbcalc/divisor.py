@@ -21,12 +21,10 @@ from fractions import Fraction
 from .graphs import (
     DomainError,
     Edge,
-    Vertex,
     WeightedGraph,
-    _bareiss,
     _chains_through,
     _entries,
-    _sparse,
+    _solve_exact,
     branching_number,
     branching_set,
     canonical_encoding,
@@ -36,7 +34,7 @@ from .graphs import (
     is_negative_definite,
     reweighted,
 )
-from .plumbing import move_R1, move_R3
+from .plumbing import _contract, _insert, move_R1, move_R3
 
 
 class OnVertex(namedtuple("OnVertex", "vertex")):
@@ -62,88 +60,73 @@ def _require_divisor(g: WeightedGraph, op: str) -> None:
 
 def blow_up(g: WeightedGraph, center, log: list | None = None,
             new_id: str | None = None) -> WeightedGraph:
+    """Blow up the point of an outer or inner center: R1's inverse
+    `_insert` with eps = -1, at its vertex or on its edge."""
     _require_divisor(g, "blow_up")
     eid = new_id if new_id is not None else fresh_id(g.vertices)
     if eid in g.vertices:
         raise DomainError(f"new vertex id {eid!r} already in use")
     if isinstance(center, OnVertex):
-        vid = center.vertex
-        if vid not in g.vertices:
-            raise DomainError(f"blow_up center vertex {vid!r} not found")
-        deltas = {vid: -1}
-        edges = [*g.edges, Edge(eid, vid)]
-        entry = {"move": "blowup", "center": {"vertex": vid}, "new_id": eid}
+        at = center.vertex
+        if at not in g.vertices:
+            raise DomainError(f"blow_up center vertex {at!r} not found")
+        where = {"vertex": at}
     elif isinstance(center, OnEdge):
-        target = Edge(center.u, center.v)
-        if (target.v, 1) not in g.around.get(target.u, ()):
+        at = Edge(center.u, center.v)
+        if (at.v, 1) not in g.around.get(at.u, ()):
             raise DomainError(
                 f"blow_up center edge ({center.u!r},{center.v!r}) not found"
             )
-        deltas = {target.u: -1, target.v: -1}
-        edges = [e for e in g.edges if e != target]
-        edges += [Edge(eid, target.u), Edge(eid, target.v)]
-        entry = {"move": "blowup", "center": {"edge": [target.u, target.v]},
-                 "new_id": eid}
+        where = {"edge": [at.u, at.v]}
     else:
         raise DomainError(f"unknown blowup center {center!r}")
-    out = WeightedGraph(
-        "divisor", reweighted(g.vertices.values(), deltas) + [Vertex(eid, -1)], edges
-    )
+    out = _insert(g, at, -1, eid)
     if log is not None:
-        log.append(entry)
+        log.append({"move": "blowup", "center": where, "new_id": eid})
     return out
 
 
-def blow_down(g: WeightedGraph, vid: str, log: list | None = None) -> WeightedGraph:
-    _require_divisor(g, "blow_down")
+def _blowdown_obstruction(g: WeightedGraph, vid: str) -> str | None:
+    """Why blow_down does not apply at the vertex vid of g, or None."""
     if vid not in g.vertices:
-        raise DomainError(f"blow_down: vertex {vid!r} not found")
+        return f"blow_down: vertex {vid!r} not found"
     v = g.vertices[vid]
     if v.weight != -1:
-        raise DomainError(f"blow_down: weight of {vid!r} is {v.weight}, not -1")
+        return f"blow_down: weight of {vid!r} is {v.weight}, not -1"
     if v.genus != 0:
-        raise DomainError(f"blow_down: {vid!r} has genus {v.genus}, not 0")
+        return f"blow_down: {vid!r} has genus {v.genus}, not 0"
     if v.boundary != 0:
-        raise DomainError(f"blow_down: {vid!r} has boundary {v.boundary}, not 0")
+        return f"blow_down: {vid!r} has boundary {v.boundary}, not 0"
     beta = branching_number(g, vid)
     if beta > 2:
-        raise DomainError(f"blow_down: branching number of {vid!r} is {beta} > 2")
+        return f"blow_down: branching number of {vid!r} is {beta} > 2"
     nbrs = g.neighbors(vid)
-    edges = [e for e in g.edges if vid not in (e.u, e.v)]
-    if len(nbrs) == 2:
-        a, b = nbrs
-        if b in g.neighbors(a):
-            raise DomainError(
-                f"blow_down: neighbors of {vid!r} are already adjacent; "
-                "the image would not be snc"
-            )
-        edges.append(Edge(a, b))
-    vertices = reweighted(
-        (x for x in g.vertices.values() if x.id != vid), dict.fromkeys(nbrs, 1)
-    )
-    out = WeightedGraph("divisor", vertices, edges)
+    if len(nbrs) == 2 and nbrs[1] in g.neighbors(nbrs[0]):
+        return (
+            f"blow_down: neighbors of {vid!r} are already adjacent; "
+            "the image would not be snc"
+        )
+
+
+def blow_down(g: WeightedGraph, vid: str, log: list | None = None) -> WeightedGraph:
+    """Contract a (-1)-vertex: R1's blow-down `_contract` with eps = -1,
+    where `_blowdown_obstruction` finds nothing against it."""
+    _require_divisor(g, "blow_down")
+    why = _blowdown_obstruction(g, vid)
+    if why is not None:
+        raise DomainError(why)
+    out = _contract(g, vid)
     if log is not None:
         log.append({"move": "blowdown", "vertex": vid})
     return out
 
 
 def is_superfluous(g: WeightedGraph, vid: str) -> bool:
-    """Weight -1, rational, meets one or two other components, each once,
-    and contracting it keeps the divisor snc."""
-    v = g.vertices[vid]
-    if v.weight != -1 or v.genus != 0 or v.boundary != 0:
-        return False
-    beta = branching_number(g, vid)
-    if beta not in (1, 2):
-        return False
-    nbrs = g.neighbors(vid)
-    if len(nbrs) != beta:
-        return False  # loop or double edge (plumbing input)
-    if len(nbrs) == 2:
-        a, b = nbrs
-        if b in g.neighbors(a):
-            return False
-    return True
+    """A vertex of a divisor graph that meets another component and that
+    `blow_down` contracts.  The weight is tested first: the searches ask
+    this of every vertex, and few weigh -1."""
+    return (g.vertices[vid].weight == -1 and bool(g.around[vid])
+            and _blowdown_obstruction(g, vid) is None)
 
 
 def _minimalize(g: WeightedGraph, log: list, keyfunc) -> WeightedGraph:
@@ -583,30 +566,6 @@ def bark(g: WeightedGraph, twig: list) -> dict:
             )
         out[vid] = c
     return out
-
-
-def _solve_exact(m, rhs):
-    """Solve m . x = rhs over Q for an integer matrix and right-hand side;
-    None when m is singular.
-
-    Sparse Bareiss elimination of the augmented rows, then fraction-free
-    back substitution on y = d * x, where d is the last pivot (the
-    determinant up to sign).  y is integral by Cramer's rule, so each step
-    divides exactly by its pivot, and Fractions appear only in the final
-    x = y / d.
-    """
-    n = len(m)
-    a = _sparse([list(row) + [b] for row, b in zip(m, rhs)])
-    d = 1
-    for _, d in _bareiss(a, n):
-        pass
-    if not d:
-        return None
-    y = [0] * n
-    for i in range(n - 1, -1, -1):
-        s = d * a[i].get(n, 0) - sum(x * y[j] for j, x in a[i].items() if i < j < n)
-        y[i] = s // a[i][i]
-    return [Fraction(v, d) for v in y]
 
 
 def d_sharp_coefficients(g: WeightedGraph) -> dict:

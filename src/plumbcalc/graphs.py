@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import json
 from collections import Counter, defaultdict, namedtuple
+from fractions import Fraction
 from itertools import compress
 
 
@@ -417,12 +418,33 @@ def _bareiss(rows: list, n: int):
 
 
 def _det(rows: list) -> int:
-    """Determinant of a square matrix given as sparse rows, which
-    `_bareiss` consumes."""
+    """Determinant of the square matrix in the first len(rows) columns of
+    sparse rows, which `_bareiss` leaves upper triangular there."""
     sign, p = 1, 1
     for sign, p in _bareiss(rows, len(rows)):
         pass
     return sign * p
+
+
+def _solve_exact(m, rhs):
+    """Solve m . x = rhs over Q for an integer matrix and right-hand side;
+    None when m is singular.
+
+    Sparse Bareiss elimination of the augmented rows (`_det`), then
+    fraction-free back substitution on y = d * x, where d = det m.  y is
+    integral by Cramer's rule, so each step divides exactly by its pivot,
+    and Fractions appear only in the final x = y / d.
+    """
+    n = len(m)
+    a = _sparse([list(row) + [b] for row, b in zip(m, rhs)])
+    d = _det(a)
+    if not d:
+        return None
+    y = [0] * n
+    for i in range(n - 1, -1, -1):
+        s = d * a[i].get(n, 0) - sum(x * y[j] for j, x in a[i].items() if i < j < n)
+        y[i] = s // a[i][i]
+    return [Fraction(v, d) for v in y]
 
 
 def det_exact(matrix) -> int:

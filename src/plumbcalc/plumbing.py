@@ -4,6 +4,9 @@ Moves implemented: R1 (blow-down of a +-1 vertex) and R3 (absorption of a
 0-weighted beta=2 vertex).  normalize() drives them to a fixed point and
 either certifies a normal form or recognizes one of the two small Seifert
 graphs that need a special normal form; everything else fails loudly.
+R1's blow-down and its inverse are built by `_contract` and `_insert`,
+which keep the graph's kind: the divisor blowdowns and blowups are the
+eps = -1 case on a graph whose signs are all +1, and build through them.
 
 Conventions used throughout:
 - kind="plumbing" graphs; vertex weight is the Euler number, edges carry
@@ -89,32 +92,61 @@ def _r1_obstruction(g: WeightedGraph, vid: str) -> str | None:
 
 
 def move_R1(g: WeightedGraph, vid: str, log: list | None = None) -> WeightedGraph:
-    """Blow down a rational vertex of weight +-1 with beta <= 2, no loop.
-
-    Each neighbor loses eps = weight(v) from its weight (once per edge).
-    With two edges to distinct neighbors u, w the blow-down joins them by
-    a new edge of sign -eps*s1*s2; with two edges to the same neighbor u
-    the result is a loop at u with that sign and u loses 2*eps.
-    """
+    """Blow down a rational vertex of weight +-1 with beta <= 2, no loop,
+    by `_contract`."""
     _require_plumbing(g, "move_R1")
     why = _r1_obstruction(g, vid)
     if why is not None:
         raise DomainError(why)
-    at = g.around[vid]
-    eps = g.vertices[vid].weight
-
-    edges = [e for e in g.edges if vid not in (e.u, e.v)]
-    adjust: dict[str, int] = {}
-    for other, _ in at:
-        adjust[other] = adjust.get(other, 0) - eps
-    vertices = reweighted((w for w in g.vertices.values() if w.id != vid), adjust)
-    if len(at) == 2:
-        (u, s1), (w, s2) = at
-        edges.append(Edge(u, w, -eps * s1 * s2))
-    out = WeightedGraph("plumbing", vertices, edges)
+    out = _contract(g, vid)
     if log is not None:
         log.append({"move": "R1", "vertex": vid})
     return out
+
+
+def _contract(g: WeightedGraph, vid: str) -> WeightedGraph:
+    """The blow-down of R1 at vid, of the same kind as g; the caller has
+    checked that it applies.
+
+    Each neighbor loses eps = weight(v) from its weight (once per edge).
+    With two edges to distinct neighbors u, w the blow-down joins them by
+    a new edge of sign -eps*s1*s2; with two edges to the same neighbor u
+    the result is a loop at u with that sign and u loses 2*eps.  A divisor
+    blowdown is the case eps = -1 with every sign +1.
+    """
+    at = g.around[vid]
+    eps = g.vertices[vid].weight
+    ends = [x for x, _ in at]
+    edges = [e for e in g.edges if vid not in (e.u, e.v)]
+    vertices = reweighted((w for w in g.vertices.values() if w.id != vid),
+                          {x: -eps * ends.count(x) for x in ends})
+    if len(at) == 2:
+        (u, s1), (w, s2) = at
+        edges.append(Edge(u, w, -eps * s1 * s2))
+    return WeightedGraph(g.kind, vertices, edges)
+
+
+def _insert(g: WeightedGraph, at, eps: int, new_id: str, s1: int = 1) -> WeightedGraph:
+    """The inverse of R1: a new eps-vertex new_id, of the same kind as g,
+    that `_contract` removes again exactly; the caller has checked that
+    at is in g and new_id is not.
+
+    At a vertex id the new vertex hangs off it by an edge of sign s1.  At
+    an Edge it subdivides the edge by edges of signs s1 and s2, where
+    -eps*s1*s2 is the old sign.  The other end of each new edge gains eps.
+    A divisor blowup is the case eps = -1 with every sign +1.
+    """
+    if isinstance(at, Edge):
+        edges = list(g.edges)
+        edges.remove(at)
+        edges += [Edge(at.u, new_id, s1), Edge(new_id, at.v, -eps * s1 * at.sign)]
+        ends = (at.u, at.v)
+    else:
+        edges = [*g.edges, Edge(at, new_id, s1)]
+        ends = (at,)
+    vertices = reweighted(g.vertices.values(), {x: eps * ends.count(x) for x in ends})
+    vertices.append(Vertex(new_id, eps))
+    return WeightedGraph(g.kind, vertices, edges)
 
 
 def _r3_obstruction(g: WeightedGraph, vid: str) -> str | None:
@@ -193,50 +225,6 @@ def move_R3(g: WeightedGraph, vid: str, log: list | None = None) -> WeightedGrap
     return out
 
 
-def inverse_R1_on_vertex(
-    g: WeightedGraph, vid: str, eps: int, sign: int = 1, new_id: str | None = None
-) -> WeightedGraph:
-    """Attach a pendant eps-vertex to vid and add eps to vid's weight.
-
-    move_R1 on the new vertex undoes this exactly, so the plumbed
-    manifold is unchanged.
-    """
-    _require_plumbing(g, "inverse_R1_on_vertex")
-    if vid not in g.vertices:
-        raise DomainError(f"no vertex {vid!r}")
-    if eps not in (1, -1):
-        raise DomainError("eps must be +-1")
-    nid = new_id if new_id is not None else fresh_id(g.vertices)
-    vertices = reweighted(g.vertices.values(), {vid: eps}) + [Vertex(nid, eps)]
-    return WeightedGraph("plumbing", vertices, [*g.edges, Edge(vid, nid, sign)])
-
-
-def inverse_R1_on_edge(
-    g: WeightedGraph, edge: Edge, eps: int, s1: int = 1, new_id: str | None = None
-) -> WeightedGraph:
-    """Subdivide an edge by an eps-vertex, adding eps to both endpoints.
-
-    The two new signs satisfy -eps*s1*s2 = old sign, so move_R1 on the
-    new vertex restores the input graph up to gauge.
-    """
-    _require_plumbing(g, "inverse_R1_on_edge")
-    u, v, s = edge
-    present = s in g.loops.get(u, ()) if u == v else (v, s) in g.around.get(u, ())
-    if not present:
-        raise DomainError(f"no edge ({edge.u!r},{edge.v!r},{edge.sign:+d})")
-    if edge.is_loop:
-        raise DomainError("inverse_R1_on_edge does not subdivide loops")
-    if eps not in (1, -1):
-        raise DomainError("eps must be +-1")
-    s2 = -eps * s1 * edge.sign
-    nid = new_id if new_id is not None else fresh_id(g.vertices)
-    edges = list(g.edges)
-    edges.remove(edge)
-    edges += [Edge(edge.u, nid, s1), Edge(nid, edge.v, s2)]
-    vertices = reweighted(g.vertices.values(), {edge.u: eps, edge.v: eps})
-    return WeightedGraph("plumbing", vertices + [Vertex(nid, eps)], edges)
-
-
 # -- gauge -------------------------------------------------------------------
 
 
@@ -288,8 +276,7 @@ def gauge_canonicalize(g: WeightedGraph) -> WeightedGraph:
         root = min(comp)
         flip[root] = 1
         queue = [root]
-        while queue:
-            cur = queue.pop(0)
+        for cur in queue:  # the loop reaches what it appends
             for other, s in g.around[cur]:
                 if other not in flip:
                     flip[other] = flip[cur] * s

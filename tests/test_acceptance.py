@@ -52,9 +52,9 @@ from plumbcalc.invariants import (
 )
 from plumbcalc.plumbing import (
     SeifertData,
+    _insert,
     from_divisor_graph,
     h1_from_graph,
-    inverse_R1_on_vertex,
     normalize,
     reverse_orientation,
 )
@@ -209,7 +209,7 @@ def check_08_rewriting_properties():
         for k in range(20):
             vid = rng.choice(sorted(plumbed.vertices))
             eps = rng.choice([1, -1])
-            bumped = inverse_R1_on_vertex(plumbed, vid, eps, new_id=f"P{k}")
+            bumped = _insert(plumbed, vid, eps, f"P{k}")
             assert graphs_isomorphic(normalize(bumped).graph, base.graph)[0]
             perturbed += 1
     return f"200+200 random round trips, {perturbed} perturbations absorbed"

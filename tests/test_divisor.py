@@ -23,7 +23,6 @@ from plumbcalc.divisor import (
     _minimalize,
     _require_divisor,
     _search_moves,
-    _solve_exact,
     apply_move,
     bark,
     blow_down,
@@ -49,13 +48,16 @@ from plumbcalc.graphs import (
     Edge,
     Vertex,
     WeightedGraph,
+    _solve_exact,
     canonical_encoding,
     canonical_json,
     graphs_isomorphic,
 )
 from plumbcalc.plumbing import (
+    _insert,
     from_divisor_graph,
     gauge_canonicalize,
+    move_R1,
     normalize,
     reverse_orientation,
 )
@@ -132,6 +134,30 @@ def test_blow_down_refuses_to_break_snc():
     g = cycle(-1, -2, -3)
     with pytest.raises(DomainError):
         blow_down(g, "v0")
+
+
+@pytest.mark.parametrize("g, vid, message", [
+    (WeightedGraph("plumbing", [Vertex("v0", -1)], []), "v0",
+     "blow_down requires a divisor graph, got kind='plumbing'"),
+    (chain(-1, -2), "x", "blow_down: vertex 'x' not found"),
+    (chain(-2, -3), "v0", "blow_down: weight of 'v0' is -2, not -1"),
+    (WeightedGraph("divisor", [Vertex("a", -2, genus=1, boundary=1), Vertex("b", -2)],
+                   [Edge("a", "b")]), "a", "blow_down: weight of 'a' is -2, not -1"),
+    (WeightedGraph("divisor", [Vertex("a", -1, genus=1, boundary=1), Vertex("b", -2)],
+                   [Edge("a", "b")]), "a", "blow_down: 'a' has genus 1, not 0"),
+    (WeightedGraph("divisor", [Vertex("a", -1, boundary=2), Vertex("b", -2)],
+                   [Edge("a", "b")]), "a", "blow_down: 'a' has boundary 2, not 0"),
+    (WeightedGraph("divisor", [Vertex("c", -1)] + [Vertex(f"a{i}", -2) for i in range(3)],
+                   [Edge("c", f"a{i}") for i in range(3)]), "c",
+     "blow_down: branching number of 'c' is 3 > 2"),
+    (cycle(-1, -2, -3), "v0", "blow_down: neighbors of 'v0' are already adjacent; "
+     "the image would not be snc"),
+])
+def test_blow_down_precondition_messages(g, vid, message):
+    """Each precondition of a blowdown, in the order they are checked."""
+    with pytest.raises(DomainError) as err:
+        blow_down(g, vid)
+    assert str(err.value) == message
 
 
 def test_blow_up_down_round_trips_randomized():
@@ -527,6 +553,37 @@ def test_apply_move_accepts_every_search_move(g):
         log = []
         child = apply_move(g, entry, log)
         assert child.kind == "divisor" and replay(g, log) == child
+
+
+def plumbing_blowup(pg, center):
+    """R1's inverse with eps = -1 on a plumbing graph, at a blowup center;
+    the new vertex is E."""
+    at = center.vertex if isinstance(center, OnVertex) else Edge(center.u, center.v)
+    return _insert(pg, at, -1, "E")
+
+
+@settings(max_examples=200, deadline=None)
+@given(ANY_DIVISOR_GRAPH)
+@example(cycle(-1, -2, -3))
+@example(tree([-1, -1, 0, -2, -1], [(0, 1), (0, 2), (2, 3), (3, 4)]))
+@example(WeightedGraph("divisor", [Vertex("a", -1), Vertex("b", -1, boundary=1)], []))
+def test_divisor_moves_are_plumbing_moves_on_the_plumbing_reading(g):
+    """A divisor blowdown is R1 with eps = -1 on the graph read as a
+    plumbing graph, a blowup is the eps = -1 insertion that R1 undoes,
+    and a vertex is superfluous exactly when it has a neighbour and
+    blows down."""
+    pg = from_divisor_graph(g)
+    for vid in g.sorted_ids():
+        try:
+            down = from_divisor_graph(blow_down(g, vid))
+        except DomainError:
+            down = None
+        else:
+            assert down == move_R1(pg, vid)
+        assert is_superfluous(g, vid) == (down is not None and bool(g.neighbors(vid)))
+    for center in [*map(OnVertex, g.sorted_ids()), *(OnEdge(e.u, e.v) for e in g.edges)]:
+        assert from_divisor_graph(blow_up(g, center, new_id="E")) == plumbing_blowup(
+            pg, center)
 
 
 @settings(max_examples=200, deadline=None)

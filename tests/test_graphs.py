@@ -22,7 +22,6 @@ import plumbcalc.graphs as graphs
 from plumbcalc.divisor import (
     OnEdge,
     OnVertex,
-    _solve_exact,
     blow_down,
     blow_up,
     elementary_flow,
@@ -37,6 +36,7 @@ from plumbcalc.graphs import (
     Vertex,
     WeightedGraph,
     _check_snf,
+    _solve_exact,
     branching_number,
     canonical_encoding,
     canonical_json,
@@ -45,6 +45,7 @@ from plumbcalc.graphs import (
     connected_components,
     det_exact,
     first_betti,
+    fresh_id,
     graphs_isomorphic,
     intersection_matrix,
     is_negative_definite,
@@ -53,10 +54,9 @@ from plumbcalc.graphs import (
 )
 from plumbcalc.family import build_boundary_graph
 from plumbcalc.plumbing import (
+    _insert,
     flip_vertex_signs,
     from_divisor_graph,
-    inverse_R1_on_edge,
-    inverse_R1_on_vertex,
     move_R1,
     move_R3,
     normalize,
@@ -1012,11 +1012,11 @@ def test_incidence_index_matches_edge_scan_and_moves_copy(g, data):
             lambda vid=vid: move_R1(g, vid),
             lambda vid=vid: move_R3(g, vid),
             lambda vid=vid: flip_vertex_signs(g, vid),
-            lambda vid=vid: inverse_R1_on_vertex(g, vid, -1, sign=-1),
+            lambda vid=vid: _insert(g, vid, -1, fresh_id(g.vertices), s1=-1),
         ]
     if g.edges:
         edge = data.draw(st.sampled_from(g.edges))
-        moves.append(lambda: inverse_R1_on_edge(g, edge, 1, s1=-1))
+        moves.append(lambda: _insert(g, edge, 1, fresh_id(g.vertices), s1=-1))
     assert_moves_keep_input(g, moves)
 
     # the divisor moves run on the simple graph underneath
@@ -1098,7 +1098,6 @@ UNREACHED = {
     ("divisor", "d_sharp_coefficients"), ("divisor", "half_point_attach"),
     ("divisor", "is_snc_minimal"), ("family", "standardize_mixed"),
     ("family", "surface_homology"), ("invariants", "same_two_bridge_class"),
-    ("plumbing", "inverse_R1_on_edge"), ("plumbing", "inverse_R1_on_vertex"),
     ("plumbing", "is_lens_space"), ("plumbing", "is_prime"),
 }
 

@@ -27,14 +27,13 @@ from plumbcalc.graphs import (
 from plumbcalc.plumbing import (
     NormalForm,
     SeifertData,
+    _insert,
     continued_fraction_eval,
     continued_fraction_expand,
     flip_vertex_signs,
     from_divisor_graph,
     gauge_canonicalize,
     h1_from_graph,
-    inverse_R1_on_edge,
-    inverse_R1_on_vertex,
     is_lens_space,
     is_normal,
     is_prime,
@@ -212,15 +211,22 @@ def test_inverse_r1_round_trips():
     for _ in range(PERTURBATIONS):
         vid = RNG.choice(sorted(g.vertices))
         eps = RNG.choice([1, -1])
-        up = inverse_R1_on_vertex(g, vid, eps, new_id="P")
+        up = _insert(g, vid, eps, "P")
         back = move_R1(up, "P")
         assert back == g
     for _ in range(PERTURBATIONS):
         e = RNG.choice(g.edges)
         eps = RNG.choice([1, -1])
-        up = inverse_R1_on_edge(g, e, eps, new_id="P")
+        up = _insert(g, e, eps, "P")
         back = move_R1(up, "P")
         assert back == g
+    # a subdivided loop is a double edge, which R1 turns back into the loop
+    looped = WeightedGraph("plumbing", [Vertex("u", -3), Vertex("w", -2)],
+                           [Edge("u", "u", -1), Edge("u", "w")])
+    for eps in (1, -1):
+        for s1 in (1, -1):
+            up = _insert(looped, Edge("u", "u", -1), eps, "P", s1=s1)
+            assert move_R1(up, "P") == looped
 
 
 # -- gauge ------------------------------------------------------------------------
@@ -365,7 +371,7 @@ def test_normalize_invariant_under_inverse_r1_perturbations():
         for k in range(PERTURBATIONS):
             vid = RNG.choice(sorted(g.vertices))
             eps = RNG.choice([1, -1])
-            perturbed = inverse_R1_on_vertex(g, vid, eps, new_id=f"P{k}")
+            perturbed = _insert(g, vid, eps, f"P{k}")
             nf = normalize(perturbed)
             assert graphs_isomorphic(nf.graph, base.graph)[0]
 
