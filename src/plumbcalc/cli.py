@@ -14,6 +14,7 @@ verbatim), 2 usage error, 3 out-of-scope graph.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -352,7 +353,12 @@ def _add_d_flags(sp) -> None:
     sp.add_argument("--d2", type=int, required=True, help="second degree")
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The one parser of this process, built on the first `main` call:
+    building it takes a few milliseconds, most of a short in-process
+    run, and parsing leaves it unchanged.  Not built at import, which
+    code that never parses also pays for."""
     parser = argparse.ArgumentParser(
         prog="plumbcalc",
         description="Dual-graph and plumbing calculus for the affine"

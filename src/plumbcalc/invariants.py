@@ -18,6 +18,7 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 from fractions import Fraction
+from functools import cache
 from itertools import permutations, product
 
 from .graphs import AbelianGroup, DomainError, cokernel
@@ -254,12 +255,21 @@ def direct_product(a: FiniteGroupTable, b: FiniteGroupTable) -> FiniteGroupTable
 
 
 def group_catalog() -> dict:
-    """All groups of order <= 12, keyed by name.
+    """All groups of order <= 12, keyed by name: a fresh dict over tables
+    that are built and verified once per process and shared, since a
+    FiniteGroupTable is immutable.
 
-    Orders 1..12 are completely classified; this builds every class:
+    Orders 1..12 are completely classified; the catalog has every class:
     cyclic groups, the elementary products, the dihedral groups (D3 is
     named S3), Q8, Dic3 and A4.
     """
+    return dict(_catalog())
+
+
+@cache
+def _catalog() -> tuple:
+    """The (name, table) pairs of group_catalog.  Each table verifies
+    associativity in O(n^3) on construction, so they are built once."""
     cat = {}
     for n in range(1, 13):
         g = cyclic_group(n)
@@ -277,7 +287,7 @@ def group_catalog() -> dict:
     cat["Q8"] = dicyclic_group(2)
     cat["Dic3"] = dicyclic_group(3)
     cat["A4"] = alternating4_group()
-    return cat
+    return tuple(cat.items())
 
 
 def count_homs(

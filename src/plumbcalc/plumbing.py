@@ -78,7 +78,7 @@ def from_divisor_graph(g: WeightedGraph) -> WeightedGraph:
 def _r1_obstruction(g: WeightedGraph, vid: str) -> str | None:
     """Why move_R1 does not apply at the vertex vid of g, or None."""
     if vid not in g.vertices:
-        return f"no vertex {vid!r}"
+        return f"move_R1: vertex {vid!r} not found"
     v = g.vertices[vid]
     if v.genus != 0 or v.boundary != 0:
         return f"move_R1: vertex {vid!r} must be rational and closed"
@@ -152,7 +152,7 @@ def _insert(g: WeightedGraph, at, eps: int, new_id: str, s1: int = 1) -> Weighte
 def _r3_obstruction(g: WeightedGraph, vid: str) -> str | None:
     """Why move_R3 does not apply at the vertex vid of g, or None."""
     if vid not in g.vertices:
-        return f"no vertex {vid!r}"
+        return f"move_R3: vertex {vid!r} not found"
     v = g.vertices[vid]
     if v.genus != 0 or v.boundary != 0:
         return f"move_R3: vertex {vid!r} must be rational and closed"

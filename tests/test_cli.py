@@ -1,11 +1,15 @@
 """Command-line interface: every subcommand in both text and JSON form,
 exit codes, byte-stable JSON output, file round trips."""
 
+import argparse
 import copy
 import hashlib
 import io
 import itertools
 import json
+import os
+import subprocess
+import sys
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
@@ -14,6 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import plumbcalc.cli as cli
 import plumbcalc.divisor as divisor
 from plumbcalc.cli import main
 from plumbcalc.family import build_boundary_graph
@@ -30,6 +35,22 @@ def run(capsys, *argv):
         code = e.code
     out, err = capsys.readouterr()
     return code, out, err
+
+
+def capture(argv) -> tuple:
+    """Exit code, stdout and stderr of main(argv) in this process, for
+    the frozen pins; argparse's SystemExit is folded into the code."""
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with redirect_stdout(stdout), redirect_stderr(stderr):
+        try:
+            code = main(list(argv))
+        except SystemExit as e:
+            code = e.code
+    return code, stdout.getvalue(), stderr.getvalue()
+
+
+def sha256(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
 
 
 def run_json(capsys, *argv):
@@ -185,6 +206,18 @@ def test_replay_rejects_malformed_entries(capsys, family_file, tmp_path, entry,
     code, out, err = run(capsys, "replay", family_file, str(log), "--json")
     assert (code, out) == (1, "")
     assert err.startswith("error: replay: ") and message in err
+
+
+@pytest.mark.parametrize("move", ["R1", "R3"])
+def test_replay_names_the_move_whose_vertex_is_missing(capsys, tmp_path, move):
+    src = tmp_path / "plumbed.json"
+    plumbed = from_divisor_graph(build_boundary_graph(2, 3).d_part())
+    src.write_text(json.dumps(plumbed.to_json_dict()))
+    log = tmp_path / "log.json"
+    log.write_text(json.dumps([{"move": move, "vertex": "x"}]))
+    code, out, err = run(capsys, "replay", str(src), str(log))
+    assert (code, out) == (1, "")
+    assert err == f"error: move_{move}: vertex 'x' not found\n"
 
 
 def test_replay_of_a_recorded_blowup_log(capsys, family_file, tmp_path):
@@ -432,14 +465,9 @@ def laurent_cli_pins() -> dict:
               for case, p1, p2 in CHART_ARGS]
     out = {}
     for argv in argvs:
-        stdout, stderr = io.StringIO(), io.StringIO()
-        with redirect_stdout(stdout), redirect_stderr(stderr):
-            try:
-                code = main([*argv, "--json"])
-            except SystemExit as e:
-                code = e.code
-        out[" ".join(argv)] = {"code": code, "stdout": stdout.getvalue(),
-                               "stderr": stderr.getvalue()}
+        code, stdout, stderr = capture([*argv, "--json"])
+        out[" ".join(argv)] = {"code": code, "stdout": stdout,
+                               "stderr": stderr}
     return out
 
 
@@ -492,18 +520,6 @@ def cli_pins(tmp: Path) -> dict:
     t.CLI_PINS.write_text(t.canonical_json(t.cli_pins(pathlib.Path(
     tempfile.mkdtemp()))))"``
     """
-    def call(argv):
-        stdout = io.StringIO()
-        with redirect_stdout(stdout), redirect_stderr(io.StringIO()):
-            try:
-                code = main(argv)
-            except SystemExit as e:
-                code = e.code
-        return code, stdout.getvalue()
-
-    def sha(text: str) -> str:
-        return hashlib.sha256(text.encode()).hexdigest()
-
     group = tmp / "group.json"
     group.write_text(json.dumps(dihedral_group(3).to_json_dict()))
     notjson = tmp / "notjson.json"
@@ -513,8 +529,9 @@ def cli_pins(tmp: Path) -> dict:
         files = {role: tmp / f"{role}_{d1}_{d2}.json"
                  for role in ("full", "part", "log", "flow_log")}
         for role, extra in (("full", []), ("part", ["--d-part"])):
-            files[role].write_text(call(["construct", "--d1", str(d1), "--d2",
-                                         str(d2), "--json", *extra])[1])
+            files[role].write_text(capture(["construct", "--d1", str(d1),
+                                            "--d2", str(d2), "--json",
+                                            *extra])[1])
         fields = {
             "d1": d1, "d2": d2, "group": group, "notjson": notjson,
             "missing": tmp / "missing.json",
@@ -528,16 +545,87 @@ def cli_pins(tmp: Path) -> dict:
         argvs.append((("dot", "{part}"), ()))
         for argv, json_flag in argvs:
             key = f"{d1},{d2}: " + " ".join(argv + json_flag)
-            code, stdout = call([a.format(**fields) for a in argv + json_flag])
-            out[key] = {"code": code, "stdout_sha256": sha(stdout)}
+            code, stdout, _ = capture([a.format(**fields)
+                                       for a in argv + json_flag])
+            out[key] = {"code": code, "stdout_sha256": sha256(stdout)}
             for role in ("log", "flow_log"):
                 if "{%s}" % role in argv and argv[0] != "replay":
-                    out[f"{key} [{role}]"] = sha(files[role].read_text())
+                    out[f"{key} [{role}]"] = sha256(files[role].read_text())
     return out
 
 
 def test_every_subcommand_matches_frozen_pins(tmp_path):
     assert cli_pins(tmp_path) == json.loads(CLI_PINS.read_text())
+
+
+USAGE_PINS = Path(__file__).parent / "data" / "cli_usage_pins.json"
+SUBCOMMANDS = (
+    "construct", "standardize", "minimalize", "flow", "bark", "normalize",
+    "reverse", "compare", "jsj", "h1", "pi1", "alexander", "homology",
+    "picard", "verify-chart", "dot", "replay",
+)
+USAGE_ARGVS = (
+    ("--help",),
+    *((sub, "--help") for sub in SUBCOMMANDS),
+    (),
+    ("frobnicate",),
+    ("construct", "--d2", "3"),
+    ("construct", "--d1", "x", "--d2", "3"),
+)
+
+
+def usage_pins() -> dict:
+    """Exit code, stdout and stderr of argparse's own output at 80
+    columns: the top-level and every subcommand's --help, and the usage
+    errors for no arguments, an unknown subcommand, a missing --d1 and a
+    non-integer --d1.
+
+    Regenerate the frozen file only on purpose:
+    ``COLUMNS=80 PYTHONPATH=src:tests python -c "import test_cli as t;
+    t.USAGE_PINS.write_text(t.canonical_json(t.usage_pins()))"``
+    """
+    out = {}
+    for argv in USAGE_ARGVS:
+        code, stdout, stderr = capture(argv)
+        out[" ".join(argv) or "(no arguments)"] = {
+            "code": code, "stdout": stdout, "stderr": stderr}
+    return out
+
+
+def test_argparse_output_matches_frozen_pins(monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    assert usage_pins() == json.loads(USAGE_PINS.read_text())
+
+
+def fresh_process(argv) -> tuple:
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    out = subprocess.run([sys.executable, "-m", "plumbcalc.cli", *argv],
+                         env=env, capture_output=True, text=True, timeout=60)
+    return out.returncode, out.stdout, out.stderr
+
+
+def test_one_parser_serves_every_call_of_a_process(monkeypatch):
+    """The first main call builds the parser and later calls reuse it: a
+    usage error, --help and two --json runs in a row print what a fresh
+    process or the frozen pins print, and construct no ArgumentParser."""
+    monkeypatch.setenv("COLUMNS", "80")
+    built = []
+    init = argparse.ArgumentParser.__init__
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__",
+                        lambda p, *a, **k: built.append(p) or init(p, *a, **k))
+    cli._build_parser.cache_clear()
+    missing_d1 = ("construct", "--d2", "3")
+    assert capture(missing_d1) == fresh_process(missing_d1)
+    assert built  # the first call builds the parser
+    built.clear()
+    assert capture(("--help",)) == fresh_process(("--help",))
+    pins = json.loads(CLI_PINS.read_text())
+    for argv in ("construct --d1 {d1} --d2 {d2} --json",
+                 "pi1 --d1 {d1} --d2 {d2} --quotients 6 --json"):
+        code, stdout, _ = capture(argv.format(d1=2, d2=3).split())
+        assert pins[f"2,3: {argv}"] == {"code": code,
+                                        "stdout_sha256": sha256(stdout)}
+    assert built == []
 
 
 # -- dot / errors ------------------------------------------------------------------

@@ -122,6 +122,17 @@ def test_catalog_is_complete_through_order_twelve():
         assert G.name == name
 
 
+def test_catalog_is_a_fresh_dict_over_shared_tables():
+    first = group_catalog()
+    names = list(first)
+    del first["S3"]
+    first["C2"] = first["C3"]
+    again = group_catalog()
+    assert list(again) == names
+    assert again["C2"].order == 2 and again["S3"].order == 6
+    assert group_catalog()["A4"] is again["A4"]  # built once, then shared
+
+
 def test_table_rejects_broken_axioms():
     # the identity row is fine but 1 has no inverse
     t = [[0, 1], [1, 1]]

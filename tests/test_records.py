@@ -25,6 +25,7 @@ from plumbcalc.graphs import (
 from plumbcalc.invariants import (
     FiniteGroupTable,
     GroupPresentation,
+    dihedral_group,
     group_catalog,
     kirby_handle_data,
     pi1_presentation,
@@ -69,7 +70,7 @@ def _records():
                          "case extends sign"),
         "GroupPresentation": (lambda: pi1_presentation(2, 3),
                               "generators relators"),
-        "FiniteGroupTable": (lambda: group_catalog()["S3"],
+        "FiniteGroupTable": (lambda: dihedral_group(3),
                              "order table name inverse"),
         "HandleData": (lambda: kirby_handle_data(2, 3), "counts framings runs"),
         "NormalReport": (lambda: is_normal(plumbed()), "ok violations"),
