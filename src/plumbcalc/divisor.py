@@ -32,6 +32,7 @@ from .graphs import (
     connected_components,
     fresh_id,
     is_negative_definite,
+    isomorphism_key,
     reweighted,
 )
 from .plumbing import _contract, _insert, move_R1, move_R3
@@ -367,6 +368,27 @@ def _could_be_standard(g: WeightedGraph, entry: dict, survey: tuple):
     return touched
 
 
+def _is_revisit(seen: dict, state: WeightedGraph) -> bool:
+    """Whether a state isomorphic to state was recorded in seen; if none
+    was, record state.  seen maps an `isomorphism_key` to the one state
+    recorded under it, kept as the graph, or, once a second state with
+    that key is asked about, to the set of their canonical encodings.  So
+    a state is canonically encoded only when its key is already in seen,
+    and the state stored under that key is encoded then, once."""
+    key = isomorphism_key(state)
+    known = seen.get(key)
+    if known is None:
+        seen[key] = state
+        return False
+    if isinstance(known, WeightedGraph):
+        known = seen[key] = {canonical_encoding(known)}
+    enc = canonical_encoding(state)
+    if enc in known:
+        return True
+    known.add(enc)
+    return False
+
+
 def _build(state: WeightedGraph, state_log: tuple, move: dict,
            caps: _SearchCaps):
     """Apply a `_search_moves` entry to a state of the search: the child
@@ -454,15 +476,27 @@ def standardize(g: WeightedGraph) -> tuple[WeightedGraph, list]:
     and tested.
 
     Revisits are pruned when a state is taken from the queue: its graph
-    is built if it was queued unbuilt, canonically encoded, and expanded
-    only if no isomorphic state was expanded before.  Dropping a child
-    outside the caps when it is taken from the queue, not when it is
-    made, leaves the other entries in the same order.
+    is built if it was queued unbuilt, and it is expanded only if no
+    isomorphic state was expanded before (`_is_revisit`).  Dropping a
+    child outside the caps when it is taken from the queue, not when it
+    is made, leaves the other entries in the same order.
     Standardness is invariant under isomorphism, and only non-standard
-    states are ever encoded, so no standard child is pruned as a revisit.
+    states are ever recorded, so no standard child is pruned as a revisit.
     A search that pruned each child as it was made therefore expands the
     same states in the same order, returns the same first standard child
     with the same log, and runs out of budget or states at the same move.
+
+    The revisit test files the expanded states by `isomorphism_key`, a
+    cheap isomorphism invariant, and canonically encodes a state only
+    when an earlier expanded state has the same key; the state stored
+    under that key is then encoded too, once.  Isomorphic states have
+    equal keys, so a state whose key is new is isomorphic to no state
+    expanded before.  Canonical encodings are equal exactly for
+    isomorphic graphs, so a state whose key is not new is pruned exactly
+    when an isomorphic state was expanded.  The test therefore prunes the
+    same states as encoding every state did: the search expands the same
+    states in the same order, tries the same moves, returns the same
+    graph and log, and raises the same errors with the same counts.
     """
     _require_divisor(g, "standardize")
     log: list = []
@@ -471,7 +505,7 @@ def standardize(g: WeightedGraph) -> tuple[WeightedGraph, list]:
         return cur, log
 
     caps = _SearchCaps(cur)
-    seen = set()
+    seen: dict = {}
     # (graph, log, None) for a built state; (parent, parent's log, move)
     # for a child queued unbuilt
     queue = deque([(cur, tuple(log), None)])
@@ -483,10 +517,8 @@ def standardize(g: WeightedGraph) -> tuple[WeightedGraph, list]:
             if built is None:
                 continue
             state, state_log = built
-        enc = canonical_encoding(state)
-        if enc in seen:
+        if _is_revisit(seen, state):
             continue
-        seen.add(enc)
         expanded += 1
         survey = _survey(state)
         for move in _search_moves(state):

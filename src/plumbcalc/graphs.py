@@ -878,6 +878,16 @@ def _initial_colors(g: WeightedGraph) -> dict:
     }
 
 
+def isomorphism_key(g: WeightedGraph) -> tuple:
+    """A cheap isomorphism invariant: the kind, the vertex and edge
+    counts, the sorted initial colours and the number of negative edges.
+    Isomorphic graphs have equal keys; graphs with equal keys need not be
+    isomorphic."""
+    return (g.kind, len(g.vertices), len(g.edges),
+            tuple(sorted(_initial_colors(g).values())),
+            sum(e.sign < 0 for e in g.edges))
+
+
 def _refine(g: WeightedGraph, cols: dict) -> dict:
     """Weisfeiler-Leman style color refinement of g until stable, on its
     incidence index.
@@ -928,12 +938,12 @@ def graphs_isomorphic(g: WeightedGraph, h: WeightedGraph):
     (False, None).  Weights, genus, boundary, edge multiplicities and
     literal edge signs must all match; labels are ignored.
     """
-    if g.kind != h.kind:
+    # the key's first three fields, read off the graphs first: they part
+    # most pairs of a table of graphs without building any colours
+    if ((g.kind, len(g.vertices), len(g.edges))
+            != (h.kind, len(h.vertices), len(h.edges))):
         return False, None
-    if len(g.vertices) != len(h.vertices) or len(g.edges) != len(h.edges):
-        return False, None
-    if (sorted(_initial_colors(g).values()) != sorted(_initial_colors(h).values())
-            or sorted(e.sign for e in g.edges) != sorted(e.sign for e in h.edges)):
+    if isomorphism_key(g) != isomorphism_key(h):
         return False, None
     (order_g, enc_g), (order_h, enc_h) = _canonical_search(g), _canonical_search(h)
     if enc_g != enc_h:
@@ -1002,11 +1012,21 @@ def _canonical_search(g: WeightedGraph) -> tuple:
     search goes back to that node.  A child in the orbit of a sibling
     already tried, under the automorphisms found so far that fix the
     individualized prefix, is skipped for the same reason.
+
+    The search recurses once per individualized vertex, so a graph that
+    needs more levels than the interpreter's recursion limit allows raises
+    OutOfScopeError.
     """
     if not g.vertices:
         return (), encode_with_order(g, ())
     best: dict = {"enc": None, "order": None, "path": None}
-    _search_below(g, best, [], _refine(g, _initial_colors(g)), [])
+    try:
+        _search_below(g, best, [], _refine(g, _initial_colors(g)), [])
+    except RecursionError:
+        raise OutOfScopeError(
+            f"canonical labelling of a graph on {len(g.vertices)} vertices "
+            "needs a deeper search than the recursion limit allows"
+        ) from None
     return best["order"], best["enc"]
 
 

@@ -22,7 +22,14 @@ import plumbcalc.cli as cli
 import plumbcalc.divisor as divisor
 from plumbcalc.cli import main
 from plumbcalc.family import build_boundary_graph
-from plumbcalc.graphs import WeightedGraph, canonical_json, graphs_isomorphic
+from plumbcalc.graphs import (
+    OutOfScopeError,
+    Vertex,
+    WeightedGraph,
+    canonical_encoding,
+    canonical_json,
+    graphs_isomorphic,
+)
 from plumbcalc.invariants import dihedral_group
 from plumbcalc.plumbing import from_divisor_graph
 
@@ -331,6 +338,32 @@ def test_reverse_then_compare_not_isomorphic(capsys, dpart_file, tmp_path):
     same = run_json(capsys, "compare", str(norm), str(norm))
     assert same["isomorphic"] is True
     assert same["mapping"]
+
+
+def test_compare_past_the_recursion_limit_is_out_of_scope(capsys, tmp_path):
+    """The canonical search recurses once per individualized vertex, and
+    isolated vertices of one weight are individualized one at a time.  A
+    graph that needs more levels than the recursion limit allows is out
+    of scope: the library raises OutOfScopeError and the CLI exits 3, with
+    no traceback.  The limit is lowered so that 300 vertices reach it."""
+    g = WeightedGraph("plumbing", [Vertex(f"v{i:03}", -2) for i in range(300)], [])
+    path = tmp_path / "g.json"
+    path.write_text(canonical_json(g.to_json_dict()))
+    frame, depth = sys._getframe(), 0
+    while frame is not None:
+        frame, depth = frame.f_back, depth + 1
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + 100)
+    try:
+        with pytest.raises(OutOfScopeError) as err:
+            canonical_encoding(g)
+        code, out, stderr = run(capsys, "compare", str(path), str(path))
+    finally:
+        sys.setrecursionlimit(limit)
+    message = ("canonical labelling of a graph on 300 vertices needs a deeper "
+               "search than the recursion limit allows")
+    assert str(err.value) == message
+    assert (code, out, stderr) == (3, "", f"out of scope: {message}\n")
 
 
 def test_jsj_lists_seifert_pieces(capsys, dpart_file):

@@ -4,6 +4,7 @@ barks."""
 import ast
 import json
 import random
+import string
 from collections import deque
 from fractions import Fraction
 from pathlib import Path
@@ -52,6 +53,7 @@ from plumbcalc.graphs import (
     canonical_encoding,
     canonical_json,
     graphs_isomorphic,
+    isomorphism_key,
 )
 from plumbcalc.plumbing import (
     _insert,
@@ -610,16 +612,100 @@ def test_flows_and_blowdowns_the_search_leaves_unbuilt_cannot_be_standard(g):
     assert_unbuilt_children_are_not_standard(g, {"flow", "blowdown"})
 
 
-def test_standardize_encodes_only_the_states_it_expands(monkeypatch):
-    calls = []
+def test_standardize_encodes_only_states_whose_key_was_expanded(monkeypatch):
+    """A state is canonically encoded only when a state expanded before it
+    has the same `isomorphism_key`: either the state taken from the queue,
+    whose key was already seen, or that earlier state, encoded lazily."""
+    expanded_keys, encoded_keys, expanded = set(), [], []
 
-    def counting(h):
-        calls.append(h)
+    def expanding(h):
+        expanded.append(h)
+        expanded_keys.add(isomorphism_key(h))
+        return _search_moves(h)
+
+    def encoding(h):
+        encoded_keys.append(isomorphism_key(h))
+        assert encoded_keys[-1] in expanded_keys
         return canonical_encoding(h)
 
-    monkeypatch.setattr(divisor, "canonical_encoding", counting)
+    monkeypatch.setattr(divisor, "_search_moves", expanding)
+    monkeypatch.setattr(divisor, "canonical_encoding", encoding)
     standardize(flowed_dpart(3, 4, "L1_inf", "L2_0", 3))
-    assert 0 < len(calls) <= 60  # 882 when every child was encoded
+    # 43 encodings, one per state taken from the queue, when every state
+    # was encoded; 882 when every child was
+    assert 0 < len(encoded_keys) < len(expanded)  # 21 against 40 now
+
+
+@settings(max_examples=200, deadline=None)
+@given(ANY_DIVISOR_GRAPH, st.randoms(use_true_random=False))
+def test_isomorphism_key_is_unchanged_by_relabelling(g, rnd):
+    ids = g.sorted_ids()
+    names = dict(zip(ids, rnd.sample([f"r{i}" for i in range(len(ids))], len(ids))))
+    h = WeightedGraph(
+        g.kind,
+        [Vertex(names[v.id], v.weight, v.genus, v.boundary) for v in g.vertices.values()],
+        [Edge(names[e.u], names[e.v], e.sign) for e in g.edges],
+    )
+    assert isomorphism_key(h) == isomorphism_key(g)
+
+
+def test_standardize_expands_non_isomorphic_states_that_share_a_key(monkeypatch):
+    """The chains (-1, -4, -1, 0, -3) and (-1, -4, 0, -1, -3) have the same
+    isomorphism key and are not isomorphic, and the search from
+    (-2, 1, -3) meets both: neither may be pruned as a revisit of the
+    other."""
+    a, b = chain(-1, -4, -1, 0, -3), chain(-1, -4, 0, -1, -3)
+    assert isomorphism_key(a) == isomorphism_key(b)
+    assert graphs_isomorphic(a, b) == (False, None)
+    expanded = []
+    monkeypatch.setattr(divisor, "_search_moves",
+                        lambda h: expanded.append(h) or _search_moves(h))
+    standardize(chain(-2, 1, -3))
+    encodings = [canonical_encoding(h) for h in expanded]
+    assert canonical_encoding(a) in encodings
+    assert canonical_encoding(b) in encodings
+
+
+def renamed(g: WeightedGraph, rng: random.Random) -> WeightedGraph:
+    """g with seeded four-letter ids that sort as its own ids do, the way
+    the benchmark's `search` workload names its inputs."""
+    names: set = set()
+    while len(names) < len(g.vertices):
+        names.add("".join(rng.choice(string.ascii_lowercase) for _ in range(4)))
+    new = dict(zip(g.sorted_ids(), sorted(names)))
+    return WeightedGraph(
+        "divisor",
+        [Vertex(new[v.id], v.weight, v.genus, v.boundary) for v in g.vertices.values()],
+        [Edge(new[e.u], new[e.v], e.sign) for e in g.edges],
+    )
+
+
+def test_standardize_with_a_constant_key_matches_the_real_key(monkeypatch):
+    """With a constant isomorphism key every state taken from the queue
+    after the first collides, so every one is canonically encoded, as
+    when revisits were pruned by their encodings alone.  The real key
+    gives the same graph, log and number of expanded states on every
+    pinned input and on the `search` workload's 36 renamed inputs."""
+    pinned = [flowed_dpart(d1, d2, zero, toward, steps)
+              for d1, d2 in ((1, 1), (2, 3), (3, 4), (4, 5))
+              for zero, toward in PIN_FLOWS for steps in (1, 2, 3)]
+    rng = random.Random(401)
+    inputs = pinned + [renamed(g, rng) for g in pinned[12:]]
+
+    def outcomes():
+        out = []
+        for g in inputs:
+            expanded = []
+            monkeypatch.setattr(divisor, "_search_moves",
+                                lambda h: expanded.append(h) or _search_moves(h))
+            std, log = standardize(g)
+            out.append((canonical_json(std.to_json_dict()), canonical_json(log),
+                        len(expanded)))
+        return out
+
+    real = outcomes()
+    monkeypatch.setattr(divisor, "isomorphism_key", lambda h: ())
+    assert outcomes() == real
 
 
 def test_standardize_pays_only_for_the_children_it_pops(monkeypatch):
@@ -658,13 +744,14 @@ def test_standardize_builds_few_blowup_children(monkeypatch):
     """Blowup children that cannot be standard are queued unbuilt, so the
     search builds fewer blowups than it expands states, not one per
     blowup move tried."""
-    blowups, encodings = [], []
+    blowups, expanded = [], []
     real = divisor.blow_up
     monkeypatch.setattr(divisor, "blow_up", lambda *a: blowups.append(a) or real(*a))
-    monkeypatch.setattr(divisor, "canonical_encoding",
-                        lambda h: encodings.append(h) or canonical_encoding(h))
+    monkeypatch.setattr(divisor, "_search_moves",
+                        lambda h: expanded.append(h) or _search_moves(h))
     standardize(flowed_dpart(4, 5, "L1_inf", "L2_0", 3))
-    assert 0 < len(blowups) <= len(encodings)  # 1 164 against 51 when all were built
+    # 1 164 blowups against 48 expanded states when all were built; 44 now
+    assert 0 < len(blowups) <= len(expanded)
 
 
 def test_standardize_builds_few_flow_and_blowdown_children(monkeypatch):
@@ -708,6 +795,37 @@ def test_standardize_errors_say_how_far_the_search_got(monkeypatch):
         f"standardize: search space exhausted under caps after "
         f"{sum(len(list(_search_moves(h))) for h in expanded)} of 50 moves "
         f"tried, {len(expanded)} states expanded (strategy: ")
+
+
+# flowed_dpart arguments -> {lowered budget: states expanded when it ran out}
+SEARCH_PATH_PINS = {
+    (2, 3, "L1_inf", "L2_0", 6): {200: 12, 2_000: 100, 20_000: 892},
+    (4, 5, "L1_inf", "L2_0", 5): {200: 8, 2_000: 75, 20_000: 689},
+    (3, 4, "L2_inf", "L1_0", 6): {200: 10, 2_000: 86, 20_000: 786},
+    (1, 2, "L1_inf", "L2_inf", 6): {200: 17, 2_000: 143, 20_000: 1198},
+}
+
+
+@pytest.mark.parametrize("flowed, budget, expanded", [
+    (flowed, budget, expanded)
+    for flowed, table in SEARCH_PATH_PINS.items()
+    for budget, expanded in table.items()
+], ids=lambda x: "-".join(map(str, x)) if isinstance(x, tuple) else str(x))
+def test_standardize_search_path_pins(monkeypatch, flowed, budget, expanded):
+    """How far the search gets on D-parts it cannot standardize within a
+    lowered budget: the moves tried and the states expanded, pinned from
+    the search that canonically encoded every state it took from the
+    queue.  A change to the revisit test that expands other states, or
+    the same states in another order, moves a count here."""
+    monkeypatch.setattr(_SearchCaps, "budget", budget)
+    with pytest.raises(DomainError) as err:
+        standardize(flowed_dpart(*flowed))
+    assert str(err.value) == (
+        f"standardize: move budget exhausted after {budget} of {budget} moves "
+        f"tried, {expanded} states expanded (strategy: minimalize, then BFS "
+        "over blowdowns, flows and bounded blowups); this indicates a "
+        "strategy gap, not a certified negative"
+    )
 
 
 def test_cli_standardize_budget_exhausted_exits_1(monkeypatch, tmp_path, capsys):
