@@ -1,10 +1,10 @@
 """Group-theoretic and knot-theoretic fingerprints of the boundary manifolds.
 
 Contents: the fundamental-group-at-infinity presentation and its
-abelianization, brute-force homomorphism counting into finite groups
-given by multiplication tables, the handle-decomposition bookkeeping
-(with homology of the handle chain complex), and the 2-bridge knot data
-(fraction and Alexander polynomial) of the surgery description.
+abelianization, homomorphism counting up to conjugation into finite
+groups given by multiplication tables, the handle-decomposition
+bookkeeping (with homology of the handle chain complex), and the 2-bridge
+knot data (fraction and Alexander polynomial) of the surgery description.
 
 Conventions:
 - Words are tuples of signed 1-based generator indices (+i = generator,
@@ -109,9 +109,10 @@ class FiniteGroupTable(namedtuple("FiniteGroupTable", "order table name inverse"
     """A finite group given by its multiplication table.
 
     table[a][b] is the product a*b; the identity has index 0.  The
-    axioms are verified on construction, so downstream counting can
-    trust the table blindly.  inverse[a] is the inverse of a, computed
-    from the table; an inverse passed in is ignored.
+    axioms are verified on construction, associativity by Light's test
+    on a generating set, so downstream counting can trust the table
+    blindly.  inverse[a] is the inverse of a, computed from the table;
+    an inverse passed in is ignored.
     """
 
     __slots__ = ()
@@ -139,13 +140,14 @@ class FiniteGroupTable(namedtuple("FiniteGroupTable", "order table name inverse"
                     inv[a] = b
         if any(x is None for x in inv):
             raise DomainError("missing inverses")
+        gens = _greedy_generators(tab)
         for a in range(n):
-            for b in range(n):
+            row_a = tab[a]
+            for s in gens:
+                row_as, row_s = tab[row_a[s]], tab[s]
                 for c in range(n):
-                    if tab[tab[a][b]][c] != tab[a][tab[b][c]]:
-                        raise DomainError(
-                            f"associativity fails at ({a},{b},{c})"
-                        )
+                    if row_as[c] != row_a[row_s[c]]:
+                        raise DomainError(f"associativity fails at ({a},{s},{c})")
         return tuple.__new__(cls, (order, tab, name, tuple(inv)))
 
     @staticmethod
@@ -177,6 +179,33 @@ class FiniteGroupTable(namedtuple("FiniteGroupTable", "order table name inverse"
         if self.name:
             out["name"] = self.name
         return out
+
+
+def _greedy_generators(tab: tuple) -> list:
+    """Elements s_1, s_2, ... of the table whose left-normed products
+    (..((s_i s_j) s_k)..) reach every element: each element that the
+    products of the earlier ones miss is taken as the next.
+
+    This is the generating set of Light's associativity test (Clifford and
+    Preston 1961, section 1.2): the elements s with (x s) y = x (s y) for
+    all x, y are closed under products, so checking (x s) y = x (s y) for
+    these s alone proves the whole table associative, in O(n^2 |S|)
+    instead of O(n^3).  Index 0 is the empty product.
+    """
+    gens: list = []
+    reached = {0}
+    for a in range(len(tab)):
+        if a in reached:
+            continue
+        gens.append(a)
+        reached, stack = {0}, [0]
+        while stack:
+            row = tab[stack.pop()]
+            for s in gens:
+                if row[s] not in reached:
+                    reached.add(row[s])
+                    stack.append(row[s])
+    return gens
 
 
 def cyclic_group(n: int) -> FiniteGroupTable:
@@ -268,8 +297,8 @@ def group_catalog() -> dict:
 
 @cache
 def _catalog() -> tuple:
-    """The (name, table) pairs of group_catalog.  Each table verifies
-    associativity in O(n^3) on construction, so they are built once."""
+    """The (name, table) pairs of group_catalog.  Each table verifies its
+    axioms on construction, so they are built once."""
     cat = {}
     for n in range(1, 13):
         g = cyclic_group(n)
@@ -298,9 +327,27 @@ def count_homs(
 ) -> int:
     """Exact number of homomorphisms from the presented group into G.
 
-    Exhaustive search over all generator images; the enumeration order
-    ("forward" or "reversed") must not change the count, which tests use
-    as a self-check.
+    Homomorphisms are closed under phi -> c_g o phi, conjugation by g in
+    G, so the search runs up to conjugation.  The first generator's image
+    ranges over one representative a per conjugacy class, with weight
+    |a^G|; the second's over one representative b per orbit of the
+    centraliser C(a) acting by conjugation, with weight |b^C(a)|; any
+    further generators range over all of G.  The count is the sum of
+    weight times the number of completions that kill every relator.
+
+    This is exact.  Every orbit of G on pairs by simultaneous conjugation
+    holds exactly one listed pair (a, b): its first entries form the class
+    of one representative a, and the pairs of the orbit that start with a
+    are one C(a)-orbit of second entries.  The orbit has
+    |G| / |C(a) & C(b)| = |a^G| * |b^C(a)| members, the pair's weight.
+    Conjugation by g maps the completions of (a, b) bijectively onto
+    those of (g a g^-1, g b g^-1), so every member of the orbit has as
+    many completions as (a, b).  For an abelian G every orbit is a single
+    element and the search is the plain exhaustive one.
+
+    The enumeration order ("forward" or "reversed", which reverses the
+    listed prefixes and the range of the free images) must not change the
+    count, which tests use as a self-check.
     """
     k = len(p.generators)
     if G.order**k > budget:
@@ -309,22 +356,59 @@ def count_homs(
         )
     if order not in ("forward", "reversed"):
         raise DomainError(f"unknown enumeration order {order!r}")
-    rng = range(G.order) if order == "forward" else range(G.order - 1, -1, -1)
+    m = min(k, 2)
+    prefixes, rng = _orbit_prefixes(G.table, m), range(G.order)
+    if order == "reversed":
+        prefixes, rng = prefixes[::-1], rng[::-1]
     tab, inv, relators = G.table, G.inverse, p.relators
     count = 0
-    for images in product(rng, repeat=k):
-        ok = True
-        for rel in relators:
-            acc = 0
-            for x in rel:
-                g = images[x - 1] if x > 0 else inv[images[-x - 1]]
-                acc = tab[acc][g]
-            if acc != 0:
-                ok = False
-                break
-        if ok:
-            count += 1
+    for weight, prefix in prefixes:
+        for images in product(*((x,) for x in prefix), *[rng] * (k - m)):
+            ok = True
+            for rel in relators:
+                acc = 0
+                for x in rel:
+                    g = images[x - 1] if x > 0 else inv[images[-x - 1]]
+                    acc = tab[acc][g]
+                if acc != 0:
+                    ok = False
+                    break
+            if ok:
+                count += weight
     return count
+
+
+@cache
+def _orbit_prefixes(table: tuple, m: int) -> tuple:
+    """The (weight, prefix) pairs count_homs runs over for the first m
+    generator images: one prefix per orbit of G on G^m by simultaneous
+    conjugation, weighted by the orbit's size.
+
+    Each level extends a prefix by one representative per orbit of the
+    prefix's joint centraliser, so level 1 lists the conjugacy classes.
+    Built once per table, since a catalogue of tables is counted against
+    many presentations.  Raises AssertionError unless the weights satisfy
+    the class equation, summing to |G|^m.
+    """
+    n = len(table)
+    inv = [row.index(0) for row in table]
+    level = [(1, (), range(n))]
+    for _ in range(m):
+        nxt = []
+        for weight, prefix, stab in level:
+            seen: set = set()
+            for b in range(n):
+                if b in seen:
+                    continue
+                orbit = {table[table[g][b]][inv[g]] for g in stab}
+                seen |= orbit
+                cent = [g for g in stab if table[g][b] == table[b][g]]
+                nxt.append((weight * len(orbit), prefix + (b,), cent))
+        level = nxt
+    total = sum(w for w, _, _ in level)
+    if total != n**m:
+        raise AssertionError(f"orbit weights sum to {total}, not {n}^{m}")
+    return tuple((w, prefix) for w, prefix, _ in level)
 
 
 # -- handle bookkeeping --------------------------------------------------------

@@ -30,7 +30,7 @@ from plumbcalc.graphs import (
     canonical_json,
     graphs_isomorphic,
 )
-from plumbcalc.invariants import dihedral_group
+from plumbcalc.invariants import dihedral_group, group_catalog
 from plumbcalc.plumbing import from_divisor_graph
 
 
@@ -409,6 +409,26 @@ def test_pi1_with_group_table_file(capsys, tmp_path):
     d = run_json(capsys, "pi1", "--d1", "1", "--d2", "1",
                  "--group", str(gf))
     assert d["quotients"]["S3"] == 12
+
+
+@pytest.mark.parametrize("d1, d2, homs",
+                         [(1, 1, 36), (1, 2, 12), (2, 3, 12), (3, 3, 36)])
+def test_pi1_with_a_relabelled_a4_table_gives_the_catalog_counts(capsys, tmp_path,
+                                                                 d1, d2, homs):
+    """A user table enters the hom count's per-table orbit cache on its own
+    labels; renaming A4's elements (identity kept at 0) changes no count."""
+    a4 = group_catalog()["A4"]
+    sigma = (0,) + tuple(range(11, 0, -1))
+    table = [[0] * 12 for _ in range(12)]
+    for a in range(12):
+        for b in range(12):
+            table[sigma[a]][sigma[b]] = sigma[a4.table[a][b]]
+    assert table != [list(row) for row in a4.table]
+    gf = tmp_path / "a4.json"
+    gf.write_text(json.dumps({"order": 12, "table": table, "name": "A4relabelled"}))
+    d = run_json(capsys, "pi1", "--d1", str(d1), "--d2", str(d2),
+                 "--quotients", "12", "--group", str(gf))
+    assert d["quotients"]["A4relabelled"] == d["quotients"]["A4"] == homs
 
 
 def test_alexander_output(capsys):

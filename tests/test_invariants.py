@@ -3,6 +3,7 @@ Alexander polynomials, two-bridge data."""
 
 import pytest
 from fractions import Fraction
+from itertools import product
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -28,6 +29,7 @@ from plumbcalc.invariants import (
     same_two_bridge_class,
     two_bridge_fraction,
 )
+from plumbcalc.invariants import _orbit_prefixes
 
 # independently enumerated by hand before being frozen here: images of the
 # two meridian generators must land in the commutator subgroup A3 of S3;
@@ -149,6 +151,83 @@ def test_table_rejects_broken_axioms():
         FiniteGroupTable(3, u)
 
 
+def _associative_cubic(table) -> bool:
+    """The O(n^3) oracle: (a b) c = a (b c) for every triple."""
+    n = len(table)
+    return all(
+        table[table[a][b]][c] == table[a][table[b][c]]
+        for a in range(n) for b in range(n) for c in range(n)
+    )
+
+
+def _relabelled(G, perm):
+    """G with element i renamed perm[i - 1] (i >= 1); the identity stays 0."""
+    sigma = (0,) + tuple(perm)
+    tab = [[0] * G.order for _ in range(G.order)]
+    for a in range(G.order):
+        for b in range(G.order):
+            tab[sigma[a]][sigma[b]] = sigma[G.table[a][b]]
+    return FiniteGroupTable(G.order, tab, G.name)
+
+
+@st.composite
+def corrupted_catalog_tables(draw):
+    """A catalogue table with one entry off the identity row and column
+    changed to another value."""
+    name = draw(st.sampled_from(sorted(n for n, G in group_catalog().items()
+                                       if G.order > 1)))
+    G = group_catalog()[name]
+    a = draw(st.integers(1, G.order - 1))
+    b = draw(st.integers(1, G.order - 1))
+    v = draw(st.integers(0, G.order - 2))
+    tab = [list(row) for row in G.table]
+    tab[a][b] = v if v < tab[a][b] else v + 1
+    return tab
+
+
+@st.composite
+def unital_magmas(draw):
+    """A table of order 2..4 with identity 0 and every other entry free."""
+    n = draw(st.integers(2, 4))
+    tab = [list(range(n))] + [
+        [a] + [draw(st.integers(0, n - 1)) for _ in range(n - 1)]
+        for a in range(1, n)
+    ]
+    return tab
+
+
+def _light_agrees_with_cubic(tab):
+    n = len(tab)
+    has_inverses = all(0 in row for row in tab)
+    if has_inverses and _associative_cubic(tab):
+        assert FiniteGroupTable(n, tab).table == tuple(map(tuple, tab))
+        return
+    with pytest.raises(DomainError) as err:
+        FiniteGroupTable(n, tab)
+    if not has_inverses:
+        assert str(err.value) == "missing inverses"
+        return
+    a, s, c = map(int, str(err.value).split("at (")[1].rstrip(")").split(","))
+    assert tab[tab[a][s]][c] != tab[a][tab[s][c]]  # the named triple fails
+
+
+@settings(max_examples=200, deadline=None)
+@given(corrupted_catalog_tables())
+def test_light_test_agrees_with_cubic_check_on_corrupted_tables(tab):
+    _light_agrees_with_cubic(tab)
+
+
+@settings(max_examples=300, deadline=None)
+@given(unital_magmas())
+def test_light_test_agrees_with_cubic_check_on_small_magmas(tab):
+    _light_agrees_with_cubic(tab)
+
+
+def test_catalog_tables_pass_the_cubic_check():
+    for G in group_catalog().values():
+        assert _associative_cubic(G.table)
+
+
 def test_table_json_round_trip():
     G = dihedral_group(4)
     d = G.to_json_dict()
@@ -210,6 +289,100 @@ def test_hom_count_budget_and_argument_errors():
         count_homs(p, G, budget=100)
     with pytest.raises(DomainError):
         count_homs(p, G, order="shuffled")
+
+
+def _brute_force_count(p, G) -> int:
+    """The oracle: try every tuple of generator images."""
+    count = 0
+    for images in product(range(G.order), repeat=len(p.generators)):
+        ok = True
+        for rel in p.relators:
+            acc = 0
+            for x in rel:
+                g = images[x - 1] if x > 0 else G.inverse[images[-x - 1]]
+                acc = G.table[acc][g]
+            ok = ok and acc == 0
+        count += ok
+    return count
+
+
+@st.composite
+def presentations(draw):
+    """0-3 generators and up to 3 relators of length up to 8."""
+    k = draw(st.integers(0, 3))
+    if k == 0:
+        return GroupPresentation((), ())
+    letter = st.integers(1, k).flatmap(lambda i: st.sampled_from((i, -i)))
+    rels = draw(st.lists(st.lists(letter, max_size=8), max_size=3))
+    return GroupPresentation(tuple(f"x{i}" for i in range(k)), tuple(map(tuple, rels)))
+
+
+def _assert_exact(p, G):
+    n = _brute_force_count(p, G)
+    assert count_homs(p, G) == n
+    assert count_homs(p, G, order="reversed") == n
+
+
+@settings(max_examples=150, deadline=None)
+@given(presentations(), st.sampled_from(sorted(group_catalog())))
+def test_orbit_count_equals_brute_force_on_random_presentations(p, name):
+    _assert_exact(p, group_catalog()[name])
+
+
+@pytest.mark.parametrize("name", sorted(group_catalog()))
+def test_orbit_count_equals_brute_force_on_every_catalog_group(name):
+    G = group_catalog()[name]
+    for p in (pi1_presentation(1, 2), pi1_presentation(2, 3),
+              GroupPresentation(("x", "y"), ((1, 2, -1, -2),)),
+              GroupPresentation(("x",), ((1, 1, 1, 1),)),
+              GroupPresentation((), ())):
+        _assert_exact(p, G)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(["A4", "Dic3"]), st.data())
+def test_orbit_count_on_relabelled_tables(name, data):
+    G = group_catalog()[name]
+    H = _relabelled(G, data.draw(st.permutations(range(1, G.order))))
+    p = data.draw(presentations())
+    _assert_exact(p, H)
+    assert count_homs(p, H) == count_homs(p, G)
+    for d1, d2 in ((1, 1), (2, 3)):
+        q = pi1_presentation(d1, d2)
+        assert count_homs(q, H) == count_homs(q, G)
+
+
+def test_orbit_prefixes_follow_the_class_equation():
+    classes = {"S3": 3, "D4": 5, "Q8": 5, "D5": 4, "D6": 6, "Dic3": 6, "A4": 4}
+    for name, G in group_catalog().items():
+        n = G.order
+        for m in (0, 1, 2):
+            prefixes = _orbit_prefixes(G.table, m)
+            assert sum(w for w, _ in prefixes) == n**m
+            assert all(len(prefix) == m for _, prefix in prefixes)
+        level1 = _orbit_prefixes(G.table, 1)
+        assert len(level1) == classes.get(name, n)  # abelian: one per element
+        if name not in classes:
+            assert _orbit_prefixes(G.table, 2) == tuple(
+                (1, ab) for ab in product(range(n), repeat=2))
+    # the table is not a group: its "orbits" overlap and overcount
+    with pytest.raises(AssertionError, match="orbit weights sum to"):
+        _orbit_prefixes(((0, 1, 2), (1, 0, 0), (2, 0, 0)), 1)
+
+
+@pytest.mark.parametrize("name, ell", [("S3", 3), ("D5", 5)])
+def test_dihedral_counts_follow_the_closed_form(name, ell):
+    """#Hom(pi_1, D_ell) = 2 ell + (ell^2 - ell) [ell divides 4 d1 d2 - 1]
+    for odd primes ell: H_1 = Z gives one map with cyclic image per
+    element, and the ell^2 - ell maps onto D_ell exist exactly when ell
+    divides the Alexander determinant |Delta(-1)| = 4 d1 d2 - 1."""
+    G = group_catalog()[name]
+    pairs = [(d1, d2) for d2 in range(1, 13) for d1 in range(1, d2 + 1)]
+    assert len(pairs) == 78
+    for d1, d2 in pairs:
+        divides = (4 * d1 * d2 - 1) % ell == 0
+        expected = 2 * ell + (ell**2 - ell) * divides
+        assert count_homs(pi1_presentation(d1, d2), G) == expected
 
 
 # -- handle decomposition ---------------------------------------------------------------
@@ -381,12 +554,12 @@ def test_frozen_fingerprints_reproduce():
     )
     assert set(frozen) == {"1,1", "1,2", "1,3", "2,2", "2,3", "3,3"}
     catalog = group_catalog()
-    # spot-recompute two full rows; the sweep script checks the rest
-    for pair in ("1,1", "2,3"):
+    for pair in frozen:
         d1, d2 = map(int, pair.split(","))
         p = pi1_presentation(d1, d2)
-        row = {name: count_homs(p, G) for name, G in catalog.items()}
-        assert row == frozen[pair]
+        for order in ("forward", "reversed"):
+            row = {name: count_homs(p, G, order=order) for name, G in catalog.items()}
+            assert row == frozen[pair]
     # quotients through order 12 do not separate (1,2) from (2,3) even
     # though the Alexander determinants 7 and 23 do
     assert frozen["1,2"] == frozen["2,3"]
