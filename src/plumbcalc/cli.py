@@ -264,7 +264,13 @@ def cmd_pi1(args) -> tuple:
                 groups[name] = G
     if args.group:
         table = FiniteGroupTable.from_json_dict(_load_json(args.group))
-        groups[table.name or "custom"] = table
+        name = table.name or "custom"
+        if name in groups:
+            raise UsageError(
+                f"--group table {name!r} has the name of a catalog group that "
+                f"--quotients {args.quotients} selects; rename the table"
+            )
+        groups[name] = table
     if groups:
         counts = {name: count_homs(p, G) for name, G in sorted(groups.items())}
         payload["quotients"] = counts

@@ -2,7 +2,7 @@
 
 Moves: blowups (outer on a vertex, inner on an edge), blowdowns of
 superfluous (-1)-vertices, snc-minimalization, elementary flows on
-0-vertices, standard-form search, barks and half-point attachments.
+0-vertices, standard-form search and barks.
 
 Every move returns a new graph, leaving its input unchanged.  Moves
 accept an optional ``log`` list and append JSON-serializable move
@@ -16,7 +16,6 @@ both apply moves through it.
 from __future__ import annotations
 
 from collections import deque, namedtuple
-from fractions import Fraction
 
 from .graphs import (
     DomainError,
@@ -29,9 +28,7 @@ from .graphs import (
     branching_set,
     canonical_encoding,
     classify_segments,
-    connected_components,
     fresh_id,
-    is_negative_definite,
     isomorphism_key,
     reweighted,
 )
@@ -130,26 +127,17 @@ def is_superfluous(g: WeightedGraph, vid: str) -> bool:
             and _blowdown_obstruction(g, vid) is None)
 
 
-def _minimalize(g: WeightedGraph, log: list, keyfunc) -> WeightedGraph:
-    cur = g
-    while True:
-        cands = [vid for vid in cur.sorted_ids() if is_superfluous(cur, vid)]
-        if not cands:
-            return cur
-        cands.sort(key=lambda vid: keyfunc(cur, vid))
-        cur = blow_down(cur, cands[0], log)
-
-
 def snc_minimalize(g: WeightedGraph) -> tuple[WeightedGraph, list]:
     """Contract superfluous (-1)-vertices until none remain, lowest id
     first."""
     _require_divisor(g, "snc_minimalize")
     log: list = []
-    return _minimalize(g, log, lambda _g, vid: vid), log
-
-
-def is_snc_minimal(g: WeightedGraph) -> bool:
-    return not any(is_superfluous(g, vid) for vid in g.vertices)
+    cur = g
+    while True:
+        vid = next((v for v in cur.sorted_ids() if is_superfluous(cur, v)), None)
+        if vid is None:
+            return cur, log
+        cur = blow_down(cur, vid, log)
 
 
 # ---------------------------------------------------------------------------
@@ -499,8 +487,7 @@ def standardize(g: WeightedGraph) -> tuple[WeightedGraph, list]:
     graph and log, and raises the same errors with the same counts.
     """
     _require_divisor(g, "standardize")
-    log: list = []
-    cur = _minimalize(g, log, lambda _g, vid: vid)
+    cur, log = snc_minimalize(g)
     if not _survey(cur)[1]:
         return cur, log
 
@@ -548,7 +535,7 @@ def standardize(g: WeightedGraph) -> tuple[WeightedGraph, list]:
 
 
 # ---------------------------------------------------------------------------
-# barks and half-point attachments
+# barks
 
 
 def bark(g: WeightedGraph, twig: list) -> dict:
@@ -598,65 +585,6 @@ def bark(g: WeightedGraph, twig: list) -> dict:
             )
         out[vid] = c
     return out
-
-
-def d_sharp_coefficients(g: WeightedGraph) -> dict:
-    """1 - bark on the maximal admissible tip-first prefix of every twig,
-    1 on every other vertex."""
-    _require_divisor(g, "d_sharp_coefficients")
-    if len(connected_components(g)) != 1:
-        raise DomainError("d_sharp_coefficients: graph must be connected")
-    if not is_snc_minimal(g):
-        raise DomainError("d_sharp_coefficients: graph must be snc-minimal")
-    if is_negative_definite(g):
-        raise DomainError(
-            "d_sharp_coefficients: intersection form is negative definite"
-        )
-    coeffs = {vid: Fraction(1) for vid in g.vertices}
-    for seg in classify_segments(g).segments:
-        if not seg.is_twig:
-            continue
-        prefix = []
-        for vid, entry in zip(seg.vertices, seg.chain_type.entries):
-            if entry < 2:
-                break
-            prefix.append(vid)
-        if not prefix:
-            continue
-        for vid, c in bark(g, prefix).items():
-            coeffs[vid] = 1 - c
-    return coeffs
-
-
-def half_point_attach(g: WeightedGraph, a: str) -> tuple[WeightedGraph, list]:
-    """Contract the (-1)-vertex a (which must meet the rest of the graph
-    exactly once), then snc-minimalize.
-
-    The minimalization prefers contracting vertices none of whose
-    neighbors are branching, so a cascade running down a (-2)-twig eats
-    the twig rather than turning toward the branch point.
-    """
-    _require_divisor(g, "half_point_attach")
-    if a not in g.vertices:
-        raise DomainError(f"half_point_attach: vertex {a!r} not found")
-    v = g.vertices[a]
-    if v.weight != -1:
-        raise DomainError(f"half_point_attach: weight of {a!r} is {v.weight}, not -1")
-    if v.genus != 0:
-        raise DomainError(f"half_point_attach: {a!r} must be rational")
-    if branching_number(g, a) != 1:
-        raise DomainError(
-            f"half_point_attach: {a!r} must meet the rest of the graph exactly once"
-        )
-    log: list = []
-    cur = blow_down(g, a, log)
-
-    def key(h: WeightedGraph, vid: str):
-        b = branching_set(h)
-        near_branch = any(n in b for n in h.neighbors(vid))
-        return (near_branch, vid)
-
-    return _minimalize(cur, log, key), log
 
 
 # ---------------------------------------------------------------------------

@@ -243,13 +243,18 @@ class WeightedGraph:
                 parts.append(f"g={v.genus}")
             if v.boundary:
                 parts.append(f"r={v.boundary}")
-            name = v.label or v.id
-            lines.append(f'  "{vid}" [label="{name}\\n{" ".join(parts)}"];')
+            node, name = _dot_escape(vid), _dot_escape(v.label or v.id)
+            lines.append(f'  "{node}" [label="{name}\\n{" ".join(parts)}"];')
         for e in self.edges:
             attr = ' [label="-", style=dashed]' if e.sign < 0 else ""
-            lines.append(f'  "{e.u}" -- "{e.v}"{attr};')
+            lines.append(f'  "{_dot_escape(e.u)}" -- "{_dot_escape(e.v)}"{attr};')
         lines.append("}")
         return "\n".join(lines) + "\n"
+
+
+def _dot_escape(text: str) -> str:
+    """Text for a DOT quoted string: backslashes and quotes escaped."""
+    return text.replace("\\", "\\\\").replace('"', '\\"')
 
 
 def _int_field(row: dict, owner: str, key: str, default: int | None = None) -> int:

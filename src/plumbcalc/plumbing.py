@@ -612,49 +612,6 @@ def reverse_orientation(nf: NormalForm) -> NormalForm:
     return result
 
 
-# -- recognition ---------------------------------------------------------------
-
-
-def is_prime(x) -> bool:
-    """Connected nonempty normal graphs plumb prime manifolds.
-
-    The empty graph is S^3, which by convention is not prime; a
-    disconnected graph describes more than one piece.
-    """
-    g = x.graph if isinstance(x, NormalForm) else x
-    _require_plumbing(g, "is_prime")
-    if not g.vertices:
-        return False
-    return len(connected_components(g)) == 1
-
-
-def is_lens_space(x):
-    """(p, q) from the chain's negative continued fraction, or None.
-
-    Accepts a NormalForm or a plumbing graph.  Rational chains (loop-free,
-    branch-free, linear) plumb lens spaces; the empty graph gives (1, 0),
-    i.e. S^3.  The fraction is reported raw, from the lexicographically
-    smaller chain orientation: callers comparing lens classes must
-    account for L(p,q) = L(p,q') when q*q' = 1 mod p.
-    """
-    g = x.graph if isinstance(x, NormalForm) else x
-    _require_plumbing(g, "is_lens_space")
-    _require_rational(g, "is_lens_space")
-    if not g.vertices:
-        return (1, 0)
-    if len(connected_components(g)) != 1 or first_betti(g) != 0:
-        return None
-    if any(v.boundary != 0 for v in g.vertices.values()):
-        return None
-    if any(branching_number(g, x) > 2 for x in g.vertices):
-        return None
-    report = classify_segments(g)
-    if len(report.segments) != 1 or report.branching:
-        return None
-    (seg,) = report.segments
-    return continued_fraction_eval(seg.chain_type)
-
-
 def continued_fraction_expand(p: int, q: int) -> ChainType:
     """Negative continued fraction of p/q with entries >= 2.
 

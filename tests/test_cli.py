@@ -411,6 +411,26 @@ def test_pi1_with_group_table_file(capsys, tmp_path):
     assert d["quotients"]["S3"] == 12
 
 
+def test_pi1_group_named_like_a_selected_catalog_group_is_a_usage_error(capsys,
+                                                                       tmp_path):
+    """A table must not overwrite the count of a catalogue group that
+    --quotients selects: a C2 table named A4 would print A4: 2."""
+    from plumbcalc.invariants import cyclic_group
+
+    gf = tmp_path / "a4.json"
+    gf.write_text(json.dumps({**cyclic_group(2).to_json_dict(), "name": "A4"}))
+    code, out, err = run(capsys, "pi1", "--d1", "1", "--d2", "1",
+                         "--quotients", "12", "--group", str(gf), "--json")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("usage error:") and "'A4'" in err and "--quotients 12" in err
+    d = run_json(capsys, "pi1", "--d1", "1", "--d2", "1", "--group", str(gf))
+    assert d["quotients"] == {"A4": 2}
+    d = run_json(capsys, "pi1", "--d1", "1", "--d2", "1",
+                 "--quotients", "6", "--group", str(gf))
+    assert d["quotients"]["A4"] == 2 and "C6" in d["quotients"]
+
+
 @pytest.mark.parametrize("d1, d2, homs",
                          [(1, 1, 36), (1, 2, 12), (2, 3, 12), (3, 3, 36)])
 def test_pi1_with_a_relabelled_a4_table_gives_the_catalog_counts(capsys, tmp_path,

@@ -21,17 +21,13 @@ from plumbcalc.divisor import (
     OnEdge,
     OnVertex,
     _SearchCaps,
-    _minimalize,
     _require_divisor,
     _search_moves,
     apply_move,
     bark,
     blow_down,
     blow_up,
-    d_sharp_coefficients,
     elementary_flow,
-    half_point_attach,
-    is_snc_minimal,
     is_standard,
     is_superfluous,
     replay,
@@ -206,7 +202,7 @@ def test_snc_minimalize_contracts_tip():
     # v0 contracts, raising v1 to 0; nothing else is superfluous
     assert {vid: v.weight for vid, v in out.vertices.items()} == {"v1": 0, "v2": -3}
     assert [e["move"] for e in log] == ["blowdown"]
-    assert is_snc_minimal(out)
+    assert snc_minimalize(out) == (out, [])
 
 
 def test_snc_minimalize_cascades():
@@ -215,7 +211,7 @@ def test_snc_minimalize_cascades():
     out, log = snc_minimalize(g)
     assert {vid: v.weight for vid, v in out.vertices.items()} == {"v2": -1}
     assert [e["move"] for e in log] == ["blowdown", "blowdown"]
-    assert is_snc_minimal(out)
+    assert snc_minimalize(out) == (out, [])
 
 
 def test_snc_minimalize_idempotent():
@@ -352,8 +348,7 @@ def oracle_standardize(g: WeightedGraph) -> tuple[WeightedGraph, list]:
     standard form exists).
     """
     _require_divisor(g, "standardize")
-    log: list = []
-    cur = _minimalize(g, log, lambda _g, vid: vid)
+    cur, log = snc_minimalize(g)
     if is_standard(cur).standard:
         return cur, log
 
@@ -910,41 +905,6 @@ def test_bark_rejects_inadmissible_twig():
         bark(chain(-3, -2, -2), ["v0", "v2"])  # not adjacent
 
 
-def test_d_sharp_subtracts_barks():
-    # star: 0-weight center (so the form is not negative definite) with
-    # three admissible twigs [2], [3], [2,2]
-    vs = [
-        Vertex("c", 0),
-        Vertex("t1", -2),
-        Vertex("t2", -3),
-        Vertex("u1", -2),
-        Vertex("u2", -2),
-    ]
-    es = [Edge("c", "t1"), Edge("c", "t2"), Edge("c", "u2"), Edge("u1", "u2")]
-    g = WeightedGraph("divisor", vs, es)
-    coeffs = d_sharp_coefficients(g)
-    assert coeffs["c"] == 1
-    assert coeffs["t1"] == 1 - Fraction(1, 2)
-    assert coeffs["t2"] == 1 - Fraction(1, 3)
-    # [(2)_2] twig: bark (2/3, 1/3) tip-first
-    assert coeffs["u1"] == 1 - Fraction(2, 3)
-    assert coeffs["u2"] == 1 - Fraction(1, 3)
-
-
-def test_d_sharp_rejects_negative_definite():
-    with pytest.raises(DomainError):
-        d_sharp_coefficients(chain(-2, -2, -3))
-
-
-def test_half_point_attach_contracts_down_the_twig():
-    g = chain(-1, -2, -3)
-    out, log = half_point_attach(g, "v0")
-    assert {vid: v.weight for vid, v in out.vertices.items()} == {"v2": -2}
-    assert [e["move"] for e in log] == ["blowdown", "blowdown"]
-    with pytest.raises(DomainError):
-        half_point_attach(g, "v1")
-
-
 # -- the move registry -------------------------------------------------------------
 
 
@@ -1008,8 +968,7 @@ def test_every_logged_move_name_is_a_registry_key():
             logs = [build_by_blowups(FamilyParams.default(d1, d2))[1],
                     snc_minimalize(fam.graph)[1],
                     standardize(fam.graph)[1],
-                    standardize(fam.d_part())[1],
-                    half_point_attach(fam.graph, "A1")[1]]
+                    standardize(fam.d_part())[1]]
             if (d1 == 1) != (d2 == 1):
                 logs.append(standardize_mixed(fam)[1])
             nf = normalize(fam.d_part())

@@ -8,6 +8,7 @@ import json
 import math
 import os
 import random
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -201,6 +202,24 @@ def test_induced_keeps_edges_between_kept_vertices():
     assert sub.edges == (Edge("a", "a"), Edge("a", "b", -1))
     with pytest.raises(DomainError):
         g.induced(["a", "z"])
+
+
+def test_to_dot_escapes_quotes_and_backslashes():
+    """Every quoted DOT string reads back, by DOT's escapes, as the id or
+    label it was made from."""
+    g = WeightedGraph("divisor", [Vertex('a"b', -2, label='say "hi"'),
+                                  Vertex("c\\", 0)], [Edge('a"b', "c\\")])
+    assert g.to_dot().splitlines()[2:] == [
+        '  "a\\"b" [label="say \\"hi\\"\\n-2"];',
+        '  "c\\\\" [label="c\\\\\\n0"];',
+        '  "a\\"b" -- "c\\\\";',
+        "}",
+    ]
+    # each quoted string ends at its own closing quote; undoing the
+    # escapes gives the id or label (DOT's "\n" line break reads as "n")
+    quoted = re.findall(r'"((?:[^"\\]|\\.)*)"', g.to_dot())
+    assert [re.sub(r"\\(.)", r"\1", q) for q in quoted] == [
+        'a"b', 'say "hi"n-2', "c\\", "c\\n0", 'a"b', "c\\"]
 
 
 def test_canonical_json_is_key_sorted_and_stable():
@@ -1095,10 +1114,8 @@ def test_library_is_stdlib_only():
 # definition that nothing reaches fails the reachability test, and one
 # that gains a caller or leaves the library must leave this list.
 UNREACHED = {
-    ("divisor", "d_sharp_coefficients"), ("divisor", "half_point_attach"),
-    ("divisor", "is_snc_minimal"), ("family", "standardize_mixed"),
-    ("family", "surface_homology"), ("invariants", "same_two_bridge_class"),
-    ("plumbing", "is_lens_space"), ("plumbing", "is_prime"),
+    ("family", "standardize_mixed"), ("family", "surface_homology"),
+    ("invariants", "same_two_bridge_class"),
 }
 
 
@@ -1181,3 +1198,31 @@ def test_every_library_definition_is_reached_or_listed():
               if isinstance(m, ast.FunctionDef) and not m.name.startswith("__")
               and m.name not in read}
     assert unread == set()
+
+
+def unused_imports(path: Path) -> list:
+    """("file:line", name) for each name the module imports and never
+    reads.  Names listed in `__all__` are read by `import *`, and
+    `from __future__` imports bind nothing."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    for node in tree.body:
+        if (isinstance(node, ast.Assign)
+                and [ast.unparse(t) for t in node.targets] == ["__all__"]):
+            read |= set(ast.literal_eval(node.value))
+    return [(f"{path.name}:{node.lineno}", bound)
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.Import, ast.ImportFrom))
+            and not (isinstance(node, ast.ImportFrom) and node.module == "__future__")
+            for alias in node.names
+            for bound in [alias.asname or alias.name.split(".")[0]]
+            if bound not in read]
+
+
+def test_no_module_imports_a_name_it_never_reads():
+    """An import left behind when its last reader is deleted fails here,
+    in the library and in scripts/."""
+    root = Path(__file__).resolve().parents[1]
+    paths = sorted([*Path(plumbcalc.__file__).parent.glob("*.py"),
+                    *(root / "scripts").glob("*.py")])
+    assert [hit for path in paths for hit in unused_imports(path)] == []

@@ -34,9 +34,7 @@ from plumbcalc.plumbing import (
     from_divisor_graph,
     gauge_canonicalize,
     h1_from_graph,
-    is_lens_space,
     is_normal,
-    is_prime,
     jsj_cut,
     move_R1,
     move_R3,
@@ -380,7 +378,6 @@ def test_normalize_whole_chain_of_blowdowns_gives_empty_sphere_form():
     nf = normalize(pchain(1))
     assert nf.certificate == "generic"
     assert len(nf.graph.vertices) == 0
-    assert is_lens_space(nf) == (1, 0)
 
 
 def test_normalize_rejects_disconnected_and_empty():
@@ -506,19 +503,7 @@ def test_reverse_two_vertex_double_edge_graphs():
                 assert h1_from_graph(rev.graph) == h1_from_graph(g)
 
 
-# -- lens spaces and continued fractions --------------------------------------------
-
-
-def test_lens_space_readings():
-    assert is_lens_space(pchain(-2, -2)) == (3, 2)
-    assert is_lens_space(pchain(-3)) == (3, 1)
-    assert is_lens_space(WeightedGraph("plumbing", [], [])) == (1, 0)
-    assert is_lens_space(family_plumbing(2, 2)) is None  # has a cycle
-
-
-def test_prime_flags():
-    assert is_prime(family_plumbing(2, 2))
-    assert not is_prime(WeightedGraph("plumbing", [], []))
+# -- continued fractions ------------------------------------------------------------
 
 
 def test_continued_fraction_known_values():
