@@ -35,18 +35,6 @@ from .graphs import (
 from .plumbing import _contract, _insert, move_R1, move_R3
 
 
-class OnVertex(namedtuple("OnVertex", "vertex")):
-    """Outer blowup center: a point on one component only."""
-
-    __slots__ = ()
-
-
-class OnEdge(namedtuple("OnEdge", "u v")):
-    """Inner blowup center: the intersection point of two components."""
-
-    __slots__ = ()
-
-
 def _require_divisor(g: WeightedGraph, op: str) -> None:
     if g.kind != "divisor":
         raise DomainError(f"{op} requires a divisor graph, got kind={g.kind!r}")
@@ -56,28 +44,26 @@ def _require_divisor(g: WeightedGraph, op: str) -> None:
 # blowups and blowdowns
 
 
-def blow_up(g: WeightedGraph, center, log: list | None = None,
+def blow_up(g: WeightedGraph, at, log: list | None = None,
             new_id: str | None = None) -> WeightedGraph:
-    """Blow up the point of an outer or inner center: R1's inverse
-    `_insert` with eps = -1, at its vertex or on its edge."""
+    """Blow up a point of the divisor: R1's inverse `_insert` with
+    eps = -1.  At a vertex id the point lies on that component only (an
+    outer blowup); at an `Edge` it is where the edge's two components
+    meet (an inner blowup)."""
     _require_divisor(g, "blow_up")
     eid = new_id if new_id is not None else fresh_id(g.vertices)
     if eid in g.vertices:
         raise DomainError(f"new vertex id {eid!r} already in use")
-    if isinstance(center, OnVertex):
-        at = center.vertex
+    if isinstance(at, Edge):
+        if (at.v, at.sign) not in g.around.get(at.u, ()):
+            raise DomainError(f"blow_up center edge ({at.u!r},{at.v!r}) not found")
+        where = {"edge": [at.u, at.v]}
+    elif isinstance(at, str):
         if at not in g.vertices:
             raise DomainError(f"blow_up center vertex {at!r} not found")
         where = {"vertex": at}
-    elif isinstance(center, OnEdge):
-        at = Edge(center.u, center.v)
-        if (at.v, 1) not in g.around.get(at.u, ()):
-            raise DomainError(
-                f"blow_up center edge ({center.u!r},{center.v!r}) not found"
-            )
-        where = {"edge": [at.u, at.v]}
     else:
-        raise DomainError(f"unknown blowup center {center!r}")
+        raise DomainError(f"unknown blowup center {at!r}")
     out = _insert(g, at, -1, eid)
     if log is not None:
         log.append({"move": "blowup", "center": where, "new_id": eid})
@@ -176,7 +162,7 @@ def elementary_flow(g: WeightedGraph, zero_vertex: str, toward: str,
         )
     if beta == 1:
         sub: list = []
-        mid = blow_up(g, OnVertex(zero_vertex), sub)
+        mid = blow_up(g, zero_vertex, sub)
         out = blow_down(mid, sub[0]["new_id"], sub)
         if log is not None:
             log.extend(sub)
@@ -607,7 +593,7 @@ def _replay_blowup(g: WeightedGraph, entry: dict, log) -> WeightedGraph:
     if new_id == "":
         raise DomainError(f"replay: new_id must not be empty in {entry!r}")
     if isinstance(center, dict) and "vertex" in center:
-        return blow_up(g, OnVertex(_entry_id(center, "vertex")), log, new_id)
+        return blow_up(g, _entry_id(center, "vertex"), log, new_id)
     if isinstance(center, dict) and "edge" in center:
         ends = center["edge"]
         if (not isinstance(ends, list) or len(ends) != 2
@@ -615,7 +601,7 @@ def _replay_blowup(g: WeightedGraph, entry: dict, log) -> WeightedGraph:
             raise DomainError(
                 f"replay: blowup edge must be two vertex ids, got {ends!r}"
             )
-        return blow_up(g, OnEdge(*ends), log, new_id)
+        return blow_up(g, Edge(*ends), log, new_id)
     raise DomainError(f"replay: malformed blowup center {center!r}")
 
 

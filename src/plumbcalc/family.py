@@ -76,11 +76,10 @@ class FamilyParams(namedtuple("FamilyParams", "p1 p2")):
 class LabeledFamilyGraph(namedtuple("LabeledFamilyGraph", "graph d1 d2")):
     __slots__ = ()
 
-    def d_part_ids(self) -> list:
-        return [vid for vid in self.graph.sorted_ids() if not vid.startswith("A")]
-
     def d_part(self) -> WeightedGraph:
-        return self.graph.induced(self.d_part_ids())
+        """The boundary divisor: the graph without A1 and A2."""
+        g = self.graph
+        return g.induced(x for x in g.vertices if not x.startswith("A"))
 
 
 def _tid(j: int, i: int) -> str:
@@ -123,7 +122,7 @@ def build_by_blowups(params: FamilyParams) -> tuple[LabeledFamilyGraph, list]:
         prev = f"L{j}_0"
         for i in range(1, d + 1):
             new_id = f"A{j}" if i == d else _tid(j, i)
-            g = divisor.blow_up(g, divisor.OnVertex(prev), log, new_id=new_id)
+            g = divisor.blow_up(g, prev, log, new_id=new_id)
             prev = new_id
     # restore the curve-name labels lost on exceptional vertices
     vertices = []
@@ -158,7 +157,7 @@ def standardize_mixed(fam: LabeledFamilyGraph) -> tuple[WeightedGraph, list]:
     j = 1 if fam.d1 == 1 else 2
     log: list = []
     g = fam.d_part()
-    g = divisor.blow_up(g, divisor.OnEdge("L1_inf", "L2_inf"), log)
+    g = divisor.blow_up(g, Edge("L1_inf", "L2_inf"), log)
     g = divisor.blow_down(g, f"L{j}_0", log)
     g = divisor.blow_down(g, f"L{j}_inf", log)
     return g, log
@@ -178,7 +177,7 @@ def picard_check(d1: int, d2: int) -> dict:
     """
     fam = build_boundary_graph(d1, d2)
     g = fam.graph
-    d_det = det_exact(intersection_matrix(g, fam.d_part_ids()))
+    d_det = det_exact(intersection_matrix(fam.d_part()))
     unimodular = abs(d_det) == 1
 
     def pairing(vec: dict) -> dict:

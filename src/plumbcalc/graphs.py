@@ -298,49 +298,55 @@ def branching_number(g: WeightedGraph, vid: str) -> int:
     return len(g.around[vid]) + 2 * len(g.loops[vid])
 
 
-def connected_components(g: WeightedGraph) -> list[set[str]]:
-    ids = g.sorted_ids()
-    seen: set[str] = set()
-    comps = []
-    for start in ids:
-        if start in seen:
+def spanning_forest(g: WeightedGraph) -> dict:
+    """A breadth-first spanning forest of g, walked on its incidence index,
+    as {vertex: (parent, sign of the tree edge) or None at a root}.
+
+    One tree per component, rooted at its least id.  The trees come one
+    after another in the order of their roots, each listing its vertices
+    in the order the walk reaches them, so a parent precedes its child."""
+    forest: dict = {}
+    for root in g.sorted_ids():
+        if root in forest:
             continue
-        comp = {start}
-        stack = [start]
-        while stack:
-            x = stack.pop()
-            for y in g.neighbors(x):
-                if y not in comp:
-                    comp.add(y)
-                    stack.append(y)
-        seen |= comp
-        comps.append(comp)
+        forest[root] = None
+        queue = [root]
+        for cur in queue:  # the loop reaches what it appends
+            for other, s in g.around[cur]:
+                if other not in forest:
+                    forest[other] = (cur, s)
+                    queue.append(other)
+    return forest
+
+
+def connected_components(g: WeightedGraph) -> list[set[str]]:
+    """The vertex sets of the trees of `spanning_forest`, in its order."""
+    comps: list = []
+    for vid, up in spanning_forest(g).items():
+        if up is None:
+            comps.append(set())
+        comps[-1].add(vid)
     return comps
 
 
 def first_betti(g: WeightedGraph) -> int:
-    return len(g.edges) - len(g.vertices) + len(connected_components(g))
+    """|E| - |V| + the number of trees of `spanning_forest`."""
+    roots = sum(up is None for up in spanning_forest(g).values())
+    return len(g.edges) - len(g.vertices) + roots
 
 
-def intersection_matrix(g: WeightedGraph, subset=None) -> list[list[int]]:
+def intersection_matrix(g: WeightedGraph) -> list[list[int]]:
     """Symmetric matrix in sorted-id order; loops add 2*sign to the diagonal,
-    parallel edges add their signs."""
-    ids = sorted(subset) if subset is not None else g.sorted_ids()
-    for vid in ids:
-        if vid not in g.vertices:
-            raise DomainError(f"no vertex {vid!r}")
-    index = {vid: i for i, vid in enumerate(ids)}
-    n = len(ids)
-    m = [[0] * n for _ in range(n)]
-    for vid in ids:
-        m[index[vid]][index[vid]] = g.vertices[vid].weight
-    for e in g.edges:
-        if e.u in index and e.v in index:
-            if e.is_loop:
-                m[index[e.u]][index[e.u]] += 2 * e.sign
-            else:
-                m[index[e.u]][index[e.v]] += e.sign
-                m[index[e.v]][index[e.u]] += e.sign
+    parallel edges add their signs.  A subgraph's matrix is that of its
+    `WeightedGraph.induced` graph."""
+    index = {vid: i for i, vid in enumerate(g.sorted_ids())}
+    m = [[0] * len(index) for _ in index]
+    for vid, i in index.items():
+        m[i][i] = g.vertices[vid].weight
+    for u, v, s in g.edges:
+        i, j = index[u], index[v]
+        m[i][j] += s  # a loop, i == j, adds its sign twice
+        m[j][i] += s
     return m
 
 
@@ -465,7 +471,7 @@ def det_exact(matrix) -> int:
     return _det(_sparse(a))
 
 
-def is_negative_definite(g: WeightedGraph, subset=None) -> bool:
+def is_negative_definite(g: WeightedGraph) -> bool:
     """Sylvester criterion on the intersection matrix, exact arithmetic.
 
     One Bareiss pass: until a row swap the pivot at step k is the leading
@@ -474,7 +480,7 @@ def is_negative_definite(g: WeightedGraph, subset=None) -> bool:
     the pivot is ever divided by.  The empty matrix counts as negative
     definite.
     """
-    a = intersection_matrix(g, subset)
+    a = intersection_matrix(g)
     for k, (sign, minor) in enumerate(_bareiss(_sparse(a), len(a))):
         if sign < 0 or minor * (-1) ** (k + 1) <= 0:
             return False

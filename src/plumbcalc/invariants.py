@@ -26,6 +26,11 @@ from .graphs import AbelianGroup, DomainError, cokernel
 HOM_BUDGET = 10**8
 
 
+def _require_degrees(d1: int, d2: int) -> None:
+    if d1 < 1 or d2 < 1:
+        raise DomainError(f"need d1, d2 >= 1, got ({d1}, {d2})")
+
+
 def free_reduce(word) -> tuple:
     out: list[int] = []
     for x in word:
@@ -81,8 +86,7 @@ def pi1_presentation(d1: int, d2: int) -> GroupPresentation:
     2 = delta2, 3 = lambda.  Each defining equation is stored as the
     relator (left side) * (right side)^-1.
     """
-    if d1 < 1 or d2 < 1:
-        raise DomainError(f"need d1, d2 >= 1, got ({d1}, {d2})")
+    _require_degrees(d1, d2)
     gamma1 = (1,) * d1
     gamma2 = (2,) * d2
     lam = (3,)
@@ -441,8 +445,7 @@ def kirby_handle_data(d1: int, d2: int) -> HandleData:
     h is 0-framed and runs algebraically zero times over each 1-handle;
     a_j is (-d_j)-framed and runs once over c_j.
     """
-    if d1 < 1 or d2 < 1:
-        raise DomainError(f"need d1, d2 >= 1, got ({d1}, {d2})")
+    _require_degrees(d1, d2)
     return HandleData(
         counts=(1, 2, 3, 0),
         framings=(("h", 0), ("a1", -d1), ("a2", -d2)),
@@ -477,8 +480,7 @@ def two_bridge_fraction(d1: int, d2: int) -> tuple:
     requires; (1,1) lands in the trefoil's class 3/1 since
     2*1 = -1 mod 3.
     """
-    if d1 < 1 or d2 < 1:
-        raise DomainError(f"need d1, d2 >= 1, got ({d1}, {d2})")
+    _require_degrees(d1, d2)
     return (4 * d1 * d2 - 1, 2 * d2)
 
 
@@ -644,8 +646,7 @@ def alexander_polynomial(d1: int, d2: int) -> Laurent:
     Delta(t) = Delta(1/t) and scaled so Delta(1) = 1.  The matrix
     convention is validated by the trefoil anchor at (1,1): t - 1 + 1/t.
     """
-    if d1 < 1 or d2 < 1:
-        raise DomainError(f"need d1, d2 >= 1, got ({d1}, {d2})")
+    _require_degrees(d1, d2)
     (t,) = Laurent.variables("t")
     v = [[-d1, 1], [0, -d2]]
     a = [[v[i][j] - t * v[j][i] for j in range(2)] for i in range(2)]

@@ -42,6 +42,7 @@ from .graphs import (
     fresh_id,
     intersection_matrix,
     reweighted,
+    spanning_forest,
 )
 
 MOVE_BUDGET = 10_000
@@ -228,66 +229,54 @@ def move_R3(g: WeightedGraph, vid: str, log: list | None = None) -> WeightedGrap
 # -- gauge -------------------------------------------------------------------
 
 
-def flip_vertex_signs(g: WeightedGraph, vid: str) -> WeightedGraph:
-    """Flip the sign of every non-loop edge end at vid (a gauge move).
+def _regauge(g: WeightedGraph, flip: dict) -> WeightedGraph:
+    """Multiply each non-loop edge's sign by flip[u] * flip[v], a vertex
+    missing from flip counting +1 (a gauge move).
 
     Loops are hit twice and keep their sign.  The plumbed manifold is
     unchanged; only the sign pattern on cycles is gauge-invariant.
     """
+    edges = [Edge(e.u, e.v, -e.sign) if flip.get(e.u, 1) != flip.get(e.v, 1) else e
+             for e in g.edges]
+    return WeightedGraph("plumbing", list(g.vertices.values()), edges)
+
+
+def flip_vertex_signs(g: WeightedGraph, vid: str) -> WeightedGraph:
+    """Flip the sign of every non-loop edge end at vid: `_regauge` by -1
+    at vid."""
     _require_plumbing(g, "flip_vertex_signs")
     if vid not in g.vertices:
         raise DomainError(f"no vertex {vid!r}")
-    edges = []
-    for e in g.edges:
-        if e.is_loop or vid not in (e.u, e.v):
-            edges.append(e)
-        else:
-            edges.append(Edge(e.u, e.v, -e.sign))
-    return WeightedGraph("plumbing", list(g.vertices.values()), edges)
+    return _regauge(g, {vid: -1})
 
 
 def _is_minus_two_cycle(g: WeightedGraph) -> bool:
     """Is the graph the cyclic shape ((2)_k): connected, every vertex a
-    rational closed -2 with beta = 2, first betti number 1?"""
+    rational closed -2 with beta = 2?  A connected graph whose every
+    vertex has two edge ends is one cycle."""
     if not g.vertices or len(connected_components(g)) != 1:
         return False
-    for vid, v in g.vertices.items():
-        if v.weight != -2 or v.genus != 0 or v.boundary != 0:
-            return False
-        if branching_number(g, vid) != 2:
-            return False
-    return first_betti(g) == 1
+    return all(v.weight == -2 and v.genus == 0 and v.boundary == 0
+               and branching_number(g, vid) == 2 for vid, v in g.vertices.items())
 
 
 def gauge_canonicalize(g: WeightedGraph) -> WeightedGraph:
     """Push edge signs into canonical position by vertex flips.
 
-    A BFS spanning forest rooted at each component's smallest id gets all
-    +1 tree edges; the surviving non-tree signs are the gauge-invariant
-    cycle data.  One exception: on the cyclic all-(-2) shape ((2)_k) the
-    normal-form convention wants at least two displayed "-" labels, so
-    when the cycle product allows it the gauge is adjusted to show them
-    (product +1: flip at the largest vertex; product -1 with k >= 3: flip
-    at the largest vertex not on the negative edge).
+    The tree edges of `spanning_forest` all get sign +1: each vertex is
+    flipped by its parent's flip times its tree edge's sign, a root by
+    +1.  The surviving non-tree signs are the gauge-invariant cycle data.
+    One exception: on the cyclic all-(-2) shape ((2)_k) the normal-form
+    convention wants at least two displayed "-" labels, so when the cycle
+    product allows it the gauge is adjusted to show them (product +1:
+    flip at the largest vertex; product -1 with k >= 3: flip at the
+    largest vertex not on the negative edge).
     """
     _require_plumbing(g, "gauge_canonicalize")
     flip: dict[str, int] = {}
-    for comp in connected_components(g):
-        root = min(comp)
-        flip[root] = 1
-        queue = [root]
-        for cur in queue:  # the loop reaches what it appends
-            for other, s in g.around[cur]:
-                if other not in flip:
-                    flip[other] = flip[cur] * s
-                    queue.append(other)
-    edges = []
-    for e in g.edges:
-        if e.is_loop:
-            edges.append(e)
-        else:
-            edges.append(Edge(e.u, e.v, e.sign * flip[e.u] * flip[e.v]))
-    out = WeightedGraph("plumbing", list(g.vertices.values()), edges)
+    for vid, up in spanning_forest(g).items():
+        flip[vid] = 1 if up is None else flip[up[0]] * up[1]
+    out = _regauge(g, flip)
 
     if _is_minus_two_cycle(out) and sum(1 for e in out.edges if e.sign < 0) < 2:
         negs = [e for e in out.edges if e.sign < 0]
@@ -553,21 +542,19 @@ def _dualize_positive_twigs(g: WeightedGraph, log: list) -> WeightedGraph:
             continue
         att = seg.attachments[0] or seg.attachments[1]
         # seg.vertices is tip-first; read attachment-outward for the fraction
-        outward = [int(w) for w in reversed(weights)]
-        p, q = continued_fraction_eval(ChainType(tuple(outward)))
-        dual = continued_fraction_expand(p, p - q) if p - q > 0 else None
+        p, q = continued_fraction_eval(ChainType(tuple(reversed(weights))))
+        dual = continued_fraction_expand(p, p - q)  # entries >= 2, so p > q
         base = cur.induced(x for x in cur.vertices if x not in seg.vertices)
         vertices = reweighted(base.vertices.values(), {att: -1})
         edges = list(base.edges)
         prev = att
         new_ids = []
-        if dual is not None:
-            for a in dual.entries:
-                nid = fresh_id(base.vertices.keys() | new_ids, "Z")
-                vertices.append(Vertex(nid, -a))
-                edges.append(Edge(prev, nid, 1))
-                prev = nid
-                new_ids.append(nid)
+        for a in dual.entries:
+            nid = fresh_id(base.vertices.keys() | new_ids, "Z")
+            vertices.append(Vertex(nid, -a))
+            edges.append(Edge(prev, nid, 1))
+            prev = nid
+            new_ids.append(nid)
         cur = WeightedGraph("plumbing", vertices, edges)
         log.append(
             {

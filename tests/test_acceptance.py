@@ -11,8 +11,6 @@ import random
 from fractions import Fraction
 
 from plumbcalc.divisor import (
-    OnEdge,
-    OnVertex,
     bark,
     blow_down,
     blow_up,
@@ -175,10 +173,10 @@ def check_08_rewriting_properties():
         n = rng.randint(1, 6)
         g = chain(*[rng.randint(-4, 0) for _ in range(n)])
         if rng.random() < 0.5 or n == 1:
-            center = OnVertex(f"v{rng.randrange(n)}")
+            center = f"v{rng.randrange(n)}"
         else:
             i = rng.randrange(n - 1)
-            center = OnEdge(f"v{i}", f"v{i+1}")
+            center = Edge(f"v{i}", f"v{i+1}")
         up = blow_up(g, center, new_id="FRESH")
         assert blow_down(up, "FRESH") == g
 

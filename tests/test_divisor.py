@@ -18,8 +18,6 @@ import plumbcalc.plumbing as plumbing
 from plumbcalc.cli import main
 from plumbcalc.divisor import (
     MOVES,
-    OnEdge,
-    OnVertex,
     _SearchCaps,
     _require_divisor,
     _search_moves,
@@ -88,7 +86,7 @@ def tree(weights, edges):
 
 def test_blow_up_on_vertex():
     g = chain(-2, -3)
-    out = blow_up(g, OnVertex("v0"), new_id="E")
+    out = blow_up(g, "v0", new_id="E")
     assert out.vertices["E"].weight == -1
     assert out.vertices["v0"].weight == -3
     assert Edge("E", "v0") in out.edges
@@ -96,12 +94,26 @@ def test_blow_up_on_vertex():
 
 def test_blow_up_on_edge():
     g = chain(-2, -3)
-    out = blow_up(g, OnEdge("v0", "v1"), new_id="E")
+    out = blow_up(g, Edge("v0", "v1"), new_id="E")
     assert out.vertices["E"].weight == -1
     assert out.vertices["v0"].weight == -3
     assert out.vertices["v1"].weight == -4
     assert Edge("v0", "v1") not in out.edges
     assert Edge("E", "v0") in out.edges and Edge("E", "v1") in out.edges
+
+
+@pytest.mark.parametrize("at, message", [
+    ("v9", "blow_up center vertex 'v9' not found"),
+    (Edge("v2", "v0"), "blow_up center edge ('v0','v2') not found"),
+    (Edge("v0", "v1", -1), "blow_up center edge ('v0','v1') not found"),
+    (("v0", "v1"), "unknown blowup center ('v0', 'v1')"),
+])
+def test_blow_up_checks_its_site(at, message):
+    """A site is a vertex id of the graph or one of its edges; the edge's
+    ends are named in id order, as `Edge` stores them."""
+    with pytest.raises(DomainError) as err:
+        blow_up(chain(-2, -3, -1), at)
+    assert str(err.value) == message
 
 
 def test_blow_down_requires_contractible_vertex():
@@ -163,10 +175,10 @@ def test_blow_up_down_round_trips_randomized():
         n = RNG.randint(1, 6)
         g = chain(*[RNG.randint(-4, 0) for _ in range(n)])
         if RNG.random() < 0.5 or n == 1:
-            center = OnVertex(f"v{RNG.randrange(n)}")
+            center = f"v{RNG.randrange(n)}"
         else:
             i = RNG.randrange(n - 1)
-            center = OnEdge(f"v{i}", f"v{i+1}")
+            center = Edge(f"v{i}", f"v{i+1}")
         log = []
         up = blow_up(g, center, log, new_id="FRESH")
         down = blow_down(up, "FRESH")
@@ -177,8 +189,8 @@ def test_blow_up_down_round_trips_randomized():
 def test_replay_reproduces_recorded_sequence():
     g = chain(-2, -2, -3)
     log = []
-    h = blow_up(g, OnEdge("v1", "v2"), log)
-    h = blow_up(h, OnVertex("v0"), log)
+    h = blow_up(g, Edge("v1", "v2"), log)
+    h = blow_up(h, "v0", log)
     h = blow_down(h, log[1]["new_id"], log)
     assert replay(g, log) == h
 
@@ -552,13 +564,6 @@ def test_apply_move_accepts_every_search_move(g):
         assert child.kind == "divisor" and replay(g, log) == child
 
 
-def plumbing_blowup(pg, center):
-    """R1's inverse with eps = -1 on a plumbing graph, at a blowup center;
-    the new vertex is E."""
-    at = center.vertex if isinstance(center, OnVertex) else Edge(center.u, center.v)
-    return _insert(pg, at, -1, "E")
-
-
 @settings(max_examples=200, deadline=None)
 @given(ANY_DIVISOR_GRAPH)
 @example(cycle(-1, -2, -3))
@@ -578,9 +583,8 @@ def test_divisor_moves_are_plumbing_moves_on_the_plumbing_reading(g):
         else:
             assert down == move_R1(pg, vid)
         assert is_superfluous(g, vid) == (down is not None and bool(g.neighbors(vid)))
-    for center in [*map(OnVertex, g.sorted_ids()), *(OnEdge(e.u, e.v) for e in g.edges)]:
-        assert from_divisor_graph(blow_up(g, center, new_id="E")) == plumbing_blowup(
-            pg, center)
+    for at in [*g.sorted_ids(), *g.edges]:
+        assert from_divisor_graph(blow_up(g, at, new_id="E")) == _insert(pg, at, -1, "E")
 
 
 @settings(max_examples=200, deadline=None)

@@ -21,8 +21,6 @@ from hypothesis import strategies as st
 import plumbcalc
 import plumbcalc.graphs as graphs
 from plumbcalc.divisor import (
-    OnEdge,
-    OnVertex,
     blow_down,
     blow_up,
     elementary_flow,
@@ -52,12 +50,14 @@ from plumbcalc.graphs import (
     is_negative_definite,
     reweighted,
     smith_normal_form,
+    spanning_forest,
 )
 from plumbcalc.family import build_boundary_graph
 from plumbcalc.plumbing import (
     _insert,
     flip_vertex_signs,
     from_divisor_graph,
+    gauge_canonicalize,
     move_R1,
     move_R3,
     normalize,
@@ -247,6 +247,92 @@ def test_connected_components_and_betti():
     assert first_betti(both) == 1  # the loop
 
 
+def dfs_components(g):
+    """The components as `connected_components` found them before
+    `spanning_forest`: a depth-first walk from each least unseen id."""
+    seen: set = set()
+    comps = []
+    for start in g.sorted_ids():
+        if start in seen:
+            continue
+        comp, stack = {start}, [start]
+        while stack:
+            for y in g.neighbors(stack.pop()):
+                if y not in comp:
+                    comp.add(y)
+                    stack.append(y)
+        seen |= comp
+        comps.append(comp)
+    return comps
+
+
+def bfs_gauge(g):
+    """`gauge_canonicalize` as it was before `spanning_forest`: its own
+    breadth-first walk from each component's least id, its own sign
+    rewrite, and the ((2)_k) test with its first Betti number check."""
+    flip = {}
+    for comp in dfs_components(g):
+        flip[min(comp)] = 1
+        queue = [min(comp)]
+        for cur in queue:
+            for other, s in g.around[cur]:
+                if other not in flip:
+                    flip[other] = flip[cur] * s
+                    queue.append(other)
+
+    def resigned(h, f):
+        return WeightedGraph("plumbing", list(h.vertices.values()), [
+            e if e.is_loop else Edge(e.u, e.v, e.sign * f(e.u) * f(e.v))
+            for e in h.edges])
+
+    out = resigned(g, flip.__getitem__)
+    comps = dfs_components(out)
+    minus_two_cycle = (
+        len(comps) == 1
+        and all(v.weight == -2 and v.genus == 0 and v.boundary == 0
+                and branching_number(out, x) == 2 for x, v in out.vertices.items())
+        and len(out.edges) - len(out.vertices) + len(comps) == 1)
+    negs = [e for e in out.edges if e.sign < 0]
+    at = None
+    if minus_two_cycle and not negs and len(out.vertices) >= 2:
+        at = max(out.vertices)
+    elif minus_two_cycle and len(negs) == 1 and len(out.vertices) >= 3:
+        at = max(x for x in out.vertices if x not in (negs[0].u, negs[0].v))
+    return out if at is None else resigned(out, lambda x: -1 if x == at else 1)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(multigraphs(), multigraphs(decorated=True)))
+@example(cycle(-2, -2, -2, kind="plumbing"))
+@example(WeightedGraph("plumbing", [Vertex(x, -2) for x in "abc"],
+                       [Edge("a", "b", -1), Edge("b", "c"), Edge("a", "c")]))
+@example(WeightedGraph("plumbing", [Vertex("a", -2), Vertex("b", -2)],
+                       [Edge("a", "b"), Edge("a", "b")]))
+@example(WeightedGraph("plumbing", [Vertex("a", -2)], [Edge("a", "a", -1)]))
+@example(WeightedGraph("plumbing", [Vertex(x, -2) for x in "abcd"],  # two cycles
+                       [Edge("a", "b"), Edge("a", "b"), Edge("c", "d"), Edge("c", "d")]))
+def test_spanning_forest_spans_and_matches_the_old_walks(g):
+    """The forest reaches every vertex once, each parent before its child
+    along an edge of the recorded sign, with |V| - #roots tree edges, one
+    root per component at its least id; and the components and the gauge
+    read off it equal those of the walks it replaced."""
+    forest = spanning_forest(g)
+    assert sorted(forest) == g.sorted_ids()
+    order = {vid: i for i, vid in enumerate(forest)}
+    for vid, up in forest.items():
+        if up is not None:
+            parent, sign = up
+            assert order[parent] < order[vid]
+            assert (vid, sign) in g.around[parent]
+    roots = [vid for vid, up in forest.items() if up is None]
+    tree_edges = [up for up in forest.values() if up is not None]
+    assert len(tree_edges) == len(g.vertices) - len(roots)
+    comps = dfs_components(g)
+    assert roots == [min(c) for c in comps]
+    assert connected_components(g) == comps
+    assert gauge_canonicalize(g) == bfs_gauge(g)
+
+
 def test_intersection_matrix_loops_and_parallels():
     g = WeightedGraph(
         "plumbing",
@@ -422,8 +508,11 @@ def leading_minors_negative_definite(m):
 def test_negative_definite_matches_leading_minors(data):
     g = data.draw(multigraphs(low=-6))
     subset = data.draw(st.sets(st.sampled_from(sorted(g.vertices))) | st.none())
-    expected = leading_minors_negative_definite(intersection_matrix(g, subset))
-    assert is_negative_definite(g, subset) is expected
+    if subset is not None:
+        g = g.induced(subset)
+    expected = leading_minors_negative_definite(intersection_matrix(g))
+    assert is_negative_definite(g) is expected
+
 
 
 def test_check_snf_rejects_non_unimodular_transforms():
@@ -1044,13 +1133,13 @@ def test_incidence_index_matches_edge_scan_and_moves_copy(g, data):
     assert_index_matches_scan(d)
     moves = []
     for vid in d.vertices:
-        moves += [lambda vid=vid: blow_up(d, OnVertex(vid)),
+        moves += [lambda vid=vid: blow_up(d, vid),
                   lambda vid=vid: blow_down(d, vid)]
         moves += [lambda vid=vid, n=n: elementary_flow(d, vid, n)
                   for n in d.neighbors(vid)]
     if d.edges:
         edge = data.draw(st.sampled_from(d.edges))
-        moves.append(lambda: blow_up(d, OnEdge(edge.v, edge.u)))
+        moves.append(lambda: blow_up(d, edge))
     assert_moves_keep_input(d, moves)
 
 
@@ -1221,8 +1310,8 @@ def unused_imports(path: Path) -> list:
 
 def test_no_module_imports_a_name_it_never_reads():
     """An import left behind when its last reader is deleted fails here,
-    in the library and in scripts/."""
+    in the library, in scripts/ and in tests/."""
     root = Path(__file__).resolve().parents[1]
     paths = sorted([*Path(plumbcalc.__file__).parent.glob("*.py"),
-                    *(root / "scripts").glob("*.py")])
+                    *(root / "scripts").glob("*.py"), *(root / "tests").glob("*.py")])
     assert [hit for path in paths for hit in unused_imports(path)] == []

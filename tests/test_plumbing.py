@@ -25,7 +25,6 @@ from plumbcalc.graphs import (
     graphs_isomorphic,
 )
 from plumbcalc.plumbing import (
-    NormalForm,
     SeifertData,
     _insert,
     continued_fraction_eval,

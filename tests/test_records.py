@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from plumbcalc.divisor import OnEdge, OnVertex, StandardReport, is_standard
+from plumbcalc.divisor import StandardReport, is_standard
 from plumbcalc.family import (
     FamilyParams,
     build_boundary_graph,
@@ -58,8 +58,6 @@ def _records():
         "Segment": (lambda: segments().segments[0],
                     "vertices chain_type attachments"),
         "SegmentReport": (segments, "branching segments"),
-        "OnVertex": (lambda: OnVertex("a"), "vertex"),
-        "OnEdge": (lambda: OnEdge("a", "b"), "u v"),
         "StandardReport": (lambda: is_standard(fam().d_part()),
                            "standard verdicts branching"),
         "FamilyParams": (params, "p1 p2"),
