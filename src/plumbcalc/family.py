@@ -219,12 +219,15 @@ V1_INV, V2_INV = V1.reciprocal(), V2.reciprocal()
 
 
 def _poly_at(coeffs, arg: Laurent) -> Laurent:
-    """Evaluate an ascending-coefficient polynomial at a Laurent value."""
-    out, power = 0 * arg, arg**0
+    """Evaluate an ascending-coefficient polynomial at a Laurent value,
+    adding every term into one dict of coefficients."""
+    out: dict = {}
+    power = arg**0
     for c in coeffs:
-        out = out + power * c
+        for e, x in power.terms.items():
+            out[e] = out[e] + x * c if e in out else x * c
         power = power * arg
-    return out
+    return Laurent(arg.names, out)
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,9 @@ from __future__ import annotations
 import json
 from collections import Counter, defaultdict, namedtuple
 from fractions import Fraction
-from itertools import compress
+from heapq import heappop, heappush
+from itertools import compress, count
+from operator import lt
 
 
 class DomainError(ValueError):
@@ -96,7 +98,13 @@ class WeightedGraph:
             if vid in vs:
                 raise DomainError(f"duplicate vertex id {vid!r}")
             vs[vid] = v
-        es = tuple(sorted(edges, key=_edge_key))
+        es = tuple(edges)
+        # Tuple order is _edge_key order except on a (u, v, -1) edge just
+        # before its (u, v, +1) twin.  A divisor graph raises the same error
+        # on that pair in either order, so its edges skip the keyed sort
+        # when they already increase strictly.
+        if kind != "divisor" or not all(map(lt, es, es[1:])):
+            es = tuple(sorted(es, key=_edge_key))
         around: dict[str, list] = {vid: [] for vid in vs}
         loops: dict[str, tuple] = dict.fromkeys(vs, ())
         divisor, last = kind == "divisor", None
@@ -359,6 +367,19 @@ def _sparse(matrix) -> list:
     return [{j: row[j] for j in compress(range(len(row)), row)} for row in matrix]
 
 
+def _integer_rows(matrix, caller: str) -> list:
+    """`_sparse` rows of a matrix whose nonzero entries must all be ints;
+    DomainError names the first that is not."""
+    rows = _sparse(matrix)
+    for i, row in enumerate(rows):
+        for j, x in row.items():
+            if not isinstance(x, int):
+                raise DomainError(
+                    f"{caller} needs integer entries; entry ({i}, {j}) is {x!r}"
+                )
+    return rows
+
+
 def _bareiss(rows: list, n: int):
     """Sparse integer Bareiss elimination (Bareiss 1968) of the first n
     columns of `rows`, dicts {column: nonzero entry}, in place.
@@ -462,13 +483,13 @@ def det_exact(matrix) -> int:
     """Determinant of a square integer matrix by sparse integer Bareiss
     elimination.
 
-    Raises DomainError on a non-square or ragged matrix.  The empty
-    matrix has determinant 1.
+    Raises DomainError on a non-square or ragged matrix, or on an entry
+    that is not an int.  The empty matrix has determinant 1.
     """
     a = [list(row) for row in matrix]
     if any(len(row) != len(a) for row in a):
         raise DomainError("det_exact needs a square matrix")
-    return _det(_sparse(a))
+    return _det(_integer_rows(a, "det_exact"))
 
 
 def is_negative_definite(g: WeightedGraph) -> bool:
@@ -543,20 +564,33 @@ def smith_normal_form(matrix) -> SNFResult:
     holds the rows that are nonzero in each column.  Every pivot is an
     entry of least absolute value, ties going to the least product of its
     row's and its column's nonzero counts (the Markowitz rule, which
-    limits fill-in).  Nothing is swapped during elimination: the pivot
-    positions are recorded and the transforms permuted once at the end.
+    limits fill-in), then to the least row index, then to the entry that
+    came first in its row's dict.  The entries wait in a heap keyed by
+    (|entry|, product, row, stamp), where an entry's stamp counts the
+    insertions into any row before it, so stamps order a row's entries as
+    its dict does.  A row or column operation marks the rows and columns
+    whose entries or counts it changed, and before the next pivot only
+    their entries are pushed again; an entry popped with a key it no
+    longer has is dropped.  Nothing is swapped during elimination: the
+    pivot positions are recorded and the transforms permuted once at the
+    end.  Entries must be integers (DomainError names the first that is
+    not).
     """
     m = len(matrix)
     n = len(matrix[0]) if m else 0
     if any(len(row) != n for row in matrix):
         raise DomainError("ragged matrix")
-    rows = [{j: y for j, x in r.items() if (y := int(x))} for r in _sparse(matrix)]
+    rows = _integer_rows(matrix, "smith_normal_form")
     cols: list[set] = [set() for _ in range(n)]
     for i, row in enumerate(rows):
         for j in row:
             cols[j].add(i)
     u_inv = [{i: 1} for i in range(m)]  # columns of U^-1
     v_inv = [{j: 1} for j in range(n)]  # rows of V^-1
+    tick = count()
+    stamps = [{j: next(tick) for j in row} for row in rows]
+    heap: list = []
+    dirty_rows, dirty_cols = set(range(m)), set()  # every row is keyed first
 
     def row_op(i, p, f):  # row i -= f * row p, so column p of U^-1 += f * column i
         ri = rows[i]
@@ -565,10 +599,14 @@ def smith_normal_form(matrix) -> SNFResult:
             if y:
                 if c not in ri:
                     cols[c].add(i)
+                    stamps[i][c] = next(tick)
+                    dirty_cols.add(c)
                 ri[c] = y
             else:
                 del ri[c]
                 cols[c].discard(i)
+                dirty_cols.add(c)
+        dirty_rows.add(i)
         _axpy(u_inv[p], u_inv[i], -f)
 
     def col_op(j, q, f):  # col j -= f * col q, so row q of V^-1 += f * row j
@@ -578,25 +616,44 @@ def smith_normal_form(matrix) -> SNFResult:
             if y:
                 if j not in rr:
                     cols[j].add(r)
+                    stamps[r][j] = next(tick)
+                    dirty_rows.add(r)
                 rr[j] = y
             else:
                 del rr[j]
                 cols[j].discard(r)
+                dirty_rows.add(r)
+        dirty_cols.add(j)
         _axpy(v_inv[q], v_inv[j], -f)
 
     live = dict.fromkeys(range(m))  # rows without a pivot yet
-    pivots = []
-    while True:
-        best = None
-        for i in live:
+
+    def next_pivot():  # re-key the marked rows and columns, then pop
+        for i in dirty_rows:
+            if i in live:
+                ri, si = rows[i], stamps[i]
+                size = len(ri)
+                for j, x in ri.items():
+                    heappush(heap, (abs(x), size * len(cols[j]), i, si[j], j))
+        for j in dirty_cols:
+            size = len(cols[j])
+            for i in cols[j]:
+                if i in live:
+                    ri = rows[i]
+                    heappush(heap, (abs(ri[j]), len(ri) * size, i, stamps[i][j], j))
+        dirty_rows.clear()
+        dirty_cols.clear()
+        while heap:
+            a, product, i, s, j = heappop(heap)
             ri = rows[i]
-            size = len(ri)
-            for j, x in ri.items():
-                key = (abs(x), size * len(cols[j]))
-                if best is None or key < best:
-                    best, p, q = key, i, j
-        if best is None:
-            break
+            if (i in live and j in ri and stamps[i][j] == s and abs(ri[j]) == a
+                    and len(ri) * len(cols[j]) == product):
+                return i, j
+        return None
+
+    pivots = []
+    while (pivot := next_pivot()) is not None:
+        p, q = pivot
         while True:
             piv = rows[p][q]
             for r in [r for r in cols[q] if r != p]:

@@ -22,6 +22,7 @@ Conventions used throughout:
 from __future__ import annotations
 
 import math
+from bisect import insort
 from collections import Counter, namedtuple
 from fractions import Fraction
 
@@ -113,7 +114,9 @@ def _contract(g: WeightedGraph, vid: str) -> WeightedGraph:
     With two edges to distinct neighbors u, w the blow-down joins them by
     a new edge of sign -eps*s1*s2; with two edges to the same neighbor u
     the result is a loop at u with that sign and u loses 2*eps.  A divisor
-    blowdown is the case eps = -1 with every sign +1.
+    blowdown is the case eps = -1 with every sign +1; the new edge goes in
+    at its place in tuple order, so a divisor graph's edges stay sorted
+    and its constructor skips the sort.
     """
     at = g.around[vid]
     eps = g.vertices[vid].weight
@@ -123,7 +126,7 @@ def _contract(g: WeightedGraph, vid: str) -> WeightedGraph:
                           {x: -eps * ends.count(x) for x in ends})
     if len(at) == 2:
         (u, s1), (w, s2) = at
-        edges.append(Edge(u, w, -eps * s1 * s2))
+        insort(edges, Edge(u, w, -eps * s1 * s2))
     return WeightedGraph(g.kind, vertices, edges)
 
 
@@ -135,15 +138,17 @@ def _insert(g: WeightedGraph, at, eps: int, new_id: str, s1: int = 1) -> Weighte
     At a vertex id the new vertex hangs off it by an edge of sign s1.  At
     an Edge it subdivides the edge by edges of signs s1 and s2, where
     -eps*s1*s2 is the old sign.  The other end of each new edge gains eps.
-    A divisor blowup is the case eps = -1 with every sign +1.
+    A divisor blowup is the case eps = -1 with every sign +1; as in
+    `_contract`, the new edges go in at their places in tuple order.
     """
+    edges = list(g.edges)
     if isinstance(at, Edge):
-        edges = list(g.edges)
         edges.remove(at)
-        edges += [Edge(at.u, new_id, s1), Edge(new_id, at.v, -eps * s1 * at.sign)]
+        insort(edges, Edge(at.u, new_id, s1))
+        insort(edges, Edge(new_id, at.v, -eps * s1 * at.sign))
         ends = (at.u, at.v)
     else:
-        edges = [*g.edges, Edge(at, new_id, s1)]
+        insort(edges, Edge(at, new_id, s1))
         ends = (at,)
     vertices = reweighted(g.vertices.values(), {x: eps * ends.count(x) for x in ends})
     vertices.append(Vertex(new_id, eps))

@@ -3,7 +3,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from plumbcalc.divisor import is_standard
@@ -11,7 +11,10 @@ from plumbcalc.family import (
     CHART_CASES,
     FamilyParams,
     V1,
+    V1_INV,
     V2,
+    V2_INV,
+    _poly_at,
     build_boundary_graph,
     build_by_blowups,
     picard_check,
@@ -128,6 +131,34 @@ def test_surface_homology_is_plane_like():
 
 
 # -- charts -----------------------------------------------------------------------
+
+
+def horner(coeffs, arg):
+    """The reference evaluation: Horner's rule on whole Laurent values."""
+    out = 0 * arg
+    for c in reversed(coeffs):
+        out = out * arg + c
+    return out
+
+
+POLY_ARGS = [V1, V2, V1_INV, 2 * V1 * V2_INV, V1 + V2, -(V2 + 1) * V1_INV,
+             V1 - V1_INV + Fraction(1, 2), (V1 + 1) * (V2 - 1)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.fractions(min_value=-3, max_value=3, max_denominator=4)
+                | st.just(Fraction(0)), max_size=12).map(tuple),
+       st.sampled_from(POLY_ARGS))
+@example((), V1)
+@example((Fraction(0), Fraction(0)), V1 + V2)
+@example((Fraction(2), Fraction(0), Fraction(1)), V1 - V1_INV)  # constant cancels
+@example((Fraction(1), Fraction(-1)), V1 * V1_INV)  # value 0
+def test_poly_at_matches_horner(coeffs, arg):
+    """Monomial, multi-term and negative-exponent arguments, coefficient
+    tuples empty or holding zeros; terms that cancel leave no entry."""
+    value = _poly_at(coeffs, arg)
+    assert value == horner(coeffs, arg)
+    assert value.names == arg.names and all(value.terms.values())
 
 
 def test_chart_polynomial_identities():

@@ -3,6 +3,7 @@ isomorphism."""
 
 import ast
 import gc
+import importlib
 import itertools
 import json
 import math
@@ -137,6 +138,69 @@ def test_plumbing_kind_allows_all_of_those():
     )
     assert len(g.edges) == 3
     assert branching_number(g, "b") == 4  # loop counts twice
+
+
+@st.composite
+def edge_lists(draw):
+    """(kind, vertices, edges): plumbing multigraphs with loops and signed
+    parallel edges, or divisor graphs, in the constructor's edge order."""
+    if draw(st.booleans()):
+        g = draw(multigraphs())
+    else:
+        ids = [f"n{i}" for i in range(draw(st.integers(1, 7)))]
+        pairs = list(itertools.combinations(ids, 2))
+        chosen = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=10)) if pairs else []
+        g = WeightedGraph("divisor", [Vertex(x, draw(st.integers(-3, 1))) for x in ids],
+                          [Edge(u, v) for u, v in chosen])
+    return g.kind, list(g.vertices.values()), list(g.edges)
+
+
+@settings(max_examples=200, deadline=None)
+@given(edge_lists(), st.randoms(use_true_random=False))
+def test_edge_order_does_not_change_the_graph(case, rng):
+    """Presorted, reversed and shuffled edge lists build the same graph:
+    the same edges in the same order and the same incidence index."""
+    kind, vs, es = case
+    shuffled = list(es)
+    rng.shuffle(shuffled)
+    built = [WeightedGraph(kind, vs, order)
+             for order in (es, tuple(es), es[::-1], shuffled)]
+    for g in built:
+        assert g == built[0]
+        assert (g.edges, g.around, g.loops) == (built[0].edges, built[0].around,
+                                                  built[0].loops)
+        assert list(g.edges) == sorted(es, key=graphs._edge_key)
+
+
+def test_edge_order_among_parallel_edges_is_plus_first():
+    """Tuple order puts a -1 edge before its +1 twin; the constructor puts
+    the +1 edge first whichever order they come in."""
+    vs = [Vertex("a", 0), Vertex("b", 0)]
+    minus, plus = Edge("a", "b", -1), Edge("a", "b")
+    for es in ([minus, plus], [plus, minus], [plus, minus, minus], [minus, plus, minus]):
+        g = WeightedGraph("plumbing", vs, es)
+        assert g.edges == (plus, *[minus] * (len(es) - 1))
+        assert g.around["a"] == [("b", 1), *[("b", -1)] * (len(es) - 1)]
+
+
+@pytest.mark.parametrize("edges, message", [
+    ([Edge("a", "b"), Edge("b", "b")], "cannot carry loops"),
+    ([Edge("a", "a"), Edge("a", "b")], "cannot carry loops"),
+    ([Edge("a", "b", -1), Edge("a", "b")], "only \\+1 edges"),
+    ([Edge("a", "b"), Edge("a", "b", -1)], "only \\+1 edges"),
+    ([Edge("a", "b", -1), Edge("b", "c")], "only \\+1 edges"),
+    ([Edge("a", "b"), Edge("a", "b")], "cannot carry multi-edges \\('a','b'\\)"),
+    ([Edge("a", "b"), Edge("b", "c"), Edge("b", "c")], "multi-edges \\('b','c'\\)"),
+    ([Edge("a", "b"), Edge("b", "z")], "references missing vertex"),
+])
+def test_divisor_rules_hold_on_presorted_edges(edges, message):
+    """Most of these lists increase strictly, so the constructor takes them
+    without its keyed sort; every divisor rule still raises on them, and
+    on their reversals with the same message."""
+    vs = [Vertex(x, -2) for x in "abc"]
+    for es in edges, edges[::-1]:
+        with pytest.raises(DomainError, match=message):
+            WeightedGraph("divisor", vs, es)
 
 
 def test_structural_equality_ignores_labels():
@@ -488,6 +552,29 @@ def test_det_exact_rejects_non_square_or_ragged(m):
         det_exact(m)
 
 
+@pytest.mark.parametrize("m, where", [
+    ([[Fraction(1, 2), 1], [1, Fraction(1, 3)]], r"entry \(0, 0\) is Fraction\(1, 2\)"),
+    ([[1.5, 0], [0, 2]], r"entry \(0, 0\) is 1\.5"),
+    ([[Fraction(3, 2), 0], [0, 2]], r"entry \(0, 0\) is Fraction\(3, 2\)"),
+    ([[1, 0], [0, 2.0]], r"entry \(1, 1\) is 2\.0"),
+    ([[0, 0], [0, Fraction(4, 2)]], r"entry \(1, 1\) is Fraction\(2, 1\)"),
+])
+def test_exact_kernels_reject_non_integer_entries(m, where):
+    """det_exact returned -1 for the first matrix (its determinant is
+    -5/6) and the float 3.0 for the second, and smith_normal_form
+    truncated the third's 3/2 to 1 and then failed its own recomposition
+    check."""
+    for kernel in det_exact, smith_normal_form:
+        with pytest.raises(DomainError, match=f"{kernel.__name__} needs integer entries; {where}"):
+            kernel(m)
+
+
+def test_exact_kernels_check_only_nonzero_entries():
+    # zeros of any type are skipped, as the sparse rows skip them
+    assert det_exact([[2, 0.0], [Fraction(0), 3]]) == 6
+    assert smith_normal_form([[2, 0.0], [Fraction(0), 3]]).diagonal == (1, 6)
+
+
 def test_negative_definite_chain_but_not_zero_vertex():
     assert is_negative_definite(chain(-2, -2, -2))
     assert not is_negative_definite(chain(0, -2))
@@ -644,6 +731,145 @@ def test_smith_normal_form_properties(rows):
     for a, b in zip(diag, diag[1:]):
         if b:
             assert a != 0 and b % a == 0
+
+
+def scan_smith_normal_form(matrix) -> SNFResult:
+    """The pivot choice `smith_normal_form` makes, found by scanning every
+    entry of every row that has no pivot yet before each pivot: least
+    (|entry|, row count * column count), then least row, then first in
+    the row's dict.  Otherwise the same elimination; the oracle for the
+    pivot queue, whose results must be equal, transforms included."""
+    m = len(matrix)
+    n = len(matrix[0]) if m else 0
+    rows = graphs._sparse(matrix)
+    cols = [set() for _ in range(n)]
+    for i, row in enumerate(rows):
+        for j in row:
+            cols[j].add(i)
+    u_inv = [{i: 1} for i in range(m)]
+    v_inv = [{j: 1} for j in range(n)]
+
+    def row_op(i, p, f):
+        ri = rows[i]
+        for c, x in rows[p].items():
+            y = ri.get(c, 0) - f * x
+            if y:
+                if c not in ri:
+                    cols[c].add(i)
+                ri[c] = y
+            else:
+                del ri[c]
+                cols[c].discard(i)
+        graphs._axpy(u_inv[p], u_inv[i], -f)
+
+    def col_op(j, q, f):
+        for r in cols[q]:
+            rr = rows[r]
+            y = rr.get(j, 0) - f * rr[q]
+            if y:
+                if j not in rr:
+                    cols[j].add(r)
+                rr[j] = y
+            else:
+                del rr[j]
+                cols[j].discard(r)
+        graphs._axpy(v_inv[q], v_inv[j], -f)
+
+    live = dict.fromkeys(range(m))
+    pivots = []
+    while True:
+        best = None
+        for i in live:
+            ri = rows[i]
+            for j, x in ri.items():
+                key = (abs(x), len(ri) * len(cols[j]))
+                if best is None or key < best:
+                    best, p, q = key, i, j
+        if best is None:
+            break
+        while True:
+            piv = rows[p][q]
+            for r in [r for r in cols[q] if r != p]:
+                f = rows[r][q] // piv
+                if f:
+                    row_op(r, p, f)
+            rest = [r for r in cols[q] if r != p]
+            if rest:
+                p = min(rest, key=lambda r: abs(rows[r][q]))
+                continue
+            for j in [j for j in rows[p] if j != q]:
+                f = rows[p][j] // piv
+                if f:
+                    col_op(j, q, f)
+            rest = [j for j in rows[p] if j != q]
+            if rest:
+                q = min(rest, key=lambda j: abs(rows[p][j]))
+                continue
+            if piv not in (1, -1):
+                r = next((r for r in live
+                          if r != p and any(x % piv for x in rows[r].values())), None)
+                if r is not None:
+                    row_op(p, r, -1)
+                    continue
+            break
+        if piv < 0:
+            rows[p][q] = -piv
+            u_inv[p] = {c: -x for c, x in u_inv[p].items()}
+        del live[p]
+        pivots.append((p, q))
+    row_order = [p for p, _ in pivots] + list(live)
+    done = {q for _, q in pivots}
+    col_order = [q for _, q in pivots] + [j for j in range(n) if j not in done]
+    d = [{} for _ in range(m)]
+    for t, (p, q) in enumerate(pivots):
+        d[t][t] = rows[p][q]
+    return SNFResult(
+        tuple(tuple(row) for row in matrix),
+        graphs._dense(d, n),
+        tuple(zip(*graphs._dense([u_inv[i] for i in row_order], m))),
+        graphs._dense([v_inv[j] for j in col_order], n),
+    )
+
+
+@st.composite
+def tie_heavy_matrices(draw, entries=(-2, -1, 1, 2)):
+    """Sparse matrices of any shape up to 12 x 12 with some rows and
+    columns all zero.  The default entries, -2..2, tie often on |entry|
+    and on the Markowitz product; entries with common factors make pivots
+    that must be mended by adding a row."""
+    m, n = draw(st.integers(1, 12)), draw(st.integers(1, 12))
+    zero_rows = draw(st.sets(st.integers(0, m - 1), max_size=m))
+    zero_cols = draw(st.sets(st.integers(0, n - 1), max_size=n))
+    density = draw(st.sampled_from([0.2, 0.5, 0.8]))
+    entry = st.sampled_from(entries)
+    return [[draw(entry) if i not in zero_rows and j not in zero_cols
+             and draw(st.floats(0, 1)) < density else 0
+             for j in range(n)] for i in range(m)]
+
+
+@settings(max_examples=500, deadline=None)
+@given(tie_heavy_matrices() | tie_heavy_matrices((-6, -4, 2, 3, 9))
+       | multigraphs(low=-3).map(intersection_matrix))
+# a remainder takes over as pivot row, so the row operations made before
+# it changed counts of columns that no column operation then clears
+@example([[4, 2, 0, 0, 0], [4, 0, 2, 9, 3], [2, 0, 0, 3, 0], [4, -6, 9, 0, 0]])
+# a column operation fills in row 0 at column 0, after column 1 in the
+# row's dict; the two entries then tie, and the scan takes column 1
+@example([[0, 6, 2], [6, 3, 3]])
+def test_pivot_queue_matches_the_scan(a):
+    assert smith_normal_form(a) == scan_smith_normal_form(a)
+
+
+@pytest.mark.parametrize("d", [2, 8, 32, 48, 160])
+def test_pivot_queue_matches_the_scan_on_family_matrices(d):
+    """Every rung of the benchmark ladder and (160, 161): the boundary
+    graph, its plumbing graph (whose matrix h1_from_graph reduces) and
+    that graph's normal form."""
+    fam = build_boundary_graph(d, d + 1)
+    plumbed = from_divisor_graph(fam.d_part())
+    for g in fam.graph, plumbed, normalize(plumbed).graph:
+        a = intersection_matrix(g)
+        assert smith_normal_form(a) == scan_smith_normal_form(a)
 
 
 def test_cokernel_examples():
@@ -1247,6 +1473,31 @@ def references(node, mod, defs, imports):
             yield hit
 
 
+def traced_names() -> list:
+    """(module, name) for each library function that perfbench/tracing.py
+    wraps, read from its TRACED literal without importing perfbench."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    for node in ast.parse(path.read_text(encoding="utf-8")).body:
+        if isinstance(node, ast.Assign) and ast.unparse(node.targets[0]) == "TRACED":
+            return [(mod, name) for mod, names in ast.literal_eval(node.value).items()
+                    for name in names]
+    raise AssertionError("perfbench/tracing.py defines no TRACED")
+
+
+def test_every_name_the_tracer_patches_is_a_library_callable():
+    """The tracer rebinds each TRACED name in its module, and
+    `WeightedGraph.__init__` and `edges_at` on the class, to count calls
+    and time spans.  A change that renames or inlines one of them fails
+    here, not first in a traced benchmark run."""
+    named = traced_names()
+    assert named
+    for mod, name in named:
+        module = importlib.import_module(f"plumbcalc.{mod}")
+        assert callable(getattr(module, name, None)), f"{mod}.{name}"
+    for name in "__init__", "edges_at":
+        assert callable(vars(WeightedGraph).get(name)), f"WeightedGraph.{name}"
+
+
 def test_every_library_definition_is_reached_or_listed():
     """Walk the library from its entry points: `cli.main`, the move
     registry `divisor.MOVES`, and the names the benchmark calls
@@ -1264,10 +1515,7 @@ def test_every_library_definition_is_reached_or_listed():
         if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Attribute)
                 and node.value.attr in imports):
             roots.append((node.value.attr, node.attr))
-    for node in ast.parse((bench / "tracing.py").read_text(encoding="utf-8")).body:
-        if isinstance(node, ast.Assign) and ast.unparse(node.targets[0]) == "TRACED":
-            roots += [(mod, name) for mod, names in ast.literal_eval(node.value).items()
-                      for name in names]
+    roots += traced_names()
     assert set(roots) <= defs.keys()
     reached, stack = set(), roots
     while stack:
