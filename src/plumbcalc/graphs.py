@@ -508,31 +508,6 @@ def is_negative_definite(g: WeightedGraph) -> bool:
     return True
 
 
-class SNFResult(namedtuple("SNFResult", "matrix D U_inv V_inv")):
-    """U_inv @ D @ V_inv == A with D in Smith normal form.  U_inv and V_inv
-    are integer matrices of determinant +-1, so U = U_inv^-1 and
-    V = V_inv^-1 are integer unimodular matrices with U @ A @ V == D."""
-
-    __slots__ = ()
-
-    @property
-    def diagonal(self) -> tuple:
-        if not self.D or not self.D[0]:
-            return ()
-        return tuple(self.D[i][i] for i in range(min(len(self.D), len(self.D[0]))))
-
-
-def _dense(rows, n: int) -> tuple:
-    """Sparse rows back to a tuple of n-wide rows."""
-    out = []
-    for r in rows:
-        row = [0] * n
-        for j, x in r.items():
-            row[j] = x
-        out.append(tuple(row))
-    return tuple(out)
-
-
 def _axpy(dst: dict, src: dict, f: int) -> None:
     """dst -= f * src, in place, on sparse rows."""
     for k, x in src.items():
@@ -543,25 +518,12 @@ def _axpy(dst: dict, src: dict, f: int) -> None:
             del dst[k]
 
 
-def _sparse_mul(a: list, b: list) -> list:
-    """Product of two integer matrices given as sparse rows."""
-    out = []
-    for row in a:
-        acc: dict = {}
-        for k, x in row.items():
-            for j, y in b[k].items():
-                acc[j] = acc.get(j, 0) + x * y
-        out.append({j: z for j, z in acc.items() if z})
-    return out
+def smith_normal_form(matrix) -> tuple:
+    """The Smith diagonal over Z of an m x n integer matrix: min(m, n)
+    entries, non-negative, each dividing the next, zeros last.
 
-
-def smith_normal_form(matrix) -> SNFResult:
-    """Smith normal form over Z with the inverses of its unimodular
-    transforms.
-
-    Diagonal entries are non-negative and each divides the next.  The
-    elimination keeps only nonzero entries: each row is a dict and `cols`
-    holds the rows that are nonzero in each column.  Every pivot is an
+    The elimination keeps only nonzero entries: each row is a dict and
+    `cols` holds the rows that are nonzero in each column.  Every pivot is an
     entry of least absolute value, ties going to the least product of its
     row's and its column's nonzero counts (the Markowitz rule, which
     limits fill-in), then to the least row index, then to the entry that
@@ -572,15 +534,17 @@ def smith_normal_form(matrix) -> SNFResult:
     whose entries or counts it changed, and before the next pivot only
     their entries are pushed again; an entry popped with a key it no
     longer has is dropped.  Nothing is swapped during elimination: the
-    pivot positions are recorded and the transforms permuted once at the
-    end.  Entries must be integers (DomainError names the first that is
-    not).
+    pivot positions are recorded, and once at the end they pair the
+    sparse columns of U^-1 and rows of V^-1 that the operations built,
+    with which `_check_snf` proves the diagonal before it is returned.
+    Entries must be integers (DomainError names the first that is not).
     """
     m = len(matrix)
     n = len(matrix[0]) if m else 0
     if any(len(row) != n for row in matrix):
         raise DomainError("ragged matrix")
     rows = _integer_rows(matrix, "smith_normal_form")
+    a = [dict(row) for row in rows]
     cols: list[set] = [set() for _ in range(n)]
     for i, row in enumerate(rows):
         for j in row:
@@ -687,45 +651,53 @@ def smith_normal_form(matrix) -> SNFResult:
         del live[p]
         pivots.append((p, q))
 
-    row_order = [p for p, _ in pivots] + list(live)
     done = {q for _, q in pivots}
-    col_order = [q for _, q in pivots] + [j for j in range(n) if j not in done]
-    d = [{} for _ in range(m)]
-    for t, (p, q) in enumerate(pivots):
-        d[t][t] = rows[p][q]
-    result = SNFResult(
-        tuple(tuple(row) for row in matrix),
-        _dense(d, n),
-        tuple(zip(*_dense([u_inv[i] for i in row_order], m))),
-        _dense([v_inv[j] for j in col_order], n),
+    diagonal = tuple(rows[p][q] for p, q in pivots)
+    diagonal += (0,) * (min(m, n) - len(pivots))
+    _check_snf(
+        a,
+        diagonal,
+        [u_inv[p] for p, _ in pivots] + [u_inv[i] for i in live],
+        [v_inv[q] for _, q in pivots] + [v_inv[j] for j in range(n) if j not in done],
     )
-    _check_snf(result)
-    return result
+    return diagonal
 
 
-def _check_snf(res: SNFResult) -> None:
-    """Prove the result exactly: U_inv D V_inv == A, and det U_inv and
-    det V_inv are +-1, so their inverses U and V are integer unimodular
-    matrices with U A V == D; and D is diagonal in Smith order."""
-    m, n = len(res.matrix), len(res.V_inv)
-    for mat, r, c in ((res.matrix, m, n), (res.D, m, n), (res.U_inv, m, m),
-                      (res.V_inv, n, n)):
-        if len(mat) != r or any(len(row) != c for row in mat):
-            raise AssertionError("SNF shapes disagree")
-    a, d, u_inv, v_inv = map(_sparse, (res.matrix, res.D, res.U_inv, res.V_inv))
-    if _sparse_mul(_sparse_mul(u_inv, d), v_inv) != a:
+def _check_snf(a: list, diagonal: tuple, u_inv: list, v_inv: list) -> None:
+    """Prove a Smith diagonal of the matrix whose sparse rows are `a`.
+
+    u_inv holds the m columns of U^-1 and v_inv the n rows of V^-1, both
+    sparse and in pivot order, so the t-th of each belongs to diagonal
+    entry t.  The proof: U^-1 D V^-1 == A, that is, the sum over t of
+    diagonal[t] * (column t of U^-1)(row t of V^-1) is A; det U^-1 and
+    det V^-1 are +-1, so their inverses U and V are integer unimodular
+    matrices with U A V == D; and the diagonal is in Smith order.
+    """
+    m, n = len(a), len(v_inv)
+    if (len(u_inv) != m or len(diagonal) != min(m, n)
+            or any(not 0 <= i < m for col in u_inv for i in col)
+            or any(not 0 <= j < n for row in v_inv for j in row)):
+        raise AssertionError("SNF shapes disagree")
+    product = [{} for _ in range(m)]
+    for x, col, row in zip(diagonal, u_inv, v_inv):
+        if x:
+            for i, y in col.items():
+                out, xy = product[i], x * y
+                for j, z in row.items():
+                    out[j] = out.get(j, 0) + xy * z
+    if [{j: x for j, x in r.items() if x} for r in product] != a:
         raise AssertionError("SNF recomposition failed")
-    if abs(_det(u_inv)) != 1 or abs(_det(v_inv)) != 1:
+    # _det reads columns as rows, which leaves |det| alone, and it
+    # eliminates in place, so it gets copies
+    if (abs(_det([dict(col) for col in u_inv])) != 1
+            or abs(_det([dict(row) for row in v_inv])) != 1):
         raise AssertionError("SNF transform not unimodular")
-    if any(j != i for i, row in enumerate(d) for j in row):
-        raise AssertionError("SNF matrix not diagonal")
-    diag = res.diagonal
-    for i, x in enumerate(diag):
+    for i, x in enumerate(diagonal):
         if x < 0:
             raise AssertionError("SNF diagonal entry negative")
-        if i and diag[i - 1] and x % diag[i - 1]:
+        if i and diagonal[i - 1] and x % diagonal[i - 1]:
             raise AssertionError("SNF divisibility violated")
-        if i and x and not diag[i - 1]:
+        if i and x and not diagonal[i - 1]:
             raise AssertionError("SNF zero ordering violated")
 
 
@@ -752,11 +724,13 @@ class AbelianGroup(namedtuple("AbelianGroup", "rank torsion", defaults=((),))):
 
 
 def cokernel(matrix) -> AbelianGroup:
-    """Z^m / (column space of the m x n matrix) as an abelian group."""
+    """Z^m / (column space of the m x n matrix) as an abelian group, read
+    off the Smith diagonal: each of the m rows without a nonzero diagonal
+    entry gives a Z, each entry above 1 a torsion summand."""
     m = len(matrix)
     if m == 0:
         return AbelianGroup(0)
-    diag = smith_normal_form(matrix).diagonal
+    diag = smith_normal_form(matrix)
     torsion = tuple(sorted(d for d in diag if d > 1))
     rank = m - sum(1 for d in diag if d != 0)
     return AbelianGroup(rank, torsion)

@@ -571,9 +571,13 @@ class Laurent:
     def __pow__(self, n: int):
         if n < 0:
             raise DomainError("Laurent powers must be >= 0; use reciprocal()")
-        out = self._coerce(1)
-        for _ in range(n):
-            out = out * self
+        out, square = self._coerce(1), self
+        while n:  # repeated squaring: about 2 log2(n) products, not n
+            if n & 1:
+                out = out * square
+            n >>= 1
+            if n:
+                square = square * square
         return out
 
     def __eq__(self, other):

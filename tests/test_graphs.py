@@ -32,7 +32,6 @@ from plumbcalc.graphs import (
     DomainError,
     Edge,
     OutOfScopeError,
-    SNFResult,
     Vertex,
     WeightedGraph,
     _check_snf,
@@ -54,14 +53,17 @@ from plumbcalc.graphs import (
     spanning_forest,
 )
 from plumbcalc.family import build_boundary_graph
+from plumbcalc.invariants import abelianization, pi1_presentation
 from plumbcalc.plumbing import (
     _insert,
     flip_vertex_signs,
     from_divisor_graph,
     gauge_canonicalize,
+    h1_from_graph,
     move_R1,
     move_R3,
     normalize,
+    reverse_orientation,
 )
 
 
@@ -572,7 +574,7 @@ def test_exact_kernels_reject_non_integer_entries(m, where):
 def test_exact_kernels_check_only_nonzero_entries():
     # zeros of any type are skipped, as the sparse rows skip them
     assert det_exact([[2, 0.0], [Fraction(0), 3]]) == 6
-    assert smith_normal_form([[2, 0.0], [Fraction(0), 3]]).diagonal == (1, 6)
+    assert smith_normal_form([[2, 0.0], [Fraction(0), 3]]) == (1, 6)
 
 
 def test_negative_definite_chain_but_not_zero_vertex():
@@ -602,67 +604,107 @@ def test_negative_definite_matches_leading_minors(data):
 
 
 
+def snf_proof(matrix) -> tuple:
+    """The arguments `smith_normal_form` gives `_check_snf`: a copy of the
+    input's sparse rows, the diagonal it returns, the columns of U^-1 and
+    the rows of V^-1."""
+    seen = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(graphs, "_check_snf", lambda *args: seen.append(args) or _check_snf(*args))
+        diagonal = smith_normal_form(matrix)
+    (args,) = seen
+    assert args[1] == diagonal
+    return args
+
+
+def dense(entries, width):
+    """Sparse rows, or columns, as lists of width entries."""
+    return [[e.get(j, 0) for j in range(width)] for e in entries]
+
+
+def bumped(entries, t, k):
+    """A copy of the sparse rows (or columns) with entry k of the t-th
+    raised by one."""
+    out = [dict(e) for e in entries]
+    out[t][k] = out[t].get(k, 0) + 1
+    return out
+
+
+def doubled(entries, t):
+    return [{k: 2 * x for k, x in e.items()} if s == t else dict(e)
+            for s, e in enumerate(entries)]
+
+
+def with_index(entries, t, k):
+    """A copy with an entry 1 at index k, out of range, in the t-th."""
+    out = [dict(e) for e in entries]
+    out[t][k] = 1
+    return out
+
+
+def snf_tamperings() -> list:
+    """(arguments to _check_snf, the message it must raise) for each check,
+    each argument list wrong in one way."""
+    a, diag, u, v = snf_proof([[2, 4, 4], [-6, 6, 12], [10, 4, 16]])
+    # rank 2: the last diagonal entry is zero, so the last column of
+    # U^-1 and the last row of V^-1 are not seen by the recomposition
+    sa, sdiag, su, sv = snf_proof([[2, 4, 4], [-6, 6, 12], [4, 8, 8]])
+    assert sdiag[2] == 0
+    return [
+        ((a, diag[:2] + (diag[2] + 1,), u, v), "SNF recomposition failed"),
+        ((a, diag, bumped(u, 0, 1), v), "SNF recomposition failed"),
+        ((a, diag, u, bumped(v, 2, 1)), "SNF recomposition failed"),
+        # these recompose, but each transform has determinant +-2
+        ((sa, sdiag, doubled(su, 2), sv), "SNF transform not unimodular"),
+        ((sa, sdiag, su, doubled(sv, 2)), "SNF transform not unimodular"),
+        ((a, diag, u[:2], v), "SNF shapes disagree"),
+        ((sa, sdiag[:2], su, sv), "SNF shapes disagree"),
+        # an index past the end would fail the recomposition with an
+        # IndexError; in a column or row the recomposition never reads,
+        # it would pass unseen
+        ((a, diag, with_index(u, 0, 3), v), "SNF shapes disagree"),
+        ((sa, sdiag, with_index(su, 2, 3), sv), "SNF shapes disagree"),
+        ((sa, sdiag, su, with_index(sv, 2, -1)), "SNF shapes disagree"),
+        # identity transforms: each recomposes, out of Smith order
+        (([{0: -1}], (-1,), [{0: 1}], [{0: 1}]), "SNF diagonal entry negative"),
+        (([{0: 2}, {1: 3}], (2, 3), [{0: 1}, {1: 1}], [{0: 1}, {1: 1}]),
+         "SNF divisibility violated"),
+        (([{}, {1: 1}], (0, 1), [{0: 1}, {1: 1}], [{0: 1}, {1: 1}]),
+         "SNF zero ordering violated"),
+    ]
+
+
 def test_check_snf_rejects_non_unimodular_transforms():
     # each recomposes (U_inv D V_inv == A), but U_inv or V_inv has
     # determinant 2, so its inverse is not an integer matrix
     for u, v in (2, 1), (1, 2):
-        res = SNFResult(((2,),), ((1,),), ((u,),), ((v,),))
         with pytest.raises(AssertionError, match="SNF transform not unimodular"):
-            _check_snf(res)
+            _check_snf([{0: 2}], (1,), [{0: u}], [{0: v}])
 
 
-def test_check_snf_rejects_non_unimodular_transforms_under_python_O():
+def test_check_snf_rejects_tampered_results():
+    for args in snf_proof([[2, 4, 4], [-6, 6, 12], [10, 4, 16]]), snf_proof([[0, 0], [0, 0]]):
+        _check_snf(*args)
+    for args, message in snf_tamperings():
+        with pytest.raises(AssertionError, match=message):
+            _check_snf(*args)
+
+
+def test_check_snf_rejects_tampered_results_under_python_O():
     code = (
-        "from plumbcalc.graphs import SNFResult, _check_snf\n"
-        "for u, v in (2, 1), (1, 2):\n"
+        "from plumbcalc.graphs import _check_snf\n"
+        "from test_graphs import snf_tamperings\n"
+        "for args, _ in snf_tamperings():\n"
         "    try:\n"
-        "        _check_snf(SNFResult(((2,),), ((1,),), ((u,),), ((v,),)))\n"
+        "        _check_snf(*args)\n"
         "    except AssertionError as e:\n"
         "        print(e)\n"
     )
     src = str(Path(plumbcalc.__file__).resolve().parent.parent)
-    env = {**os.environ, "PYTHONPATH": src}
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, str(Path(__file__).parent)])}
     out = subprocess.run([sys.executable, "-O", "-c", code], env=env,
                          capture_output=True, text=True, timeout=60, check=True)
-    assert out.stdout == "SNF transform not unimodular\n" * 2
-
-
-def bumped(mat, i, j):
-    rows = [list(r) for r in mat]
-    rows[i][j] += 1
-    return tuple(map(tuple, rows))
-
-
-def doubled(mat, i=None, j=None):
-    """A copy with row i, or column j, doubled."""
-    return tuple(tuple(2 * x if r == i or c == j else x for c, x in enumerate(row))
-                 for r, row in enumerate(mat))
-
-
-def test_check_snf_rejects_tampered_results():
-    res = smith_normal_form([[2, 4, 4], [-6, 6, 12], [10, 4, 16]])
-    _check_snf(res)
-    # rank 2: the last diagonal entry of D is zero, so the last column of
-    # U_inv and the last row of V_inv are not seen by the recomposition
-    singular = smith_normal_form([[2, 4, 4], [-6, 6, 12], [4, 8, 8]])
-    _check_snf(singular)
-    assert singular.diagonal[2] == 0
-    eye = ((1, 0), (0, 1))
-    swap = ((0, 1), (1, 0))
-    for bad, message in [
-        (res._replace(D=bumped(res.D, 2, 2)), "SNF recomposition failed"),
-        (res._replace(D=bumped(res.D, 0, 1)), "SNF recomposition failed"),
-        (res._replace(U_inv=bumped(res.U_inv, 1, 0)), "SNF recomposition failed"),
-        (res._replace(V_inv=bumped(res.V_inv, 2, 1)), "SNF recomposition failed"),
-        # these recompose, but each transform has determinant +-2
-        (singular._replace(U_inv=doubled(singular.U_inv, j=2)), "SNF transform not unimodular"),
-        (singular._replace(V_inv=doubled(singular.V_inv, i=2)), "SNF transform not unimodular"),
-        (res._replace(U_inv=res.U_inv[:2]), "SNF shapes disagree"),
-        # recomposes with identity transforms, but D is not diagonal
-        (SNFResult(swap, swap, eye, eye), "SNF matrix not diagonal"),
-    ]:
-        with pytest.raises(AssertionError, match=message):
-            _check_snf(bad)
+    assert out.stdout == "".join(f"{message}\n" for _, message in snf_tamperings())
 
 
 @st.composite
@@ -680,7 +722,7 @@ def sparse_matrices(draw, max_rows, max_cols):
 @given(sparse_matrices(4, 5))
 def test_snf_diagonal_products_are_gcds_of_minors(a):
     """d_1 * ... * d_k is the gcd of all k x k minors."""
-    diag = smith_normal_form(a).diagonal
+    diag = smith_normal_form(a)
     rows, cols = range(len(a)), range(len(a[0]))
     product = 1
     for k in range(1, len(diag) + 1):
@@ -698,13 +740,13 @@ def test_smith_normal_form_matches_sympy(a):
     from sympy.matrices.normalforms import smith_normal_form as sympy_snf
 
     s = sympy_snf(sympy.Matrix(a), domain=sympy.ZZ)
-    assert smith_normal_form(a).diagonal == tuple(abs(int(s[i, i])) for i in range(min(s.shape)))
+    assert smith_normal_form(a) == tuple(abs(int(s[i, i])) for i in range(min(s.shape)))
 
 
 def test_smith_normal_form_factors_and_divisibility():
     m = [[2, 4, 4], [-6, 6, 12], [10, 4, 16]]
-    res = smith_normal_form(m)
-    assert res.diagonal == (2, 2, 156)
+    _, diag, u, v = snf_proof(m)
+    assert diag == (2, 2, 156)
     # the recorded inverse transforms really factor the input, and they
     # are unimodular, so U = U_inv^-1 and V = V_inv^-1 give U m V == D
     def matmul(a, b):
@@ -712,8 +754,10 @@ def test_smith_normal_form_factors_and_divisibility():
             [sum(a[i][k] * b[k][j] for k in range(len(b))) for j in range(len(b[0]))]
             for i in range(len(a))
         ]
-    assert matmul(matmul(res.U_inv, res.D), res.V_inv) == m
-    assert abs(leibniz_det(res.U_inv)) == abs(leibniz_det(res.V_inv)) == 1
+    u_inv = [list(col) for col in zip(*dense(u, 3))]
+    d = [[x if i == j else 0 for j in range(3)] for i, x in enumerate(diag)]
+    assert matmul(matmul(u_inv, d), dense(v, 3)) == m
+    assert abs(leibniz_det(u_inv)) == abs(leibniz_det(dense(v, 3))) == 1
 
 
 @settings(max_examples=60, deadline=None)
@@ -725,20 +769,20 @@ def test_smith_normal_form_factors_and_divisibility():
     ).filter(lambda rows: len({len(r) for r in rows}) == 1)
 )
 def test_smith_normal_form_properties(rows):
-    res = smith_normal_form(rows)
-    diag = res.diagonal
+    diag = smith_normal_form(rows)
     assert all(d >= 0 for d in diag)
     for a, b in zip(diag, diag[1:]):
         if b:
             assert a != 0 and b % a == 0
 
 
-def scan_smith_normal_form(matrix) -> SNFResult:
+def scan_smith_normal_form(matrix) -> tuple:
     """The pivot choice `smith_normal_form` makes, found by scanning every
     entry of every row that has no pivot yet before each pivot: least
     (|entry|, row count * column count), then least row, then first in
     the row's dict.  Otherwise the same elimination; the oracle for the
-    pivot queue, whose results must be equal, transforms included."""
+    pivot queue.  Returns what `snf_proof` does, which must be equal,
+    transforms included."""
     m = len(matrix)
     n = len(matrix[0]) if m else 0
     rows = graphs._sparse(matrix)
@@ -817,17 +861,13 @@ def scan_smith_normal_form(matrix) -> SNFResult:
             u_inv[p] = {c: -x for c, x in u_inv[p].items()}
         del live[p]
         pivots.append((p, q))
-    row_order = [p for p, _ in pivots] + list(live)
     done = {q for _, q in pivots}
-    col_order = [q for _, q in pivots] + [j for j in range(n) if j not in done]
-    d = [{} for _ in range(m)]
-    for t, (p, q) in enumerate(pivots):
-        d[t][t] = rows[p][q]
-    return SNFResult(
-        tuple(tuple(row) for row in matrix),
-        graphs._dense(d, n),
-        tuple(zip(*graphs._dense([u_inv[i] for i in row_order], m))),
-        graphs._dense([v_inv[j] for j in col_order], n),
+    diagonal = tuple(rows[p][q] for p, q in pivots) + (0,) * (min(m, n) - len(pivots))
+    return (
+        graphs._sparse(matrix),
+        diagonal,
+        [u_inv[p] for p, _ in pivots] + [u_inv[i] for i in live],
+        [v_inv[q] for _, q in pivots] + [v_inv[j] for j in range(n) if j not in done],
     )
 
 
@@ -857,7 +897,7 @@ def tie_heavy_matrices(draw, entries=(-2, -1, 1, 2)):
 # row's dict; the two entries then tie, and the scan takes column 1
 @example([[0, 6, 2], [6, 3, 3]])
 def test_pivot_queue_matches_the_scan(a):
-    assert smith_normal_form(a) == scan_smith_normal_form(a)
+    assert snf_proof(a) == scan_smith_normal_form(a)
 
 
 @pytest.mark.parametrize("d", [2, 8, 32, 48, 160])
@@ -869,7 +909,7 @@ def test_pivot_queue_matches_the_scan_on_family_matrices(d):
     plumbed = from_divisor_graph(fam.d_part())
     for g in fam.graph, plumbed, normalize(plumbed).graph:
         a = intersection_matrix(g)
-        assert smith_normal_form(a) == scan_smith_normal_form(a)
+        assert snf_proof(a) == scan_smith_normal_form(a)
 
 
 def test_cokernel_examples():
@@ -878,6 +918,24 @@ def test_cokernel_examples():
     assert cokernel([[2, 0], [0, 4]]) == AbelianGroup(0, (2, 4))
     assert cokernel([[0, 0]]) == AbelianGroup(1, ())
     assert cokernel([[1]]) == AbelianGroup(0, ())
+
+
+def test_smith_normal_form_calls_per_caller(monkeypatch):
+    """graphs.smith_normal_form.calls in the benchmark counts these calls,
+    all through cokernel, which looks the name up in graphs."""
+    calls = []
+    kernel = graphs.smith_normal_form
+    monkeypatch.setattr(graphs, "smith_normal_form",
+                        lambda matrix: calls.append(1) or kernel(matrix))
+    plumbed = from_divisor_graph(build_boundary_graph(2, 3).d_part())
+    nf = normalize(plumbed)
+    presentation = pi1_presentation(2, 3)
+    for run, expected in ((lambda: h1_from_graph(plumbed), 1),
+                          (lambda: abelianization(presentation), 1),
+                          (lambda: reverse_orientation(nf), 2)):
+        calls.clear()
+        run()
+        assert len(calls) == expected
 
 
 def test_abelian_group_display():

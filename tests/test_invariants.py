@@ -471,6 +471,19 @@ def test_laurent_ring_laws(polys, c):
     assert hash(p * q) == hash(q * p)
 
 
+def test_laurent_power_by_squaring_equals_repeated_products():
+    (t,) = Laurent.variables("t")
+    v1, v2 = Laurent.variables("v1", "v2")
+    for p in (-3 * t, t.reciprocal() - 3 + 2 * t,
+              v1 * v2 - v1.reciprocal() + 2, Fraction(1, 2) * t - Fraction(2, 3)):
+        product = Laurent(p.names, {(0,) * len(p.names): 1})
+        for n in range(41):
+            assert (p ** n).terms == product.terms, n
+            product = product * p
+        with pytest.raises(DomainError, match=r"^Laurent powers must be >= 0; use reciprocal\(\)$"):
+            p ** -1
+
+
 @settings(max_examples=60, deadline=None)
 @given(laurent_triples())
 def test_laurent_reciprocal_derivative_and_evaluate(polys):

@@ -20,7 +20,6 @@ from plumbcalc.graphs import (
     OutOfScopeError,
     Vertex,
     classify_segments,
-    smith_normal_form,
 )
 from plumbcalc.invariants import (
     FiniteGroupTable,
@@ -51,8 +50,6 @@ def _records():
         "Vertex": (lambda: Vertex("a", -2, 1, 0, "A"),
                    "id weight genus boundary label"),
         "Edge": (lambda: Edge("b", "a", -1), "u v sign"),
-        "SNFResult": (lambda: smith_normal_form([[2, 4], [6, 8]]),
-                      "matrix D U_inv V_inv"),
         "AbelianGroup": (lambda: AbelianGroup(1, (2, 4)), "rank torsion"),
         "ChainType": (lambda: ChainType((2, 3)), "entries circular"),
         "Segment": (lambda: segments().segments[0],
