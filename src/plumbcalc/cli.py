@@ -32,6 +32,7 @@ from .family import (
     build_boundary_graph,
     build_by_blowups,
     picard_check,
+    surface_homology,
     verify_chart,
     verify_volume_form,
 )
@@ -46,7 +47,6 @@ from .invariants import (
     FiniteGroupTable,
     abelianization,
     alexander_polynomial,
-    chain_complex_homology,
     count_homs,
     group_catalog,
     kirby_handle_data,
@@ -237,7 +237,7 @@ def cmd_h1(args) -> tuple:
     if g.kind == "divisor":
         g = from_divisor_graph(g)
     ab = h1_from_graph(g)
-    payload = {"rank": ab.rank, "torsion": list(ab.torsion), "display": str(ab)}
+    payload = {**ab.to_json_dict(), "display": str(ab)}
     return payload, [f"H1 = {ab}"]
 
 
@@ -247,7 +247,7 @@ def cmd_pi1(args) -> tuple:
     payload = {
         "generators": list(p.generators),
         "relators": [list(r) for r in p.relators],
-        "abelianization": {"rank": ab.rank, "torsion": list(ab.torsion)},
+        "abelianization": ab.to_json_dict(),
     }
     lines = [
         "generators: " + ", ".join(p.generators),
@@ -298,20 +298,18 @@ def cmd_alexander(args) -> tuple:
 
 def cmd_homology(args) -> tuple:
     h = kirby_handle_data(args.d1, args.d2)
-    h0, h1, h2 = chain_complex_homology(h)
+    hom = surface_homology(args.d1, args.d2)
     payload = {
         "counts": list(h.counts),
         "framings": [[name, f] for name, f in h.framings],
-        "chi": h.euler_characteristic(),
-        "H0": str(h0),
-        "H1": str(h1),
-        "H2": str(h2),
+        "chi": hom["chi"],
+        **{k: str(hom[k]) for k in ("H0", "H1", "H2")},
     }
     lines = [
         f"handles (0,1,2,3): {h.counts}",
         "framings: " + ", ".join(f"{n}={f}" for n, f in h.framings),
-        f"chi: {h.euler_characteristic()}",
-        f"H0 = {h0}, H1 = {h1}, H2 = {h2}",
+        f"chi: {hom['chi']}",
+        f"H0 = {hom['H0']}, H1 = {hom['H1']}, H2 = {hom['H2']}",
     ]
     return payload, lines
 

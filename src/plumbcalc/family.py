@@ -82,8 +82,10 @@ class LabeledFamilyGraph(namedtuple("LabeledFamilyGraph", "graph d1 d2")):
         return g.induced(x for x in g.vertices if not x.startswith("A"))
 
 
-def _tid(j: int, i: int) -> str:
-    return f"T{j}_{i:02d}"
+def _exceptionals(j: int, d: int) -> list:
+    """(id, label) of the d exceptional curves over L_{j,0}, in blowup
+    order: the twig T_{j,1} .. T_{j,d-1}, then A_j."""
+    return [(f"T{j}_{i:02d}", f"T_{{{j},{i}}}") for i in range(1, d)] + [(f"A{j}", f"A_{j}")]
 
 
 def _line_cycle(w0: int) -> tuple[list, list]:
@@ -103,12 +105,10 @@ def build_boundary_graph(d1: int, d2: int) -> LabeledFamilyGraph:
     vs, es = _line_cycle(-1)
     for j, d in ((1, d1), (2, d2)):
         prev = f"L{j}_0"
-        for i in range(1, d):
-            vs.append(Vertex(_tid(j, i), -2, label=f"T_{{{j},{i}}}"))
-            es.append(Edge(prev, _tid(j, i)))
-            prev = _tid(j, i)
-        vs.append(Vertex(f"A{j}", -1, label=f"A_{j}"))
-        es.append(Edge(prev, f"A{j}"))
+        for vid, label in _exceptionals(j, d):
+            vs.append(Vertex(vid, -1 if vid[0] == "A" else -2, label=label))
+            es.append(Edge(prev, vid))
+            prev = vid
     return LabeledFamilyGraph(WeightedGraph("divisor", vs, es), d1, d2)
 
 
@@ -118,49 +118,17 @@ def build_by_blowups(params: FamilyParams) -> tuple[LabeledFamilyGraph, list]:
     the previous exceptional)."""
     g = WeightedGraph("divisor", *_line_cycle(0))
     log: list = []
+    labels = {}
     for j, d in ((1, params.d1), (2, params.d2)):
         prev = f"L{j}_0"
-        for i in range(1, d + 1):
-            new_id = f"A{j}" if i == d else _tid(j, i)
-            g = divisor.blow_up(g, prev, log, new_id=new_id)
-            prev = new_id
-    # restore the curve-name labels lost on exceptional vertices
-    vertices = []
-    for vid, v in g.vertices.items():
-        if v.label is None:
-            if vid.startswith("A"):
-                label = f"A_{vid[1]}"
-            else:
-                j, i = vid[1], int(vid.split("_")[1])
-                label = f"T_{{{j},{i}}}"
-            v = Vertex(vid, v.weight, v.genus, v.boundary, label)
-        vertices.append(v)
+        for vid, label in _exceptionals(j, d):
+            g = divisor.blow_up(g, prev, log, new_id=vid)
+            labels[vid], prev = label, vid
+    # blow_up leaves the exceptional vertices unlabelled
+    vertices = [Vertex(vid, v.weight, v.genus, v.boundary, labels.get(vid, v.label))
+                for vid, v in g.vertices.items()]
     g = WeightedGraph("divisor", vertices, g.edges)
     return LabeledFamilyGraph(g, params.d1, params.d2), log
-
-
-def standardize_mixed(fam: LabeledFamilyGraph) -> tuple[WeightedGraph, list]:
-    """Extra move script for the mixed case (exactly one d_j = 1).
-
-    The boundary D-part of a mixed graph is not snc-minimal in a useful
-    way for the standardness check, so the script rebuilds it: one inner
-    blowup on the L1_inf--L2_inf edge, then contraction of L_{j,0} and
-    L_{j,inf} on the degree-1 side, in that order.  The result is the
-    (0, 0, +1) triangle with the [(2)_{d-1}] twig hanging off the +1
-    vertex, which is standard.
-    """
-    if (fam.d1 == 1) == (fam.d2 == 1):
-        raise DomainError(
-            "standardize_mixed: need exactly one of d1, d2 equal to 1,"
-            f" got ({fam.d1}, {fam.d2})"
-        )
-    j = 1 if fam.d1 == 1 else 2
-    log: list = []
-    g = fam.d_part()
-    g = divisor.blow_up(g, Edge("L1_inf", "L2_inf"), log)
-    g = divisor.blow_down(g, f"L{j}_0", log)
-    g = divisor.blow_down(g, f"L{j}_inf", log)
-    return g, log
 
 
 # ---------------------------------------------------------------------------
@@ -193,7 +161,7 @@ def picard_check(d1: int, d2: int) -> dict:
 
     relations_ok = True
     for j, d in ((1, d1), (2, d2)):
-        c = dict.fromkeys([f"A{j}", *(_tid(j, i) for i in range(1, d)), f"L{j}_0"], 1)
+        c = dict.fromkeys([*(vid for vid, _ in _exceptionals(j, d)), f"L{j}_0"], 1)
         pc = pairing(c)
         relations_ok &= (not pairing({**c, f"L{j}_inf": -1})
                          and pc == {f"L{3-j}_0": 1, f"L{3-j}_inf": 1}

@@ -18,7 +18,7 @@ import json
 from collections import Counter, defaultdict, namedtuple
 from fractions import Fraction
 from heapq import heappop, heappush
-from itertools import compress, count
+from itertools import compress
 from operator import lt
 
 
@@ -526,11 +526,10 @@ def smith_normal_form(matrix) -> tuple:
     `cols` holds the rows that are nonzero in each column.  Every pivot is an
     entry of least absolute value, ties going to the least product of its
     row's and its column's nonzero counts (the Markowitz rule, which
-    limits fill-in), then to the least row index, then to the entry that
-    came first in its row's dict.  The entries wait in a heap keyed by
-    (|entry|, product, row, stamp), where an entry's stamp counts the
-    insertions into any row before it, so stamps order a row's entries as
-    its dict does.  A row or column operation marks the rows and columns
+    limits fill-in), then to the least row and column indices.  The
+    entries wait in a heap keyed by (|entry|, product, row, column).  The
+    diagonal is unique, so the order of the pivots decides only the
+    transforms.  A row or column operation marks the rows and columns
     whose entries or counts it changed, and before the next pivot only
     their entries are pushed again; an entry popped with a key it no
     longer has is dropped.  Nothing is swapped during elimination: the
@@ -551,8 +550,6 @@ def smith_normal_form(matrix) -> tuple:
             cols[j].add(i)
     u_inv = [{i: 1} for i in range(m)]  # columns of U^-1
     v_inv = [{j: 1} for j in range(n)]  # rows of V^-1
-    tick = count()
-    stamps = [{j: next(tick) for j in row} for row in rows]
     heap: list = []
     dirty_rows, dirty_cols = set(range(m)), set()  # every row is keyed first
 
@@ -563,7 +560,6 @@ def smith_normal_form(matrix) -> tuple:
             if y:
                 if c not in ri:
                     cols[c].add(i)
-                    stamps[i][c] = next(tick)
                     dirty_cols.add(c)
                 ri[c] = y
             else:
@@ -580,7 +576,6 @@ def smith_normal_form(matrix) -> tuple:
             if y:
                 if j not in rr:
                     cols[j].add(r)
-                    stamps[r][j] = next(tick)
                     dirty_rows.add(r)
                 rr[j] = y
             else:
@@ -595,22 +590,22 @@ def smith_normal_form(matrix) -> tuple:
     def next_pivot():  # re-key the marked rows and columns, then pop
         for i in dirty_rows:
             if i in live:
-                ri, si = rows[i], stamps[i]
+                ri = rows[i]
                 size = len(ri)
                 for j, x in ri.items():
-                    heappush(heap, (abs(x), size * len(cols[j]), i, si[j], j))
+                    heappush(heap, (abs(x), size * len(cols[j]), i, j))
         for j in dirty_cols:
             size = len(cols[j])
             for i in cols[j]:
                 if i in live:
                     ri = rows[i]
-                    heappush(heap, (abs(ri[j]), len(ri) * size, i, stamps[i][j], j))
+                    heappush(heap, (abs(ri[j]), len(ri) * size, i, j))
         dirty_rows.clear()
         dirty_cols.clear()
         while heap:
-            a, product, i, s, j = heappop(heap)
+            a, product, i, j = heappop(heap)
             ri = rows[i]
-            if (i in live and j in ri and stamps[i][j] == s and abs(ri[j]) == a
+            if (i in live and j in ri and abs(ri[j]) == a
                     and len(ri) * len(cols[j]) == product):
                 return i, j
         return None
@@ -709,15 +704,6 @@ class AbelianGroup(namedtuple("AbelianGroup", "rank torsion", defaults=((),))):
     def __str__(self):
         parts = ["Z"] * self.rank + [f"Z/{t}" for t in self.torsion]
         return " + ".join(parts) if parts else "0"
-
-    @property
-    def order(self):
-        if self.rank:
-            return None
-        n = 1
-        for t in self.torsion:
-            n *= t
-        return n
 
     def to_json_dict(self) -> dict:
         return {"rank": self.rank, "torsion": list(self.torsion)}

@@ -323,12 +323,7 @@ def _catalog() -> tuple:
     return tuple(cat.items())
 
 
-def count_homs(
-    p: GroupPresentation,
-    G: FiniteGroupTable,
-    order: str = "forward",
-    budget: int = HOM_BUDGET,
-) -> int:
+def count_homs(p: GroupPresentation, G: FiniteGroupTable) -> int:
     """Exact number of homomorphisms from the presented group into G.
 
     Homomorphisms are closed under phi -> c_g o phi, conjugation by g in
@@ -347,23 +342,16 @@ def count_homs(
     Conjugation by g maps the completions of (a, b) bijectively onto
     those of (g a g^-1, g b g^-1), so every member of the orbit has as
     many completions as (a, b).  For an abelian G every orbit is a single
-    element and the search is the plain exhaustive one.
-
-    The enumeration order ("forward" or "reversed", which reverses the
-    listed prefixes and the range of the free images) must not change the
-    count, which tests use as a self-check.
+    element and the search is the plain exhaustive one.  DomainError if
+    |G|^k, for k generators, exceeds HOM_BUDGET.
     """
     k = len(p.generators)
-    if G.order**k > budget:
+    if G.order**k > HOM_BUDGET:
         raise DomainError(
-            f"count_homs: {G.order}^{k} evaluations exceed budget {budget}"
+            f"count_homs: {G.order}^{k} evaluations exceed budget {HOM_BUDGET}"
         )
-    if order not in ("forward", "reversed"):
-        raise DomainError(f"unknown enumeration order {order!r}")
     m = min(k, 2)
     prefixes, rng = _orbit_prefixes(G.table, m), range(G.order)
-    if order == "reversed":
-        prefixes, rng = prefixes[::-1], rng[::-1]
     tab, inv, relators = G.table, G.inverse, p.relators
     count = 0
     for weight, prefix in prefixes:

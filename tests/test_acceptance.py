@@ -24,7 +24,6 @@ from plumbcalc.family import (
     build_boundary_graph,
     build_by_blowups,
     picard_check,
-    standardize_mixed,
     verify_chart,
     verify_volume_form,
 )
@@ -74,10 +73,7 @@ def chain(*weights):
 
 def standard_boundary(d1, d2):
     """The standard-form representative of the boundary divisor."""
-    fam = build_boundary_graph(d1, d2)
-    if min(d1, d2) == 1 and max(d1, d2) > 1:
-        return standardize_mixed(fam)[0]
-    return fam.d_part()
+    return standardize(build_boundary_graph(d1, d2).d_part())[0]
 
 
 def check_01_family_construction():
@@ -99,10 +95,10 @@ def check_02_standardness():
         expect = (min(d1, d2) >= 2) or (d1 == d2 == 1)
         assert bool(is_standard(d_part).standard) is expect
         if not expect:
-            fixed, log = standardize_mixed(build_boundary_graph(d1, d2))
+            fixed, log = standardize(d_part)
             assert is_standard(fixed).standard
-            assert len(log) == 3
-    return f"{len(MULTISETS)} multisets, mixed cases repaired in 3 moves"
+            assert len(log) == 2
+    return f"{len(MULTISETS)} multisets, mixed cases repaired in 2 moves"
 
 
 def check_03_distinctness():
@@ -264,24 +260,15 @@ def check_11_quotient_counting():
     for d1, d2 in MULTISETS:
         p = pi1_presentation(d1, d2)
         for n in range(1, 13):
-            G = cyclic_group(n)
-            forward = count_homs(p, G)
-            assert forward == n
-            assert count_homs(p, G, order="reversed") == forward
+            assert count_homs(p, cyclic_group(n)) == n
 
-    # nonabelian fingerprints are recorded for the record, and checked
-    # only for internal consistency (stability across enumeration order);
-    # targets this small cannot separate all the groups
+    # nonabelian fingerprints are recorded for the record; targets this
+    # small cannot separate all the groups
     catalog = group_catalog()
     fingerprints = {}
     for pair in [(1, 1), (1, 2), (2, 2)]:
         p = pi1_presentation(*pair)
-        row = {}
-        for name, G in sorted(catalog.items()):
-            c = count_homs(p, G)
-            assert count_homs(p, G, order="reversed") == c
-            row[name] = c
-        fingerprints[pair] = row
+        fingerprints[pair] = {name: count_homs(p, G) for name, G in sorted(catalog.items())}
     assert fingerprints[(1, 1)]["S3"] == 12
     return f"cyclic counts exact for {len(MULTISETS)} multisets, n <= 12"
 

@@ -36,7 +36,6 @@ from plumbcalc.family import (
     FamilyParams,
     build_boundary_graph,
     build_by_blowups,
-    standardize_mixed,
 )
 from plumbcalc.graphs import (
     DomainError,
@@ -973,8 +972,6 @@ def test_every_logged_move_name_is_a_registry_key():
                     snc_minimalize(fam.graph)[1],
                     standardize(fam.graph)[1],
                     standardize(fam.d_part())[1]]
-            if (d1 == 1) != (d2 == 1):
-                logs.append(standardize_mixed(fam)[1])
             nf = normalize(fam.d_part())
             logs += [nf.log, reverse_orientation(nf).log]
             names.update(entry["move"] for log in logs for entry in log)

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from plumbcalc.divisor import is_standard
+from plumbcalc.divisor import is_standard, standardize
 from plumbcalc.family import (
     CHART_CASES,
     FamilyParams,
@@ -18,7 +18,6 @@ from plumbcalc.family import (
     build_boundary_graph,
     build_by_blowups,
     picard_check,
-    standardize_mixed,
     surface_homology,
     verify_chart,
     verify_volume_form,
@@ -94,22 +93,18 @@ def test_family_one_one_cycle_is_standard():
     assert is_standard(build_boundary_graph(1, 1).d_part()).standard
 
 
-def test_mixed_case_needs_the_scripted_moves():
-    fam = build_boundary_graph(1, 4)
-    assert not is_standard(fam.d_part()).standard
-    g, log = standardize_mixed(fam)
-    assert is_standard(g).standard
-    assert [e["move"] for e in log] == ["blowup", "blowdown", "blowdown"]
-    # triangle (0, 0, +1) with the twig on the +1 vertex
-    weights = sorted(v.weight for v in g.vertices.values())
-    assert weights == [-2, -2, -2, 0, 0, 1]
-
-
-def test_standardize_mixed_rejects_non_mixed():
-    with pytest.raises(DomainError):
-        standardize_mixed(build_boundary_graph(1, 1))
-    with pytest.raises(DomainError):
-        standardize_mixed(build_boundary_graph(2, 2))
+@pytest.mark.parametrize("d", range(2, 13))
+def test_standardize_repairs_the_mixed_d_parts(d):
+    """A mixed D-part, (1, d) or (d, 1), is not standard; `standardize`
+    blows down L_{j,0} on the degree-1 side and flows once, to a triangle
+    (0, 0, +1) with the [(2)_{d-1}] twig."""
+    for d1, d2 in (1, d), (d, 1):
+        d_part = build_boundary_graph(d1, d2).d_part()
+        assert not is_standard(d_part).standard
+        g, log = standardize(d_part)
+        assert is_standard(g).standard
+        assert [e["move"] for e in log] == ["blowdown", "flow"]
+        assert sorted(v.weight for v in g.vertices.values()) == [-2] * (d - 1) + [0, 0, 1]
 
 
 # -- Picard ---------------------------------------------------------------------

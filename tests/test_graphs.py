@@ -779,10 +779,9 @@ def test_smith_normal_form_properties(rows):
 def scan_smith_normal_form(matrix) -> tuple:
     """The pivot choice `smith_normal_form` makes, found by scanning every
     entry of every row that has no pivot yet before each pivot: least
-    (|entry|, row count * column count), then least row, then first in
-    the row's dict.  Otherwise the same elimination; the oracle for the
-    pivot queue.  Returns what `snf_proof` does, which must be equal,
-    transforms included."""
+    (|entry|, row count * column count, row, column).  Otherwise the same
+    elimination; the oracle for the pivot queue.  Returns what `snf_proof`
+    does, which must be equal, transforms included."""
     m = len(matrix)
     n = len(matrix[0]) if m else 0
     rows = graphs._sparse(matrix)
@@ -826,7 +825,7 @@ def scan_smith_normal_form(matrix) -> tuple:
         for i in live:
             ri = rows[i]
             for j, x in ri.items():
-                key = (abs(x), len(ri) * len(cols[j]))
+                key = (abs(x), len(ri) * len(cols[j]), i, j)
                 if best is None or key < best:
                     best, p, q = key, i, j
         if best is None:
@@ -894,7 +893,7 @@ def tie_heavy_matrices(draw, entries=(-2, -1, 1, 2)):
 # it changed counts of columns that no column operation then clears
 @example([[4, 2, 0, 0, 0], [4, 0, 2, 9, 3], [2, 0, 0, 3, 0], [4, -6, 9, 0, 0]])
 # a column operation fills in row 0 at column 0, after column 1 in the
-# row's dict; the two entries then tie, and the scan takes column 1
+# row's dict; the two entries then tie, and the lesser column, 0, wins
 @example([[0, 6, 2], [6, 3, 3]])
 def test_pivot_queue_matches_the_scan(a):
     assert snf_proof(a) == scan_smith_normal_form(a)
@@ -1487,7 +1486,6 @@ def test_library_is_stdlib_only():
 # definition that nothing reaches fails the reachability test, and one
 # that gains a caller or leaves the library must leave this list.
 UNREACHED = {
-    ("family", "standardize_mixed"), ("family", "surface_homology"),
     ("invariants", "same_two_bridge_class"),
 }
 

@@ -8,6 +8,7 @@ from itertools import product
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from plumbcalc import invariants
 from plumbcalc.graphs import AbelianGroup, DomainError
 from plumbcalc.invariants import (
     FiniteGroupTable,
@@ -258,20 +259,16 @@ def test_standard_constructions():
 
 
 def test_hom_counts_to_cyclic_groups_equal_order():
-    # abelianization Z means exactly n maps to Z/n, whichever relator
-    # evaluation order is used
+    # abelianization Z means exactly n maps to Z/n
     p = pi1_presentation(1, 2)
     for n in range(1, 13):
-        G = cyclic_group(n)
-        assert count_homs(p, G) == n
-        assert count_homs(p, G, order="reversed") == n
+        assert count_homs(p, cyclic_group(n)) == n
 
 
 def test_hom_count_golden_value_s3():
     p = pi1_presentation(1, 1)
     G = group_catalog()["S3"]
     assert count_homs(p, G) == S3_HOM_COUNT_1_1
-    assert count_homs(p, G, order="reversed") == S3_HOM_COUNT_1_1
 
 
 def test_hom_count_product_consistency():
@@ -282,13 +279,17 @@ def test_hom_count_product_consistency():
     assert count_homs(p, cat["A4"]) == 36
 
 
-def test_hom_count_budget_and_argument_errors():
-    p = pi1_presentation(1, 1)
+def test_hom_count_budget(monkeypatch):
+    """|G|^k evaluations within HOM_BUDGET are counted; one over raises
+    and says how many there would have been."""
+    p = pi1_presentation(1, 1)  # three generators
     G = cyclic_group(12)
-    with pytest.raises(DomainError, match="budget"):
-        count_homs(p, G, budget=100)
-    with pytest.raises(DomainError):
-        count_homs(p, G, order="shuffled")
+    monkeypatch.setattr(invariants, "HOM_BUDGET", 12**3)
+    assert count_homs(p, G) == 12
+    monkeypatch.setattr(invariants, "HOM_BUDGET", 12**3 - 1)
+    with pytest.raises(DomainError) as e:
+        count_homs(p, G)
+    assert str(e.value) == "count_homs: 12^3 evaluations exceed budget 1727"
 
 
 def _brute_force_count(p, G) -> int:
@@ -318,9 +319,7 @@ def presentations(draw):
 
 
 def _assert_exact(p, G):
-    n = _brute_force_count(p, G)
-    assert count_homs(p, G) == n
-    assert count_homs(p, G, order="reversed") == n
+    assert count_homs(p, G) == _brute_force_count(p, G)
 
 
 @settings(max_examples=150, deadline=None)
@@ -570,9 +569,8 @@ def test_frozen_fingerprints_reproduce():
     for pair in frozen:
         d1, d2 = map(int, pair.split(","))
         p = pi1_presentation(d1, d2)
-        for order in ("forward", "reversed"):
-            row = {name: count_homs(p, G, order=order) for name, G in catalog.items()}
-            assert row == frozen[pair]
+        row = {name: count_homs(p, G) for name, G in catalog.items()}
+        assert row == frozen[pair]
     # quotients through order 12 do not separate (1,2) from (2,3) even
     # though the Alexander determinants 7 and 23 do
     assert frozen["1,2"] == frozen["2,3"]
