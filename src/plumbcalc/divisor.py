@@ -16,6 +16,7 @@ both apply moves through it.
 from __future__ import annotations
 
 from collections import deque, namedtuple
+from heapq import heappop, heappush
 
 from .graphs import (
     DomainError,
@@ -107,23 +108,41 @@ def blow_down(g: WeightedGraph, vid: str, log: list | None = None) -> WeightedGr
 
 def is_superfluous(g: WeightedGraph, vid: str) -> bool:
     """A vertex of a divisor graph that meets another component and that
-    `blow_down` contracts.  The weight is tested first: the searches ask
-    this of every vertex, and few weigh -1."""
+    `blow_down` contracts.  The weight is tested first: the standardization
+    search asks this of every vertex of each state, and few weigh -1."""
     return (g.vertices[vid].weight == -1 and bool(g.around[vid])
             and _blowdown_obstruction(g, vid) is None)
 
 
 def snc_minimalize(g: WeightedGraph) -> tuple[WeightedGraph, list]:
-    """Contract superfluous (-1)-vertices until none remain, lowest id
-    first."""
+    """Contract superfluous (-1)-vertices until none remain, least id
+    first.
+
+    The candidates wait in a min-heap of ids, which starts with every
+    vertex and holds every superfluous vertex of the current graph.  Each
+    popped id is tested with `is_superfluous`, so the first that passes
+    is the least superfluous vertex, and it is blown down.  Whether x is
+    superfluous depends on x's weight and decorations, x's edges, and on
+    whether x's two neighbours are adjacent.  Blowing down v changes the
+    weights and edges of v's neighbours only, and it joins two vertices
+    only where both were v's neighbours; the only adjacency it removes is
+    to v.  So a vertex that is not v's neighbour can stop being
+    superfluous but cannot start, and only v's neighbours are pushed
+    again.  The log is the one a rescan of every id after each blowdown
+    gives.
+    """
     _require_divisor(g, "snc_minimalize")
     log: list = []
     cur = g
-    while True:
-        vid = next((v for v in cur.sorted_ids() if is_superfluous(cur, v)), None)
-        if vid is None:
-            return cur, log
-        cur = blow_down(cur, vid, log)
+    heap = cur.sorted_ids()  # a sorted list is a heap
+    while heap:
+        vid = heappop(heap)
+        if vid in cur.vertices and is_superfluous(cur, vid):
+            nbrs = [x for x, _ in cur.around[vid]]
+            cur = blow_down(cur, vid, log)
+            for x in nbrs:
+                heappush(heap, x)
+    return cur, log
 
 
 # ---------------------------------------------------------------------------
@@ -168,9 +187,8 @@ def elementary_flow(g: WeightedGraph, zero_vertex: str, toward: str,
             log.extend(sub)
         return out
     other = next(n for n in nbrs if n != toward)
-    out = WeightedGraph(
-        "divisor", reweighted(g.vertices.values(), {toward: 1, other: -1}), g.edges
-    )
+    deltas = {toward: 1, other: -1}
+    out = g._derive(reweighted(map(g.vertices.get, deltas), deltas))
     if log is not None:
         log.append({"move": "flow", "vertex": zero_vertex, "toward": toward})
     return out

@@ -125,9 +125,8 @@ def build_by_blowups(params: FamilyParams) -> tuple[LabeledFamilyGraph, list]:
             g = divisor.blow_up(g, prev, log, new_id=vid)
             labels[vid], prev = label, vid
     # blow_up leaves the exceptional vertices unlabelled
-    vertices = [Vertex(vid, v.weight, v.genus, v.boundary, labels.get(vid, v.label))
-                for vid, v in g.vertices.items()]
-    g = WeightedGraph("divisor", vertices, g.edges)
+    g = g._derive([Vertex(vid, v.weight, v.genus, v.boundary, labels[vid])
+                   for vid, v in g.vertices.items() if vid in labels])
     return LabeledFamilyGraph(g, params.d1, params.d2), log
 
 

@@ -15,11 +15,11 @@ NEGATED vertex weights, so the chain [3,2] has weights (-3,-2) and a
 from __future__ import annotations
 
 import json
+from bisect import bisect_left, insort
 from collections import Counter, defaultdict, namedtuple
 from fractions import Fraction
 from heapq import heappop, heappush
 from itertools import compress
-from operator import lt
 
 
 class DomainError(ValueError):
@@ -69,6 +69,11 @@ def _edge_key(e: Edge) -> tuple:
     return (e.u, e.v, -e.sign)
 
 
+def _end_key(pair: tuple) -> tuple:
+    """The order of around[v]: by other end, then sign +1 first."""
+    return (pair[0], -pair[1])
+
+
 class WeightedGraph:
     """A finite weighted multigraph with signed edges.
 
@@ -76,15 +81,21 @@ class WeightedGraph:
     Equality is exact (same vertices, same edge multiset), which is what
     replay verification needs; use graphs_isomorphic for structural
     comparison.  A graph is never changed after it is built: every
-    operation returns a new graph, so the constructor's checks and its
-    incidence index cover every graph.
+    operation returns a new graph.
 
-    The incidence index is built once, in the constructor's one pass over
-    the sorted edges, which also checks the divisor rules: the list
-    around[v] holds the (other end, sign) pair of each non-loop edge at
-    v, in edge order, and the tuple loops[v] the signs of the loops at v,
-    sorted.  Like the graph, the index is never changed.  A vertex has
+    The incidence index is built in the constructor's one pass over the
+    sorted edges, which also checks the divisor rules: the list around[v]
+    holds the (other end, sign) pair of each non-loop edge at v, in edge
+    order, which is (other end, -sign) order, and the tuple loops[v] the
+    signs of the loops at v, ascending.  Like the graph, the index is
+    never changed, so a child graph may share parts of it.  A vertex has
     len(around[v]) + 2 * len(loops[v]) edge ends.
+
+    The constructor checks every vertex and edge.  The moves build their
+    child with `_derive` instead, which copies the parent's maps, patches
+    the index at the vertices the move touches and checks the divisor
+    rules on the edges it adds; every other vertex and edge was checked
+    when the parent was built.  Both give the same graph and index.
     """
 
     __slots__ = ("kind", "vertices", "edges", "around", "loops")
@@ -98,13 +109,7 @@ class WeightedGraph:
             if vid in vs:
                 raise DomainError(f"duplicate vertex id {vid!r}")
             vs[vid] = v
-        es = tuple(edges)
-        # Tuple order is _edge_key order except on a (u, v, -1) edge just
-        # before its (u, v, +1) twin.  A divisor graph raises the same error
-        # on that pair in either order, so its edges skip the keyed sort
-        # when they already increase strictly.
-        if kind != "divisor" or not all(map(lt, es, es[1:])):
-            es = tuple(sorted(es, key=_edge_key))
+        es = tuple(sorted(edges, key=_edge_key))
         around: dict[str, list] = {vid: [] for vid in vs}
         loops: dict[str, tuple] = dict.fromkeys(vs, ())
         divisor, last = kind == "divisor", None
@@ -132,6 +137,78 @@ class WeightedGraph:
         self.edges = es
         self.around = around
         self.loops = loops
+
+    def _derive(self, put=(), drop: str | None = None, cut=(), add=()) -> "WeightedGraph":
+        """This graph with each vertex of put in place of its namesake, or
+        appended when its id is new, the vertex drop removed with its
+        edges, one copy of each edge of cut removed and the edges of add
+        added: the graph the constructor builds from that vertex list and
+        edge multiset, in vertices, their order, edges and index.
+
+        The maps are copied at C speed and the index is patched only at
+        the ends of the edges removed or added and at the new vertices.
+        The divisor rules are checked on the added edges only; every other
+        edge was checked when this graph was built.  A child that changes
+        only weights or labels shares this graph's edges and index."""
+        vs = self.vertices.copy()
+        if drop is not None:
+            del vs[drop]
+        for v in put:
+            vs[v.id] = v
+        out = object.__new__(WeightedGraph)
+        out.kind, out.vertices = self.kind, vs
+        if drop is None and not cut and not add and len(vs) == len(self.vertices):
+            out.edges, out.around, out.loops = self.edges, self.around, self.loops
+            return out
+        edges, around, loops = list(self.edges), self.around.copy(), self.loops.copy()
+        if drop is not None:
+            cut = [*(Edge(x, drop, s) for x, s in around.pop(drop)),
+                   *(Edge(drop, drop, s) for s in loops.pop(drop)), *cut]
+        for v in put:
+            if v.id not in around:
+                around[v.id], loops[v.id] = [], ()
+        divisor = self.kind == "divisor"
+        # A divisor graph's signs are all +1, so there tuple order is key
+        # order and the searches compare tuples without a key.
+        edge_key, end_key = (None, None) if divisor else (_edge_key, _end_key)
+        for e in cut:
+            i = bisect_left(edges, edge_key(e) if edge_key else e, key=edge_key)
+            if edges[i:i + 1] != [e]:
+                raise DomainError(f"edge ({e.u!r},{e.v!r}) not found")
+            del edges[i]
+            u, v, s = e
+            if u == v:
+                if u in vs:
+                    left = list(loops[u])
+                    left.remove(s)
+                    loops[u] = tuple(left)
+                continue
+            for a, b in (u, v), (v, u):
+                if a in vs:
+                    around[a] = ends = around[a][:]  # the parent's stays
+                    ends.remove((b, s))
+        for e in add:
+            u, v, s = e
+            if u not in vs or v not in vs:
+                raise DomainError(f"edge ({u!r},{v!r}) references missing vertex")
+            if divisor:
+                if u == v:
+                    raise DomainError("divisor graphs cannot carry loops")
+                if s != 1:
+                    raise DomainError("divisor graphs have only +1 edges")
+                if (v, s) in around[u]:
+                    raise DomainError(
+                        f"divisor graphs cannot carry multi-edges ({u!r},{v!r})"
+                    )
+            insort(edges, e, key=edge_key)
+            if u == v:
+                loops[u] = tuple(sorted((*loops[u], s)))
+            else:
+                for a, b in (u, v), (v, u):
+                    around[a] = ends = around[a][:]
+                    insort(ends, (b, s), key=end_key)
+        out.edges, out.around, out.loops = tuple(edges), around, loops
+        return out
 
     # -- basic accessors ----------------------------------------------------
 
@@ -283,7 +360,7 @@ def canonical_json(obj) -> str:
 def reweighted(vertices, deltas: dict) -> list[Vertex]:
     """The vertices in order, each weight raised by its entry in deltas.
 
-    Moves use this to build the vertex list of their output graph."""
+    Moves use this to build the vertices whose weight they change."""
     return [
         Vertex(v.id, v.weight + deltas[v.id], v.genus, v.boundary, v.label)
         if v.id in deltas else v

@@ -22,9 +22,9 @@ Conventions used throughout:
 from __future__ import annotations
 
 import math
-from bisect import insort
 from collections import Counter, namedtuple
 from fractions import Fraction
+from heapq import heappop, heappush
 
 from .graphs import (
     AbelianGroup,
@@ -107,52 +107,46 @@ def move_R1(g: WeightedGraph, vid: str, log: list | None = None) -> WeightedGrap
 
 
 def _contract(g: WeightedGraph, vid: str) -> WeightedGraph:
-    """The blow-down of R1 at vid, of the same kind as g; the caller has
-    checked that it applies.
+    """The blow-down of R1 at vid, of the same kind as g, derived from g
+    (`WeightedGraph._derive`); the caller has checked that it applies.
 
     Each neighbor loses eps = weight(v) from its weight (once per edge).
     With two edges to distinct neighbors u, w the blow-down joins them by
     a new edge of sign -eps*s1*s2; with two edges to the same neighbor u
     the result is a loop at u with that sign and u loses 2*eps.  A divisor
-    blowdown is the case eps = -1 with every sign +1; the new edge goes in
-    at its place in tuple order, so a divisor graph's edges stay sorted
-    and its constructor skips the sort.
+    blowdown is the case eps = -1 with every sign +1.
     """
     at = g.around[vid]
     eps = g.vertices[vid].weight
     ends = [x for x, _ in at]
-    edges = [e for e in g.edges if vid not in (e.u, e.v)]
-    vertices = reweighted((w for w in g.vertices.values() if w.id != vid),
-                          {x: -eps * ends.count(x) for x in ends})
+    deltas = {x: -eps * ends.count(x) for x in ends}
+    add = ()
     if len(at) == 2:
         (u, s1), (w, s2) = at
-        insort(edges, Edge(u, w, -eps * s1 * s2))
-    return WeightedGraph(g.kind, vertices, edges)
+        add = (Edge(u, w, -eps * s1 * s2),)
+    put = reweighted(map(g.vertices.get, deltas), deltas)
+    return g._derive(put, drop=vid, add=add)
 
 
 def _insert(g: WeightedGraph, at, eps: int, new_id: str, s1: int = 1) -> WeightedGraph:
     """The inverse of R1: a new eps-vertex new_id, of the same kind as g,
-    that `_contract` removes again exactly; the caller has checked that
-    at is in g and new_id is not.
+    that `_contract` removes again exactly, derived from g; the caller has
+    checked that at is in g and new_id is not.
 
     At a vertex id the new vertex hangs off it by an edge of sign s1.  At
     an Edge it subdivides the edge by edges of signs s1 and s2, where
     -eps*s1*s2 is the old sign.  The other end of each new edge gains eps.
-    A divisor blowup is the case eps = -1 with every sign +1; as in
-    `_contract`, the new edges go in at their places in tuple order.
+    A divisor blowup is the case eps = -1 with every sign +1.
     """
-    edges = list(g.edges)
     if isinstance(at, Edge):
-        edges.remove(at)
-        insort(edges, Edge(at.u, new_id, s1))
-        insort(edges, Edge(new_id, at.v, -eps * s1 * at.sign))
+        cut = (at,)
+        add = (Edge(at.u, new_id, s1), Edge(new_id, at.v, -eps * s1 * at.sign))
         ends = (at.u, at.v)
     else:
-        insort(edges, Edge(at, new_id, s1))
-        ends = (at,)
-    vertices = reweighted(g.vertices.values(), {x: eps * ends.count(x) for x in ends})
-    vertices.append(Vertex(new_id, eps))
-    return WeightedGraph(g.kind, vertices, edges)
+        cut, add, ends = (), (Edge(at, new_id, s1),), (at,)
+    deltas = {x: eps * ends.count(x) for x in ends}
+    put = reweighted(map(g.vertices.get, deltas), deltas)
+    return g._derive([*put, Vertex(new_id, eps)], cut=cut, add=add)
 
 
 def _r3_obstruction(g: WeightedGraph, vid: str) -> str | None:
@@ -463,6 +457,21 @@ def normalize(g: WeightedGraph) -> NormalForm:
     raises OutOfScopeError because finishing it needs plumbing moves this
     module does not implement (R2, R4-R6, R8, non-orientable handling).
     More than MOVE_BUDGET moves raise DomainError.
+
+    Each rule keeps a min-heap of candidate ids, which starts with every
+    vertex and holds every vertex where the rule applies.  A candidate is
+    tested when it reaches the top of its heap and dropped when the rule
+    does not apply there, so the top of the first heap that keeps one is
+    the move a rescan of every id would pick.  Whether R1 or R3 applies at
+    x depends only on x's weight, decorations and edge ends.  R1 at v
+    changes those only at v's neighbours, which are pushed onto both
+    heaps after the move.  R3 at v changes them at the merged vertex,
+    which is pushed, and moves the other ends of the dropped vertex's
+    edges to it.  Such an end keeps its vertex's weight, loops and number
+    of edge ends, so R1 applies there as before; R3 may stop applying (a
+    vertex joined to both merged vertices then has two edges to one) but
+    cannot start, since no two of its edges that reached one vertex come
+    apart.  The test at the top of the heap drops it then.
     """
     if g.kind == "divisor":
         g = from_divisor_graph(g)
@@ -475,11 +484,16 @@ def normalize(g: WeightedGraph) -> NormalForm:
 
     log: list = []
     cur = g
+    ids = cur.sorted_ids()  # a sorted list is a heap
+    rules = ((move_R1, _r1_obstruction, ids), (move_R3, _r3_obstruction, ids[:]))
     while True:
-        ids = cur.sorted_ids()
-        rules = ((move_R1, _r1_obstruction), (move_R3, _r3_obstruction))
-        step = next(((move, x) for move, blocked in rules for x in ids
-                     if blocked(cur, x) is None), None)
+        step = None
+        for move, blocked, heap in rules:
+            while heap and blocked(cur, heap[0]) is not None:
+                heappop(heap)
+            if heap:
+                step = move, heappop(heap)
+                break
         if step is None:
             break
         if len(log) == MOVE_BUDGET:
@@ -490,10 +504,15 @@ def normalize(g: WeightedGraph) -> NormalForm:
                 " left"
             )
         move, vid = step
+        ends = [x for x, _ in cur.around[vid]]
+        touched = ends if move is move_R1 else [min(ends)]  # R3 keeps the least
         cur = move(cur, vid, log)
         if not cur.vertices:
             # the manifold was S^3; its normal form is the empty graph
             return NormalForm(cur, (), "generic", None, tuple(log))
+        for _, _, heap in rules:
+            for x in touched:
+                heappush(heap, x)
 
     cur = gauge_canonicalize(cur)
     report = is_normal(cur)

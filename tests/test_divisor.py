@@ -455,6 +455,54 @@ def divisor_graphs_with_cycles(draw):
                          [*tree.edges, *(Edge(a, b) for a, b in extra)])
 
 
+def scan_snc_minimalize(g):
+    """snc_minimalize as it was before its heap: every id is tested again
+    after each blowdown.  The reference the heap version must match."""
+    log = []
+    cur = g
+    while True:
+        vid = next((v for v in cur.sorted_ids() if is_superfluous(cur, v)), None)
+        if vid is None:
+            return cur, log
+        cur = blow_down(cur, vid, log)
+
+
+@st.composite
+def minus_one_graphs(draw):
+    """Divisor graphs on up to 9 vertices, most weights -1 or -2, a few
+    vertices with boundary."""
+    ids = [f"n{i}" for i in range(draw(st.integers(1, 9)))]
+    vs = [Vertex(x, draw(st.sampled_from([-1, -1, -1, -2, -2, 0])), 0,
+                 draw(st.sampled_from([0, 0, 0, 0, 1]))) for x in ids]
+    pairs = [(a, b) for i, a in enumerate(ids) for b in ids[i + 1:]]
+    chosen = draw(st.sets(st.sampled_from(pairs), max_size=12)) if pairs else ()
+    return WeightedGraph("divisor", vs, [Edge(a, b) for a, b in chosen])
+
+
+def assert_same_minimalization(g):
+    out, log = snc_minimalize(g)
+    ref_out, ref_log = scan_snc_minimalize(g)
+    assert log == ref_log
+    assert list(out.vertices.items()) == list(ref_out.vertices.items())
+    assert out.edges == ref_out.edges
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(minus_one_graphs(), divisor_graphs_with_cycles(), divisor_trees()))
+def test_snc_minimalize_matches_the_rescan(g):
+    assert_same_minimalization(g)
+
+
+@pytest.mark.parametrize("minus_one_first", [True, False])
+def test_snc_minimalize_matches_the_rescan_on_a_long_chain(minus_one_first):
+    """The 1 000-vertex chain (-1, -2, ..., -2) blows down to one vertex,
+    from either end of the id order."""
+    weights = [-1] + [-2] * 999
+    g = chain(*(weights if minus_one_first else reversed(weights)))
+    assert_same_minimalization(g)
+    assert len(snc_minimalize(g)[1]) == 999
+
+
 def assert_matches_oracle_under_tight_caps(g, slack):
     """With a lowered budget, and caps tightened by `slack` vertices so
     that some searches run out of states before they run out of moves."""

@@ -52,9 +52,10 @@ from plumbcalc.graphs import (
     smith_normal_form,
     spanning_forest,
 )
-from plumbcalc.family import build_boundary_graph
+from plumbcalc.family import FamilyParams, build_boundary_graph, build_by_blowups
 from plumbcalc.invariants import abelianization, pi1_presentation
 from plumbcalc.plumbing import (
+    _contract,
     _insert,
     flip_vertex_signs,
     from_divisor_graph,
@@ -196,9 +197,8 @@ def test_edge_order_among_parallel_edges_is_plus_first():
     ([Edge("a", "b"), Edge("b", "z")], "references missing vertex"),
 ])
 def test_divisor_rules_hold_on_presorted_edges(edges, message):
-    """Most of these lists increase strictly, so the constructor takes them
-    without its keyed sort; every divisor rule still raises on them, and
-    on their reversals with the same message."""
+    """Every divisor rule raises on these edge lists, most of which
+    already increase, and on their reversals with the same message."""
     vs = [Vertex(x, -2) for x in "abc"]
     for es in edges, edges[::-1]:
         with pytest.raises(DomainError, match=message):
@@ -1366,15 +1366,36 @@ def assert_index_matches_scan(g):
         assert branching_number(g, vid) == sum((e.u == vid) + (e.v == vid) for e in g.edges)
 
 
+def assert_matches_rebuild(g):
+    """g equals the constructor's build from its vertex list and edges in
+    vertices and their order, edges, around and loops."""
+    rebuilt = WeightedGraph(g.kind, list(g.vertices.values()), g.edges)
+    assert list(g.vertices.items()) == list(rebuilt.vertices.items())
+    assert g.edges == rebuilt.edges
+    assert list(g.around.items()) == list(rebuilt.around.items())
+    assert list(g.loops.items()) == list(rebuilt.loops.items())
+
+
 def assert_moves_keep_input(g, moves):
-    before = canonical_json(g.to_json_dict())
+    """Each move that applies gives a graph whose index matches a scan and
+    a rebuild, and leaves g, its index included, as it was; the graphs the
+    moves give."""
+    def state():
+        return (canonical_json(g.to_json_dict()), list(g.vertices.items()),
+                {vid: list(at) for vid, at in g.around.items()}, dict(g.loops))
+
+    before = state()
+    outs = []
     for move in moves:
         try:
             out = move()
         except DomainError:
             continue
         assert_index_matches_scan(out)
-    assert canonical_json(g.to_json_dict()) == before
+        assert_matches_rebuild(out)
+        outs.append(out)
+    assert state() == before
+    return outs
 
 
 def test_incidence_index_on_loops_parallel_edges_and_an_isolated_vertex():
@@ -1393,27 +1414,24 @@ def test_incidence_index_on_loops_parallel_edges_and_an_isolated_vertex():
         ("b", "c", 1), ("b", "c", -1)]
 
 
-@settings(max_examples=100, deadline=None)
-@given(multigraphs(), st.data())
-def test_incidence_index_matches_edge_scan_and_moves_copy(g, data):
-    assert_index_matches_scan(g)
+def plumbing_moves(g, data):
     moves = []
     for vid in g.vertices:
+        eps, s1 = data.draw(st.sampled_from([1, -1])), data.draw(st.sampled_from([1, -1]))
         moves += [
             lambda vid=vid: move_R1(g, vid),
             lambda vid=vid: move_R3(g, vid),
             lambda vid=vid: flip_vertex_signs(g, vid),
-            lambda vid=vid: _insert(g, vid, -1, fresh_id(g.vertices), s1=-1),
+            lambda vid=vid, eps=eps, s1=s1: _insert(g, vid, eps, fresh_id(g.vertices), s1),
         ]
     if g.edges:
         edge = data.draw(st.sampled_from(g.edges))
-        moves.append(lambda: _insert(g, edge, 1, fresh_id(g.vertices), s1=-1))
-    assert_moves_keep_input(g, moves)
+        eps, s1 = data.draw(st.sampled_from([1, -1])), data.draw(st.sampled_from([1, -1]))
+        moves.append(lambda: _insert(g, edge, eps, fresh_id(g.vertices), s1))
+    return moves
 
-    # the divisor moves run on the simple graph underneath
-    d = WeightedGraph("divisor", list(g.vertices.values()),
-                      {Edge(e.u, e.v) for e in g.edges if not e.is_loop})
-    assert_index_matches_scan(d)
+
+def divisor_moves(d, data):
     moves = []
     for vid in d.vertices:
         moves += [lambda vid=vid: blow_up(d, vid),
@@ -1423,7 +1441,72 @@ def test_incidence_index_matches_edge_scan_and_moves_copy(g, data):
     if d.edges:
         edge = data.draw(st.sampled_from(d.edges))
         moves.append(lambda: blow_up(d, edge))
-    assert_moves_keep_input(d, moves)
+    return moves
+
+
+@settings(max_examples=100, deadline=None)
+@given(multigraphs(), st.data())
+def test_incidence_index_matches_edge_scan_and_moves_copy(g, data):
+    """Sequences of up to six moves, from a plumbing multigraph with loops
+    and signed parallel edges and from the simple divisor graph under it:
+    after each step every move's graph matches a scan and a rebuild and
+    leaves its input as it was, and one of them is the next step."""
+    d = WeightedGraph("divisor", list(g.vertices.values()),
+                      {Edge(e.u, e.v) for e in g.edges if not e.is_loop})
+    for cur, moves in (g, plumbing_moves), (d, divisor_moves):
+        assert_index_matches_scan(cur)
+        for _ in range(data.draw(st.integers(1, 6))):
+            outs = assert_moves_keep_input(cur, moves(cur, data))
+            if not outs:
+                break
+            cur = data.draw(st.sampled_from(outs))
+
+
+def test_family_blowups_match_rebuild():
+    """build_by_blowups derives every blowup and the final relabelling."""
+    g, _ = build_by_blowups(FamilyParams.default(3, 4))
+    assert_index_matches_scan(g.graph)
+    assert_matches_rebuild(g.graph)
+    assert g.graph == build_boundary_graph(3, 4).graph
+
+
+def contract_errors():
+    """(move, message): derived builds on a divisor triangle that break a
+    divisor rule, with the message the constructor gives for the graph
+    they would build."""
+    tri = cycle(-1, -2, -2)
+    return [
+        (lambda: _contract(tri, "v0"),
+         "divisor graphs cannot carry multi-edges ('v1','v2')"),
+        (lambda: _insert(tri, "v1", -1, "E", s1=-1),
+         "divisor graphs have only +1 edges"),
+        (lambda: _insert(tri, Edge("v1", "v2"), 1, "E"),
+         "divisor graphs have only +1 edges"),
+    ]
+
+
+def test_derived_divisor_builds_check_the_divisor_rules():
+    for move, message in contract_errors():
+        with pytest.raises(DomainError) as e:
+            move()
+        assert str(e.value) == message
+
+
+def test_derived_divisor_builds_check_the_divisor_rules_under_python_O():
+    code = (
+        "from plumbcalc.graphs import DomainError\n"
+        "from test_graphs import contract_errors\n"
+        "for move, _ in contract_errors():\n"
+        "    try:\n"
+        "        move()\n"
+        "    except DomainError as e:\n"
+        "        print(e)\n"
+    )
+    src = str(Path(plumbcalc.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, str(Path(__file__).parent)])}
+    out = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                         capture_output=True, text=True, timeout=60, check=True)
+    assert out.stdout == "".join(f"{message}\n" for _, message in contract_errors())
 
 
 # -- library-wide self-checks ----------------------------------------------------

@@ -2,12 +2,13 @@
 lens read-offs, homology of the plumbed manifold."""
 
 import itertools
+import json
 import math
 import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import plumbcalc.plumbing as plumbing
@@ -423,6 +424,109 @@ def test_normalize_budget_counts_moves_applied(monkeypatch):
         "normalize: move budget 1 exceeded after 1 R1 and 0 R3 moves,"
         " 3 vertices left"
     )
+
+
+def scan_normalize(g):
+    """normalize as it was before its heaps: every id is tested for R1,
+    then for R3, after each move.  The reference the heap version must
+    match."""
+    if g.kind == "divisor":
+        g = from_divisor_graph(g)
+    plumbing._require_plumbing(g, "normalize")
+    plumbing._require_rational(g, "normalize")
+    if not g.vertices:
+        raise DomainError("normalize: empty graph (S^3 has no plumbing vertex)")
+    if len(plumbing.connected_components(g)) != 1:
+        raise DomainError("normalize: graph must be connected")
+
+    log: list = []
+    cur = g
+    while True:
+        ids = cur.sorted_ids()
+        rules = ((move_R1, plumbing._r1_obstruction), (move_R3, plumbing._r3_obstruction))
+        step = next(((move, x) for move, blocked in rules for x in ids
+                     if blocked(cur, x) is None), None)
+        if step is None:
+            break
+        if len(log) == plumbing.MOVE_BUDGET:
+            r1 = sum(e["move"] == "R1" for e in log)
+            raise DomainError(
+                f"normalize: move budget {plumbing.MOVE_BUDGET} exceeded after {r1} R1"
+                f" and {len(log) - r1} R3 moves, {len(cur.vertices)} vertices"
+                " left"
+            )
+        move, vid = step
+        cur = move(cur, vid, log)
+        if not cur.vertices:
+            return plumbing.NormalForm(cur, (), "generic", None, tuple(log))
+
+    cur = gauge_canonicalize(cur)
+    report = is_normal(cur)
+    if report.ok:
+        order = plumbing.canonical_ordering(cur)
+        return plumbing.NormalForm(cur, order, "generic", None, tuple(log))
+    sd = plumbing._seifert_special(cur)
+    if sd is not None:
+        return plumbing.NormalForm(
+            cur, tuple(cur.sorted_ids()), "seifert_special", sd, tuple(log)
+        )
+    raise OutOfScopeError(
+        "normalize: terminal graph is not normal and is not a recognized"
+        " special Seifert graph; finishing it needs plumbing moves outside"
+        " the implemented R1/R3 subset (R2, R4-R6, R8 or non-orientable"
+        f" handling). Violations: {list(report.violations)}"
+    )
+
+
+def normalize_outcome(run, g):
+    """The normal form's JSON and the order of its graph's vertices, or
+    the error's type and message."""
+    try:
+        nf = run(g)
+    except (DomainError, OutOfScopeError) as e:
+        return type(e).__name__, str(e)
+    return canonical_json(nf.to_json_dict()), list(nf.graph.vertices)
+
+
+@st.composite
+def connected_plumbing_graphs(draw):
+    """Connected plumbing graphs on up to 8 vertices, weights near 0: a
+    tree plus extra edges, loops and signed parallel edges among them; a
+    few vertices carry boundary."""
+    n = draw(st.integers(1, 8))
+    ids = [f"n{i}" for i in range(n)]
+    vs = [Vertex(x, draw(st.sampled_from([-3, -2, -1, -1, 0, 0, 1, 2, 3])), 0,
+                 draw(st.sampled_from([0, 0, 0, 0, 1]))) for x in ids]
+    sign = st.sampled_from([1, -1])
+    es = [Edge(ids[i], ids[draw(st.integers(0, i - 1))], draw(sign)) for i in range(1, n)]
+    extra = st.builds(Edge, st.sampled_from(ids), st.sampled_from(ids), sign)
+    return WeightedGraph("plumbing", vs, es + draw(st.lists(extra, max_size=4)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(connected_plumbing_graphs())
+@example(pchain(-3, 0, 2))  # R3 leaves a -1 vertex that R1 then removes
+def test_normalize_matches_the_rescan(g):
+    assert normalize_outcome(normalize, g) == normalize_outcome(scan_normalize, g)
+
+
+@pytest.mark.parametrize("minus_one_first", [True, False])
+def test_normalize_matches_the_rescan_on_a_long_chain(minus_one_first):
+    """The 1 000-vertex chain (-1, -2, ..., -2) blows down completely,
+    from either end of the id order."""
+    weights = [-1] + [-2] * 999
+    g = pchain(*(weights if minus_one_first else reversed(weights)))
+    outcome = normalize_outcome(normalize, g)
+    assert outcome == normalize_outcome(scan_normalize, g)
+    assert json.loads(outcome[0])["log"] == [
+        {"move": "R1", "vertex": f"v{i}"} for i in
+        (range(1000) if minus_one_first else range(999, -1, -1))]
+
+
+def test_normalize_matches_the_rescan_on_family_graphs():
+    for d1, d2 in (1, 1), (1, 6), (2, 3), (3, 3), (4, 7):
+        g = family_plumbing(d1, d2)
+        assert normalize_outcome(normalize, g) == normalize_outcome(scan_normalize, g)
 
 
 def test_cli_normalize_budget_exceeded_exits_1(monkeypatch, tmp_path, capsys):
