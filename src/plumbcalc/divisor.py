@@ -408,6 +408,12 @@ def standardize(g: WeightedGraph) -> tuple[WeightedGraph, list]:
     moves tried (a strategy failure, never a proof that no standard form
     exists).
 
+    The goal test runs only after snc-minimalizing, so an input that is
+    already standard but not snc-minimal comes back changed: the (1,1)
+    boundary D-part, which `is_standard` accepts, returns as another
+    standard graph after two moves (a blowdown of L1_0, then an inner
+    blowup on L1_inf-L2_inf) rather than unchanged with an empty log.
+
     Work on a child is paid only when the child is taken from the queue,
     except the test of whether it could be standard (`_could_be_standard`),
     read off the parent and its survey.  Each expanded state is surveyed

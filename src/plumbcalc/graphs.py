@@ -74,6 +74,18 @@ def _end_key(pair: tuple) -> tuple:
     return (pair[0], -pair[1])
 
 
+def _check_divisor_edge(e: Edge, parallel: bool) -> None:
+    """The divisor rules for an edge joining a divisor graph: no loop,
+    sign +1, and no copy already there (parallel)."""
+    u, v, s = e
+    if u == v:
+        raise DomainError("divisor graphs cannot carry loops")
+    if s != 1:
+        raise DomainError("divisor graphs have only +1 edges")
+    if parallel:
+        raise DomainError(f"divisor graphs cannot carry multi-edges ({u!r},{v!r})")
+
+
 class WeightedGraph:
     """A finite weighted multigraph with signed edges.
 
@@ -91,11 +103,15 @@ class WeightedGraph:
     never changed, so a child graph may share parts of it.  A vertex has
     len(around[v]) + 2 * len(loops[v]) edge ends.
 
-    The constructor checks every vertex and edge.  The moves build their
-    child with `_derive` instead, which copies the parent's maps, patches
-    the index at the vertices the move touches and checks the divisor
-    rules on the edges it adds; every other vertex and edge was checked
-    when the parent was built.  Both give the same graph and index.
+    A partial edit, each move included, derives its graph from its parent
+    with `_derive`; the constructor only reads outside data and builds
+    maps over every element (`from_json_dict`, the family builders,
+    `from_divisor_graph`, `_negate`, `induced`).  The constructor checks
+    every vertex and edge.  `_derive` copies the parent's maps, patches
+    the index at the vertices the edit touches and checks the divisor
+    rules (`_check_divisor_edge`, shared with the constructor) on the
+    edges it adds; every other vertex and edge was checked when the
+    parent was built.  Both give the same graph and index.
     """
 
     __slots__ = ("kind", "vertices", "edges", "around", "loops")
@@ -118,14 +134,7 @@ class WeightedGraph:
             if u not in vs or v not in vs:
                 raise DomainError(f"edge ({u!r},{v!r}) references missing vertex")
             if divisor:
-                if u == v:
-                    raise DomainError("divisor graphs cannot carry loops")
-                if s != 1:
-                    raise DomainError("divisor graphs have only +1 edges")
-                if e == last:  # sorted, so parallel copies are adjacent
-                    raise DomainError(
-                        f"divisor graphs cannot carry multi-edges ({u!r},{v!r})"
-                    )
+                _check_divisor_edge(e, e == last)  # sorted: copies are adjacent
                 last = e
             if u == v:
                 loops[u] = (s, *loops[u])  # +1 loops come first, so this sorts
@@ -138,12 +147,13 @@ class WeightedGraph:
         self.around = around
         self.loops = loops
 
-    def _derive(self, put=(), drop: str | None = None, cut=(), add=()) -> "WeightedGraph":
-        """This graph with each vertex of put in place of its namesake, or
-        appended when its id is new, the vertex drop removed with its
-        edges, one copy of each edge of cut removed and the edges of add
-        added: the graph the constructor builds from that vertex list and
-        edge multiset, in vertices, their order, edges and index.
+    def _derive(self, put=(), drop=(), cut=(), add=()) -> "WeightedGraph":
+        """This graph with the vertices of drop removed with their edges,
+        each vertex of put in place of its namesake, or appended when its
+        id is new (a dropped id counts as new), one copy of each edge of
+        cut removed and the edges of add added: the graph the constructor
+        builds from that vertex list and edge multiset, in vertices, their
+        order, edges and index.
 
         The maps are copied at C speed and the index is patched only at
         the ends of the edges removed or added and at the new vertices.
@@ -151,19 +161,22 @@ class WeightedGraph:
         edge was checked when this graph was built.  A child that changes
         only weights or labels shares this graph's edges and index."""
         vs = self.vertices.copy()
-        if drop is not None:
-            del vs[drop]
+        for vid in drop:
+            del vs[vid]
         for v in put:
             vs[v.id] = v
         out = object.__new__(WeightedGraph)
         out.kind, out.vertices = self.kind, vs
-        if drop is None and not cut and not add and len(vs) == len(self.vertices):
+        if not drop and not cut and not add and len(vs) == len(self.vertices):
             out.edges, out.around, out.loops = self.edges, self.around, self.loops
             return out
         edges, around, loops = list(self.edges), self.around.copy(), self.loops.copy()
-        if drop is not None:
-            cut = [*(Edge(x, drop, s) for x, s in around.pop(drop)),
-                   *(Edge(drop, drop, s) for s in loops.pop(drop)), *cut]
+        gone = set(drop)
+        if gone:
+            # an edge between two dropped vertices is cut from its lesser end
+            cut = [*(Edge(x, d, s) for d in drop for x, s in around.pop(d)
+                     if x not in gone or d < x),
+                   *(Edge(d, d, s) for d in drop for s in loops.pop(d)), *cut]
         for v in put:
             if v.id not in around:
                 around[v.id], loops[v.id] = [], ()
@@ -178,13 +191,13 @@ class WeightedGraph:
             del edges[i]
             u, v, s = e
             if u == v:
-                if u in vs:
+                if u not in gone:
                     left = list(loops[u])
                     left.remove(s)
                     loops[u] = tuple(left)
                 continue
             for a, b in (u, v), (v, u):
-                if a in vs:
+                if a not in gone:
                     around[a] = ends = around[a][:]  # the parent's stays
                     ends.remove((b, s))
         for e in add:
@@ -192,14 +205,7 @@ class WeightedGraph:
             if u not in vs or v not in vs:
                 raise DomainError(f"edge ({u!r},{v!r}) references missing vertex")
             if divisor:
-                if u == v:
-                    raise DomainError("divisor graphs cannot carry loops")
-                if s != 1:
-                    raise DomainError("divisor graphs have only +1 edges")
-                if (v, s) in around[u]:
-                    raise DomainError(
-                        f"divisor graphs cannot carry multi-edges ({u!r},{v!r})"
-                    )
+                _check_divisor_edge(e, (v, s) in around[u])
             insort(edges, e, key=edge_key)
             if u == v:
                 loops[u] = tuple(sorted((*loops[u], s)))

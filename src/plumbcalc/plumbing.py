@@ -125,7 +125,7 @@ def _contract(g: WeightedGraph, vid: str) -> WeightedGraph:
         (u, s1), (w, s2) = at
         add = (Edge(u, w, -eps * s1 * s2),)
     put = reweighted(map(g.vertices.get, deltas), deltas)
-    return g._derive(put, drop=vid, add=add)
+    return g._derive(put, drop=(vid,), add=add)
 
 
 def _insert(g: WeightedGraph, at, eps: int, new_id: str, s1: int = 1) -> WeightedGraph:
@@ -179,12 +179,15 @@ def move_R3(g: WeightedGraph, vid: str, log: list | None = None) -> WeightedGrap
     """Absorb a rational 0-vertex of beta = 2 joining distinct vertices.
 
     The two neighbors u != w merge into one vertex (the smaller id is
-    kept) with weights, genus and boundary added, inheriting all other
-    edges of both.  Sign bookkeeping: when the product of the two removed
-    edge signs is +1, every edge end formerly at the discarded vertex has
-    its sign flipped; equivalently each inherited edge end is multiplied
-    by -s1*s2.  A loop at the discarded vertex is hit twice and keeps its
-    sign; a u-w edge becomes a loop at the merged vertex.
+    kept, in its place in vertex order) with weights, genus and boundary
+    added, inheriting all other edges of both.  Sign bookkeeping: when
+    the product of the two removed edge signs is +1, every edge end
+    formerly at the discarded vertex has its sign flipped; equivalently
+    each inherited edge end is multiplied by -s1*s2.  A loop at the
+    discarded vertex is hit twice and keeps its sign; a u-w edge becomes
+    a loop at the merged vertex.  The child is derived from g: v and the
+    discarded vertex are dropped and the discarded vertex's other edges
+    re-added at the kept one, so the move costs O(degree) edge edits.
 
     A 0-vertex whose two edges reach the same vertex (or itself) is a
     self-absorption: it encodes an S^1 x S^2-like piece whose reduction
@@ -195,31 +198,16 @@ def move_R3(g: WeightedGraph, vid: str, log: list | None = None) -> WeightedGrap
     if why is not None:
         raise DomainError(why)
     (u, s1), (w, s2) = g.around[vid]
-    keep, drop = (u, w) if u < w else (w, u)
+    keep, gone = (u, w) if u < w else (w, u)
     mult = -s1 * s2  # applied per edge end at the dropped vertex
-
-    ku, kw = g.vertices[keep], g.vertices[drop]
-    merged = Vertex(
-        keep,
-        ku.weight + kw.weight,
-        ku.genus + kw.genus,
-        ku.boundary + kw.boundary,
-        ku.label,
-    )
-    vertices = [merged] + [
-        x for x in g.vertices.values() if x.id not in (vid, keep, drop)
-    ]
-    edges = []
-    for e in g.edges:
-        if vid in (e.u, e.v):
-            continue
-        a, b, s = e.u, e.v, e.sign
-        if a == drop:
-            a, s = keep, s * mult
-        if b == drop:
-            b, s = keep, s * mult
-        edges.append(Edge(a, b, s))
-    out = WeightedGraph("plumbing", vertices, edges)
+    ku, kw = g.vertices[keep], g.vertices[gone]
+    merged = ku._replace(weight=ku.weight + kw.weight, genus=ku.genus + kw.genus,
+                         boundary=ku.boundary + kw.boundary)
+    # the dropped vertex's edges, but the one to vid, re-homed at keep
+    moved = [Edge(keep if x == gone else x, keep, s * mult)
+             for x, s in g.around[gone] if x != vid]
+    moved += [Edge(keep, keep, s) for s in g.loops[gone]]
+    out = g._derive([merged], drop=(vid, gone), add=moved)
     if log is not None:
         log.append({"move": "R3", "vertex": vid})
     return out
@@ -235,9 +223,8 @@ def _regauge(g: WeightedGraph, flip: dict) -> WeightedGraph:
     Loops are hit twice and keep their sign.  The plumbed manifold is
     unchanged; only the sign pattern on cycles is gauge-invariant.
     """
-    edges = [Edge(e.u, e.v, -e.sign) if flip.get(e.u, 1) != flip.get(e.v, 1) else e
-             for e in g.edges]
-    return WeightedGraph("plumbing", list(g.vertices.values()), edges)
+    flipped = [e for e in g.edges if flip.get(e.u, 1) != flip.get(e.v, 1)]
+    return g._derive(cut=flipped, add=[Edge(u, v, -s) for u, v, s in flipped])
 
 
 def flip_vertex_signs(g: WeightedGraph, vid: str) -> WeightedGraph:
@@ -538,10 +525,7 @@ def normalize(g: WeightedGraph) -> NormalForm:
 
 
 def _negate(g: WeightedGraph) -> WeightedGraph:
-    vertices = [
-        Vertex(v.id, -v.weight, v.genus, v.boundary, v.label)
-        for v in g.vertices.values()
-    ]
+    vertices = [v._replace(weight=-v.weight) for v in g.vertices.values()]
     edges = [Edge(e.u, e.v, -e.sign) for e in g.edges]
     return WeightedGraph("plumbing", vertices, edges)
 
@@ -568,18 +552,14 @@ def _dualize_positive_twigs(g: WeightedGraph, log: list) -> WeightedGraph:
         # seg.vertices is tip-first; read attachment-outward for the fraction
         p, q = continued_fraction_eval(ChainType(tuple(reversed(weights))))
         dual = continued_fraction_expand(p, p - q)  # entries >= 2, so p > q
-        base = cur.induced(x for x in cur.vertices if x not in seg.vertices)
-        vertices = reweighted(base.vertices.values(), {att: -1})
-        edges = list(base.edges)
-        prev = att
-        new_ids = []
-        for a in dual.entries:
-            nid = fresh_id(base.vertices.keys() | new_ids, "Z")
-            vertices.append(Vertex(nid, -a))
-            edges.append(Edge(prev, nid, 1))
-            prev = nid
-            new_ids.append(nid)
-        cur = WeightedGraph("plumbing", vertices, edges)
+        taken, new_ids = cur.vertices.keys() - set(seg.vertices), []
+        for _ in dual.entries:
+            new_ids.append(fresh_id(taken, "Z"))
+            taken.add(new_ids[-1])
+        put = reweighted([cur.vertices[att]], {att: -1})
+        put += [Vertex(nid, -a) for nid, a in zip(new_ids, dual.entries)]
+        chain = [Edge(a, b, 1) for a, b in zip([att, *new_ids], new_ids)]
+        cur = cur._derive(put, drop=seg.vertices, add=chain)
         log.append(
             {
                 "move": "chain_dual",
@@ -722,20 +702,10 @@ def seifert_from_star(g: WeightedGraph) -> SeifertData:
     return SeifertData(c.genus, c.boundary, tuple(fibers), central)
 
 
-def jsj_cut(g) -> list:
-    """Seifert pieces after cutting the plumbed manifold along its JSJ tori.
-
-    Accepts a family-shaped graph (or NormalForm): after normalization the
-    cycle is either the double edge between the two cores or a single
-    loop; its edges are removed, each formerly-joined vertex gains 2
-    boundary circles, and each resulting star is read off.  The special
-    Seifert certificate is already a single fibered piece.  Pieces are
-    sorted by fiber tuple.
-    """
-    nf = g if isinstance(g, NormalForm) else normalize(g)
-    if nf.certificate == "seifert_special":
-        return [nf.seifert]
-    graph = nf.graph
+def _cut_torus(graph: WeightedGraph) -> WeightedGraph:
+    """The graph of first Betti number 1 cut along its one torus, derived
+    from it: the edges of its cycle, a loop or a double edge, are cut and
+    each end of a cut edge gains a boundary circle."""
     if first_betti(graph) != 1:
         raise OutOfScopeError(
             "jsj_cut: expected first betti number 1 (one cutting torus);"
@@ -754,22 +724,26 @@ def jsj_cut(g) -> list:
             )
         a, b = doubles[0]
         cut_edges = [Edge(a, b, s) for x, s in graph.around[a] if x == b]
+    ends = Counter(x for e in cut_edges for x in (e.u, e.v))  # a loop's twice
+    bumped = [v._replace(boundary=v.boundary + ends[v.id])
+              for v in map(graph.vertices.get, ends)]
+    return graph._derive(bumped, cut=cut_edges)
 
-    touched: dict[str, int] = {}
-    for e in cut_edges:
-        touched[e.u] = touched.get(e.u, 0) + 1
-        touched[e.v] = touched.get(e.v, 0) + 1
-    vertices = []
-    for v in graph.vertices.values():
-        if v.id in touched:
-            vertices.append(
-                Vertex(v.id, v.weight, v.genus, v.boundary + touched[v.id], v.label)
-            )
-        else:
-            vertices.append(v)
-    edges = [e for e in graph.edges if e not in cut_edges]
-    cut = WeightedGraph("plumbing", vertices, edges)
 
+def jsj_cut(g) -> list:
+    """Seifert pieces after cutting the plumbed manifold along its JSJ tori.
+
+    Accepts a family-shaped graph (or NormalForm): after normalization the
+    cycle is either the double edge between the two cores or a single
+    loop; its edges are removed, each formerly-joined vertex gains 2
+    boundary circles (`_cut_torus`), and each resulting star is read off.
+    The special Seifert certificate is already a single fibered piece.
+    Pieces are sorted by fiber tuple.
+    """
+    nf = g if isinstance(g, NormalForm) else normalize(g)
+    if nf.certificate == "seifert_special":
+        return [nf.seifert]
+    cut = _cut_torus(nf.graph)
     pieces = [
         seifert_from_star(cut.induced(comp))
         for comp in sorted(connected_components(cut), key=sorted)

@@ -56,7 +56,11 @@ from plumbcalc.family import FamilyParams, build_boundary_graph, build_by_blowup
 from plumbcalc.invariants import abelianization, pi1_presentation
 from plumbcalc.plumbing import (
     _contract,
+    _cut_torus,
+    _dualize_positive_twigs,
     _insert,
+    _negate,
+    _regauge,
     flip_vertex_signs,
     from_divisor_graph,
     gauge_canonicalize,
@@ -1428,6 +1432,14 @@ def plumbing_moves(g, data):
         edge = data.draw(st.sampled_from(g.edges))
         eps, s1 = data.draw(st.sampled_from([1, -1])), data.draw(st.sampled_from([1, -1]))
         moves.append(lambda: _insert(g, edge, eps, fresh_id(g.vertices), s1))
+    flip = {vid: data.draw(st.sampled_from([1, -1])) for vid in g.vertices}
+    moves += [lambda: _regauge(g, flip),
+              lambda: _dualize_positive_twigs(g, []),
+              lambda: _dualize_positive_twigs(_negate(g), [])]
+    # _cut_torus takes a graph whose one cycle is a loop or a double edge
+    if first_betti(g) == 1 and (any(g.loops.values())
+                                or len({e[:2] for e in g.edges}) < len(g.edges)):
+        moves.append(lambda: _cut_torus(g))
     return moves
 
 
@@ -1460,6 +1472,66 @@ def test_incidence_index_matches_edge_scan_and_moves_copy(g, data):
             if not outs:
                 break
             cur = data.draw(st.sampled_from(outs))
+
+
+def test_derived_family_edits_match_rebuild():
+    """Twig dualization, the gauge move with mixed flips and the JSJ cut
+    on family normal forms match a rebuild.  Dualizing the negated
+    reversal drops the Z twigs the first reversal added and gives their
+    ids back to the new vertices."""
+    for d1, d2 in (1, 1), (1, 4), (3, 2), (5, 6):
+        nf = normalize(from_divisor_graph(build_boundary_graph(d1, d2).d_part()))
+        again, log = _negate(reverse_orientation(nf).graph), []
+        flip = {vid: (-1) ** i for i, vid in enumerate(nf.graph.vertices)}
+        outs = assert_moves_keep_input(nf.graph, [
+            lambda: _dualize_positive_twigs(_negate(nf.graph), []),
+            lambda: _dualize_positive_twigs(again, log),
+            lambda: _regauge(nf.graph, flip),
+            lambda: _cut_torus(nf.graph)])
+        assert len(outs) == 4
+        assert all(set(e["removed"]) & set(e["added"]) for e in log)
+        assert log or (d1, d2) == (1, 1)
+
+
+def pvs(*ids):
+    return [Vertex(x, -2) for x in ids]
+
+
+def pes(*triples):
+    return [Edge(u, v, s) for u, v, s in triples]
+
+
+@pytest.mark.parametrize("g, edit, vertices, edges", [
+    # two adjacent dropped vertices: their two parallel edges are cut once
+    (WeightedGraph("plumbing", pvs("a", "b", "c", "d"),
+                   pes(("a", "b", 1), ("b", "c", 1), ("b", "c", -1), ("c", "d", -1),
+                       ("a", "d", 1))),
+     {"drop": ("c", "b")}, pvs("a", "d"), pes(("a", "d", 1))),
+    (WeightedGraph("divisor", pvs("a", "b", "c", "d"),
+                   pes(("a", "b", 1), ("b", "c", 1), ("c", "d", 1), ("b", "d", 1))),
+     {"drop": ("b", "c")}, pvs("a", "d"), []),
+    # parallel edges and loops on the dropped vertex
+    (WeightedGraph("plumbing", pvs("a", "b", "c"),
+                   pes(("a", "b", 1), ("a", "b", -1), ("a", "b", 1), ("b", "b", -1),
+                       ("b", "b", 1), ("b", "c", 1), ("a", "c", -1), ("a", "a", 1))),
+     {"drop": ("b",)}, pvs("a", "c"), pes(("a", "c", -1), ("a", "a", 1))),
+    # a put that re-adds a dropped id goes last, with only the added edges
+    (WeightedGraph("plumbing", pvs("Z1", "a", "Z2"),
+                   pes(("a", "Z1", 1), ("Z1", "Z2", -1), ("Z1", "Z1", 1))),
+     {"drop": ("Z1", "Z2"), "put": [Vertex("Z1", -3)], "add": pes(("a", "Z1", -1))},
+     [Vertex("a", -2), Vertex("Z1", -3)], pes(("a", "Z1", -1))),
+    (WeightedGraph("divisor", pvs("Z1", "a", "b"), pes(("a", "Z1", 1), ("b", "Z1", 1))),
+     {"drop": ("Z1",), "put": [Vertex("Z1", -3)], "add": pes(("a", "Z1", 1))},
+     [*pvs("a", "b"), Vertex("Z1", -3)], pes(("a", "Z1", 1))),
+])
+def test_derive_drops_several_vertices_like_the_constructor(g, edit, vertices, edges):
+    """_derive with several dropped vertices, parallel edges and loops at
+    them, and a dropped id put back, builds what the constructor builds
+    and leaves its input as it was."""
+    (out,) = assert_moves_keep_input(g, [lambda: g._derive(**edit)])
+    want = WeightedGraph(g.kind, vertices, edges)
+    assert list(out.vertices.items()) == list(want.vertices.items())
+    assert out.edges == want.edges
 
 
 def test_family_blowups_match_rebuild():
@@ -1521,6 +1593,38 @@ def test_library_has_no_bare_asserts():
         if isinstance(node, ast.Assert)
     ]
     assert found == []
+
+
+def constructor_callers() -> set:
+    """The "module.qualname" of each library function or method that
+    calls WeightedGraph(...), and "module" for a call outside them."""
+    found = set()
+
+    def visit(node, where):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                visit(child, f"{where}.{child.name}")
+                continue
+            func = child.func if isinstance(child, ast.Call) else None
+            if (isinstance(func, ast.Name) and func.id == "WeightedGraph"
+                    or isinstance(func, ast.Attribute) and func.attr == "WeightedGraph"):
+                found.add(where)
+            visit(child, where)
+
+    for path in sorted(Path(plumbcalc.__file__).parent.glob("*.py")):
+        visit(ast.parse(path.read_text(encoding="utf-8")), path.stem)
+    return found
+
+
+def test_only_outside_data_and_whole_graph_maps_call_the_constructor():
+    """A partial edit derives its graph from its parent (`_derive`); the
+    constructor reads outside data and maps every element.  A new
+    rebuild path fails here."""
+    assert constructor_callers() == {
+        "graphs.WeightedGraph.from_json_dict", "graphs.WeightedGraph.induced",
+        "family.build_boundary_graph", "family.build_by_blowups",
+        "plumbing.from_divisor_graph", "plumbing._negate",
+    }
 
 
 def library_imports():

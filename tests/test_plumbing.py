@@ -170,6 +170,28 @@ def test_r3_keeps_signs_when_removed_sign_product_negative():
     assert e.sign == -1
 
 
+def test_r3_rehomes_loops_and_the_joining_edge_in_place():
+    """The discarded vertex c's loop keeps its sign, its edge to the kept
+    a becomes a loop of flipped sign, a's own loop stays, and the merged
+    vertex keeps a's place in vertex order."""
+    g = WeightedGraph(
+        "plumbing",
+        [Vertex("d", -5), Vertex("a", -2), Vertex("b", 0), Vertex("c", -3, boundary=1),
+         Vertex("e", -1)],
+        [Edge("a", "b"), Edge("b", "c"), Edge("c", "c", -1), Edge("a", "c"),
+         Edge("c", "d"), Edge("a", "e"), Edge("a", "a")],
+    )
+    want = WeightedGraph(
+        "plumbing", [Vertex("d", -5), Vertex("a", -5, boundary=1), Vertex("e", -1)],
+        [Edge("a", "a", -1), Edge("a", "a", -1), Edge("a", "a"), Edge("a", "d", -1),
+         Edge("a", "e")],
+    )
+    out = move_R3(g, "b")
+    assert list(out.vertices.items()) == list(want.vertices.items())
+    assert out.edges == want.edges
+    assert out.loops == want.loops and out.around == want.around
+
+
 def test_r3_rejects_self_absorption_and_wrong_shapes():
     loop = WeightedGraph(
         "plumbing", [Vertex("b", 0)], [Edge("b", "b", 1)]
