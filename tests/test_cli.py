@@ -23,6 +23,8 @@ import plumbcalc.divisor as divisor
 from plumbcalc.cli import main
 from plumbcalc.family import build_boundary_graph
 from plumbcalc.graphs import (
+    DomainError,
+    Edge,
     OutOfScopeError,
     Vertex,
     WeightedGraph,
@@ -668,6 +670,58 @@ def usage_pins() -> dict:
 def test_argparse_output_matches_frozen_pins(monkeypatch):
     monkeypatch.setenv("COLUMNS", "80")
     assert usage_pins() == json.loads(USAGE_PINS.read_text())
+
+
+ERROR_ORDER_PINS = Path(__file__).parent / "data" / "constructor_error_order.json"
+# (kind, vertex ids, edges): graphs with two or more faults each
+ERROR_ORDER_GRAPHS = {
+    "divisor loop, then multi-edge": (
+        "divisor", "abc", [("a", "a", 1), ("b", "c", 1), ("b", "c", 1)]),
+    "divisor multi-edge, then loop": (
+        "divisor", "abc", [("a", "b", 1), ("a", "b", 1), ("c", "c", 1)]),
+    "divisor missing end, then -1 sign": (
+        "divisor", "abc", [("a", "z", 1), ("b", "c", -1)]),
+    "divisor -1 sign, then missing end": (
+        "divisor", "abc", [("a", "b", -1), ("c", "z", 1)]),
+    "divisor missing end with a -1 sign": ("divisor", "ab", [("a", "z", -1)]),
+    "divisor -1 copy of a +1 edge": ("divisor", "ab", [("a", "b", 1), ("a", "b", -1)]),
+    "plumbing two missing ends": ("plumbing", "ab", [("a", "x", -1), ("b", "y", 1)]),
+    "duplicate id, then missing end": ("plumbing", "aab", [("a", "z", 1)]),
+    "duplicate id, then divisor loop": ("divisor", "abb", [("a", "a", 1), ("a", "b", -1)]),
+}
+
+
+def error_order_pins(tmp: Path) -> dict:
+    """For each graph of ERROR_ORDER_GRAPHS, with its edges as given and
+    reversed: the graph JSON, the error `WeightedGraph(...)` raises, and
+    the exit code and stderr of `normalize FILE` on it.  The first fault
+    in the constructor's check order is the one reported.
+
+    Regenerate the frozen file only on purpose:
+    ``PYTHONPATH=src:tests python -c "import tempfile, pathlib, test_cli as t;
+    t.ERROR_ORDER_PINS.write_text(t.canonical_json(t.error_order_pins(pathlib.Path(
+    tempfile.mkdtemp()))))"``
+    """
+    out = {}
+    for name, (kind, ids, edges) in ERROR_ORDER_GRAPHS.items():
+        for order, es in ("", edges), (", edges reversed", edges[::-1]):
+            data = {"kind": kind, "vertices": [{"id": x, "weight": -2} for x in ids],
+                    "edges": [{"u": u, "v": v, "sign": s} for u, v, s in es]}
+            try:
+                WeightedGraph(kind, [Vertex(x, -2) for x in ids], [Edge(*e) for e in es])
+            except DomainError as e:
+                message = f"DomainError: {e}"
+            path = tmp / "graph.json"
+            path.write_text(json.dumps(data))
+            code, stdout, stderr = capture(["normalize", str(path)])
+            assert stdout == ""
+            out[name + order] = {"graph": data, "constructor": message,
+                                 "normalize": {"code": code, "stderr": stderr}}
+    return out
+
+
+def test_constructor_reports_the_first_fault_as_frozen(tmp_path):
+    assert error_order_pins(tmp_path) == json.loads(ERROR_ORDER_PINS.read_text())
 
 
 def fresh_process(argv) -> tuple:
