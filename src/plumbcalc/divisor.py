@@ -16,15 +16,16 @@ both apply moves through it.
 from __future__ import annotations
 
 from collections import deque, namedtuple
+from fractions import Fraction
 from heapq import heappop, heappush
 
 from .graphs import (
+    ChainType,
     DomainError,
     Edge,
     WeightedGraph,
     _chains_through,
     _entries,
-    _solve_exact,
     branching_number,
     branching_set,
     canonical_encoding,
@@ -33,7 +34,7 @@ from .graphs import (
     isomorphism_key,
     reweighted,
 )
-from .plumbing import _contract, _insert, move_R1, move_R3
+from .plumbing import _contract, _insert, continued_fraction_eval, move_R1, move_R3
 
 
 def _require_divisor(g: WeightedGraph, op: str) -> None:
@@ -552,7 +553,11 @@ def bark(g: WeightedGraph, twig: list) -> dict:
     """Solve (intersection matrix of the twig) . c = (-1, 0, ..., 0),
     the -1 sitting at the free tip (first vertex of the tip-first list).
 
-    Coefficients come back as exact Fractions, strictly between 0 and 1.
+    The matrix is tridiagonal, so by Cramer's rule, for the twig's
+    entries a_1..a_n tip first, c_i = K(a_{i+1}..a_n) / K(a_1..a_n), where
+    K is the continuant (`continued_fraction_eval`) and K of the empty
+    chain is 1.  Coefficients come back as exact Fractions, strictly
+    between 0 and 1.
     """
     if not twig:
         raise DomainError("bark: twig must be non-empty")
@@ -577,18 +582,11 @@ def bark(g: WeightedGraph, twig: list) -> dict:
     if len(twig) > 1 and tip_inside != [twig[1]]:
         raise DomainError("bark: twig must be listed tip first")
 
-    n = len(twig)
-    m = [[0] * n for _ in range(n)]
-    for i, vid in enumerate(twig):
-        m[i][i] = g.vertices[vid].weight
-        if i + 1 < n:
-            m[i][i + 1] = m[i + 1][i] = 1
-    rhs = [-1] + [0] * (n - 1)
-    sol = _solve_exact(m, rhs)
-    if sol is None:
-        raise AssertionError("bark: singular system on an admissible twig")
+    entries = tuple(-g.vertices[vid].weight for vid in twig)
+    det = continued_fraction_eval(ChainType(entries))[0]
     out = {}
-    for vid, c in zip(twig, sol):
+    for i, vid in enumerate(twig):
+        c = Fraction(continued_fraction_eval(ChainType(entries[i + 1:]))[0], det)
         if not (0 < c < 1):
             raise AssertionError(
                 f"bark: coefficient {c} of {vid!r} not strictly between 0 and 1"

@@ -15,11 +15,10 @@ NEGATED vertex weights, so the chain [3,2] has weights (-3,-2) and a
 from __future__ import annotations
 
 import json
-from bisect import bisect_left, insort
+from bisect import bisect_left
 from collections import Counter, defaultdict, namedtuple
-from fractions import Fraction
 from heapq import heappop, heappush
-from itertools import compress
+from itertools import compress, islice
 
 
 class DomainError(ValueError):
@@ -39,6 +38,13 @@ class Vertex(namedtuple("Vertex", "id weight genus boundary label")):
 
     def __new__(cls, id: str, weight: int, genus: int = 0, boundary: int = 0,
                 label: str | None = None):
+        return cls._make((id, weight, genus, boundary, label))
+
+    @classmethod
+    def _make(cls, fields):
+        """The one place a vertex is made and checked; namedtuple's
+        `_replace` makes its copy here too."""
+        id, weight, genus, boundary, label = fields
         if not isinstance(id, str) or not id:
             raise DomainError("vertex id must be a non-empty string")
         if genus < 0:
@@ -69,21 +75,9 @@ def _edge_key(e: Edge) -> tuple:
     return (e.u, e.v, -e.sign)
 
 
-def _end_key(pair: tuple) -> tuple:
-    """The order of around[v]: by other end, then sign +1 first."""
-    return (pair[0], -pair[1])
-
-
-def _check_divisor_edge(e: Edge, parallel: bool) -> None:
-    """The divisor rules for an edge joining a divisor graph: no loop,
-    sign +1, and no copy already there (parallel)."""
-    u, v, s = e
-    if u == v:
-        raise DomainError("divisor graphs cannot carry loops")
-    if s != 1:
-        raise DomainError("divisor graphs have only +1 edges")
-    if parallel:
-        raise DomainError(f"divisor graphs cannot carry multi-edges ({u!r},{v!r})")
+# The empty graph of a kind, the parent the constructor derives from: it
+# holds what `WeightedGraph._derive` reads of a parent.
+_EmptyGraph = namedtuple("_EmptyGraph", "kind vertices edges around loops")
 
 
 class WeightedGraph:
@@ -95,23 +89,21 @@ class WeightedGraph:
     comparison.  A graph is never changed after it is built: every
     operation returns a new graph.
 
-    The incidence index is built in the constructor's one pass over the
-    sorted edges, which also checks the divisor rules: the list around[v]
-    holds the (other end, sign) pair of each non-loop edge at v, in edge
-    order, which is (other end, -sign) order, and the tuple loops[v] the
-    signs of the loops at v, ascending.  Like the graph, the index is
-    never changed, so a child graph may share parts of it.  A vertex has
-    len(around[v]) + 2 * len(loops[v]) edge ends.
+    Every graph is built by `_derive`, which keeps the edges in
+    `_edge_key` order and the incidence index with them: the list
+    around[v] holds the (other end, sign) pair of each non-loop edge at
+    v, in edge order, which is (other end, -sign) order, and the tuple
+    loops[v] the signs of the loops at v, ascending.  Like the graph, the
+    index is never changed, so a child graph may share parts of it.  A
+    vertex has len(around[v]) + 2 * len(loops[v]) edge ends.
 
-    A partial edit, each move included, derives its graph from its parent
-    with `_derive`; the constructor only reads outside data and builds
-    maps over every element (`from_json_dict`, the family builders,
-    `from_divisor_graph`, `_negate`, `induced`).  The constructor checks
-    every vertex and edge.  `_derive` copies the parent's maps, patches
-    the index at the vertices the edit touches and checks the divisor
-    rules (`_check_divisor_edge`, shared with the constructor) on the
-    edges it adds; every other vertex and edge was checked when the
-    parent was built.  Both give the same graph and index.
+    The constructor reads outside data: it checks the kind and the
+    vertex ids, then derives the graph from the empty graph of its kind
+    with every vertex put and every edge added in `_edge_key` order, so
+    the first bad edge in that order is the one reported.  Every other
+    graph, a move's or an induced subgraph, derives from its parent.
+    `_derive` checks the divisor rules on the edges it adds; every other
+    edge was checked when the parent was built.
     """
 
     __slots__ = ("kind", "vertices", "edges", "around", "loops")
@@ -125,94 +117,101 @@ class WeightedGraph:
             if vid in vs:
                 raise DomainError(f"duplicate vertex id {vid!r}")
             vs[vid] = v
-        es = tuple(sorted(edges, key=_edge_key))
-        around: dict[str, list] = {vid: [] for vid in vs}
-        loops: dict[str, tuple] = dict.fromkeys(vs, ())
-        divisor, last = kind == "divisor", None
-        for e in es:
-            u, v, s = e
-            if u not in vs or v not in vs:
-                raise DomainError(f"edge ({u!r},{v!r}) references missing vertex")
-            if divisor:
-                _check_divisor_edge(e, e == last)  # sorted: copies are adjacent
-                last = e
-            if u == v:
-                loops[u] = (s, *loops[u])  # +1 loops come first, so this sorts
-            else:
-                around[u].append((v, s))
-                around[v].append((u, s))
-        self.kind = kind
-        self.vertices = vs
-        self.edges = es
-        self.around = around
-        self.loops = loops
+        # sorted, so a bad edge is reported in edge order and each edge
+        # goes into the last block of the edges so far
+        WeightedGraph._derive(_EmptyGraph(kind, {}, (), {}, {}), vs.values(),
+                              add=sorted(edges, key=_edge_key), out=self)
 
-    def _derive(self, put=(), drop=(), cut=(), add=()) -> "WeightedGraph":
+    def _derive(self, put=(), drop=(), cut=(), add=(), out=None) -> "WeightedGraph":
         """This graph with the vertices of drop removed with their edges,
         each vertex of put in place of its namesake, or appended when its
         id is new (a dropped id counts as new), one copy of each edge of
-        cut removed and the edges of add added: the graph the constructor
-        builds from that vertex list and edge multiset, in vertices, their
-        order, edges and index.
+        cut removed and the edges of add added, filled into out (a new
+        graph by default; the constructor passes itself).
 
         The maps are copied at C speed and the index is patched only at
         the ends of the edges removed or added and at the new vertices.
-        The divisor rules are checked on the added edges only; every other
-        edge was checked when this graph was built.  A child that changes
-        only weights or labels shares this graph's edges and index."""
+        The (u, v) copies of an edge form one block of the edges, +1
+        copies first, so in tuple order the block runs from (u, v) to
+        (u, v, 2), and the (b, s) pairs in around[a] from (b,) to (b, 2):
+        a +1 copy goes in or out at its block's start, a -1 copy at its
+        end, found by `bisect` with no key.  Once a dropped vertex's edges
+        to kept vertices are cut, its loops and edges to larger ids are
+        one run of the edges from (d,), removed at once.  The divisor rules are checked on the added edges only.
+        A child that changes only weights or labels shares this graph's
+        edges and index."""
         vs = self.vertices.copy()
         for vid in drop:
             del vs[vid]
-        for v in put:
-            vs[v.id] = v
-        out = object.__new__(WeightedGraph)
+        kept = len(vs)
+        vs.update({v.id: v for v in put})
+        if out is None:
+            out = object.__new__(WeightedGraph)
         out.kind, out.vertices = self.kind, vs
         if not drop and not cut and not add and len(vs) == len(self.vertices):
             out.edges, out.around, out.loops = self.edges, self.around, self.loops
             return out
         edges, around, loops = list(self.edges), self.around.copy(), self.loops.copy()
-        gone = set(drop)
-        if gone:
-            # an edge between two dropped vertices is cut from its lesser end
-            cut = [*(Edge(x, d, s) for d in drop for x, s in around.pop(d)
-                     if x not in gone or d < x),
-                   *(Edge(d, d, s) for d in drop for s in loops.pop(d)), *cut]
-        for v in put:
-            if v.id not in around:
-                around[v.id], loops[v.id] = [], ()
-        divisor = self.kind == "divisor"
-        # A divisor graph's signs are all +1, so there tuple order is key
-        # order and the searches compare tuples without a key.
-        edge_key, end_key = (None, None) if divisor else (_edge_key, _end_key)
+        gone, cut, runs = set(drop), list(cut), []
+        for d in drop:
+            # d's edges to kept vertices are cut below; then its loops and
+            # its edges to larger dropped ids are one run of the edges
+            run = len(loops.pop(d))
+            for x, s in around.pop(d):
+                if x not in gone:
+                    cut.append((x, d, s) if x < d else (d, x, s))
+                elif x > d:
+                    run += 1
+            runs.append((d, run))
+        shared = set(around)  # the vertices whose around list is the parent's
+        new = list(islice(vs, kept, None))  # the ids that were not kept come last
+        around.update({vid: [] for vid in new})
+        loops.update(dict.fromkeys(new, ()))
         for e in cut:
-            i = bisect_left(edges, edge_key(e) if edge_key else e, key=edge_key)
-            if edges[i:i + 1] != [e]:
-                raise DomainError(f"edge ({e.u!r},{e.v!r}) not found")
-            del edges[i]
             u, v, s = e
+            i = bisect_left(edges, (u, v)) if s == 1 else bisect_left(edges, (u, v, 2)) - 1
+            if edges[i:i + 1] != [e]:
+                raise DomainError(f"edge ({u!r},{v!r}) not found")
+            del edges[i]
             if u == v:
-                if u not in gone:
-                    left = list(loops[u])
-                    left.remove(s)
-                    loops[u] = tuple(left)
+                left = list(loops[u])
+                left.remove(s)
+                loops[u] = tuple(left)
                 continue
             for a, b in (u, v), (v, u):
-                if a not in gone:
-                    around[a] = ends = around[a][:]  # the parent's stays
-                    ends.remove((b, s))
+                if a in gone:
+                    continue
+                if a in shared:
+                    around[a] = around[a][:]  # the parent's stays
+                    shared.remove(a)
+                around[a].remove((b, s))
+        for d, run in runs:
+            i = bisect_left(edges, (d,))
+            del edges[i:i + run]
+        divisor = self.kind == "divisor"
         for e in add:
             u, v, s = e
             if u not in vs or v not in vs:
                 raise DomainError(f"edge ({u!r},{v!r}) references missing vertex")
             if divisor:
-                _check_divisor_edge(e, (v, s) in around[u])
-            insort(edges, e, key=edge_key)
+                if u == v:
+                    raise DomainError("divisor graphs cannot carry loops")
+                if s != 1:
+                    raise DomainError("divisor graphs have only +1 edges")
+                if (v, s) in around[u]:
+                    raise DomainError(f"divisor graphs cannot carry multi-edges ({u!r},{v!r})")
+            edges.insert(bisect_left(edges, (u, v)) if s == 1
+                         else bisect_left(edges, (u, v, 2)), e)
             if u == v:
-                loops[u] = tuple(sorted((*loops[u], s)))
-            else:
-                for a, b in (u, v), (v, u):
-                    around[a] = ends = around[a][:]
-                    insort(ends, (b, s), key=end_key)
+                loops[u] = (s, *loops[u]) if s < 0 else (*loops[u], s)
+                continue
+            for a, b in (u, v), (v, u):
+                if a in shared:
+                    around[a] = around[a][:]
+                    shared.remove(a)
+                ends = around[a]
+                ends.insert(bisect_left(ends, (b,)) if s == 1
+                            else bisect_left(ends, (b, 2)), (b, s))
         out.edges, out.around, out.loops = tuple(edges), around, loops
         return out
 
@@ -238,15 +237,12 @@ class WeightedGraph:
         return sorted({x for x, _ in self.around.get(vid, ())})
 
     def induced(self, ids) -> "WeightedGraph":
-        """The subgraph on the given vertex ids with every edge between them."""
+        """The subgraph on the given vertex ids with every edge between
+        them, derived from this graph by dropping the other vertices."""
         keep = set(ids)
         if not keep <= self.vertices.keys():
             raise DomainError(f"no vertices {sorted(keep - self.vertices.keys())}")
-        return WeightedGraph(
-            self.kind,
-            [v for v in self.vertices.values() if v.id in keep],
-            [e for e in self.edges if e.u in keep and e.v in keep],
-        )
+        return self._derive(drop=[vid for vid in self.vertices if vid not in keep])
 
     def __eq__(self, other):
         """Structural equality: ids, weights, decorations, edge multiset.
@@ -539,27 +535,6 @@ def _det(rows: list) -> int:
     for sign, p in _bareiss(rows, len(rows)):
         pass
     return sign * p
-
-
-def _solve_exact(m, rhs):
-    """Solve m . x = rhs over Q for an integer matrix and right-hand side;
-    None when m is singular.
-
-    Sparse Bareiss elimination of the augmented rows (`_det`), then
-    fraction-free back substitution on y = d * x, where d = det m.  y is
-    integral by Cramer's rule, so each step divides exactly by its pivot,
-    and Fractions appear only in the final x = y / d.
-    """
-    n = len(m)
-    a = _sparse([list(row) + [b] for row, b in zip(m, rhs)])
-    d = _det(a)
-    if not d:
-        return None
-    y = [0] * n
-    for i in range(n - 1, -1, -1):
-        s = d * a[i].get(n, 0) - sum(x * y[j] for j, x in a[i].items() if i < j < n)
-        y[i] = s // a[i][i]
-    return [Fraction(v, d) for v in y]
 
 
 def det_exact(matrix) -> int:

@@ -42,7 +42,6 @@ from plumbcalc.graphs import (
     Edge,
     Vertex,
     WeightedGraph,
-    _solve_exact,
     canonical_encoding,
     canonical_json,
     graphs_isomorphic,
@@ -931,20 +930,6 @@ def test_bark_matches_fraction_solve_on_random_twigs():
         expect = fraction_solve(m, [-1] + [0] * (n - 1))
         twig = [f"v{i}" for i in range(n)]
         assert bark(chain(*weights), twig) == dict(zip(twig, expect))
-
-
-def test_solve_exact_matches_fraction_solve_with_swaps_and_singular_systems():
-    rng = random.Random(5114)
-    singular = 0
-    for _ in range(400):
-        n = rng.randint(1, 6)
-        m = [[rng.choice([0, 0, rng.randint(-5, 5)]) for _ in range(n)]
-             for _ in range(n)]
-        rhs = [rng.randint(-5, 5) for _ in range(n)]
-        expect = fraction_solve(m, rhs)
-        singular += expect is None
-        assert _solve_exact(m, rhs) == expect
-    assert singular > 0
 
 
 def test_bark_rejects_inadmissible_twig():

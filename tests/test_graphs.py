@@ -22,6 +22,7 @@ from hypothesis import strategies as st
 import plumbcalc
 import plumbcalc.graphs as graphs
 from plumbcalc.divisor import (
+    bark,
     blow_down,
     blow_up,
     elementary_flow,
@@ -35,7 +36,7 @@ from plumbcalc.graphs import (
     Vertex,
     WeightedGraph,
     _check_snf,
-    _solve_exact,
+    _edge_key,
     branching_number,
     canonical_encoding,
     canonical_json,
@@ -529,11 +530,14 @@ def cramer_solve(m, rhs):
 
 
 @settings(max_examples=200, deadline=None)
-@given(st.data())
-def test_solve_exact_matches_cramer_rule(data):
-    m = data.draw(kernel_matrices)
-    rhs = data.draw(st.lists(st.integers(-6, 6), min_size=len(m), max_size=len(m)))
-    assert _solve_exact(m, rhs) == cramer_solve(m, rhs)
+@given(st.lists(st.integers(-9, -2), min_size=1, max_size=7))
+def test_bark_matches_cramer_rule(weights):
+    """bark's continuants solve the twig's system as Cramer's rule does."""
+    n = len(weights)
+    m = [[weights[i] if i == j else int(abs(i - j) == 1) for j in range(n)]
+         for i in range(n)]
+    twig = [f"v{i}" for i in range(n)]
+    assert bark(chain(*weights), twig) == dict(zip(twig, cramer_solve(m, [-1] + [0] * (n - 1))))
 
 
 def test_bareiss_kernel_rescales_rows_that_sat_out_and_swaps():
@@ -1370,14 +1374,31 @@ def assert_index_matches_scan(g):
         assert branching_number(g, vid) == sum((e.u == vid) + (e.v == vid) for e in g.edges)
 
 
+def rebuild(g) -> tuple:
+    """The edges, around and loops of g's vertex list and edge multiset,
+    built independently of `_derive`: the edges sorted by `_edge_key`,
+    each edge's two ends appended to around and each loop's sign prepended
+    to loops, which leaves the +1 copies first and the loop signs
+    ascending."""
+    edges = tuple(sorted(g.edges, key=_edge_key))
+    around = {vid: [] for vid in g.vertices}
+    loops = dict.fromkeys(g.vertices, ())
+    for u, v, s in edges:
+        if u == v:
+            loops[u] = (s, *loops[u])
+        else:
+            around[u].append((v, s))
+            around[v].append((u, s))
+    return edges, around, loops
+
+
 def assert_matches_rebuild(g):
-    """g equals the constructor's build from its vertex list and edges in
-    vertices and their order, edges, around and loops."""
-    rebuilt = WeightedGraph(g.kind, list(g.vertices.values()), g.edges)
-    assert list(g.vertices.items()) == list(rebuilt.vertices.items())
-    assert g.edges == rebuilt.edges
-    assert list(g.around.items()) == list(rebuilt.around.items())
-    assert list(g.loops.items()) == list(rebuilt.loops.items())
+    """g's edges, around and loops, their orders included, are those of
+    `rebuild`."""
+    edges, around, loops = rebuild(g)
+    assert g.edges == edges
+    assert list(g.around.items()) == list(around.items())
+    assert list(g.loops.items()) == list(loops.items())
 
 
 def assert_moves_keep_input(g, moves):
@@ -1526,12 +1547,11 @@ def pes(*triples):
 ])
 def test_derive_drops_several_vertices_like_the_constructor(g, edit, vertices, edges):
     """_derive with several dropped vertices, parallel edges and loops at
-    them, and a dropped id put back, builds what the constructor builds
-    and leaves its input as it was."""
+    them, and a dropped id put back, gives the vertex list and edges
+    expected, matches `rebuild` and leaves its input as it was."""
     (out,) = assert_moves_keep_input(g, [lambda: g._derive(**edit)])
-    want = WeightedGraph(g.kind, vertices, edges)
-    assert list(out.vertices.items()) == list(want.vertices.items())
-    assert out.edges == want.edges
+    assert list(out.vertices.values()) == vertices
+    assert out.edges == tuple(sorted(edges, key=_edge_key))
 
 
 def test_family_blowups_match_rebuild():
@@ -1595,36 +1615,61 @@ def test_library_has_no_bare_asserts():
     assert found == []
 
 
-def constructor_callers() -> set:
-    """The "module.qualname" of each library function or method that
-    calls WeightedGraph(...), and "module" for a call outside them."""
-    found = set()
+def library_functions(found):
+    """The "module.qualname" of each library function or method that holds
+    a node for which found(node) is true, and "module" for such a node
+    outside them."""
+    hits = set()
 
     def visit(node, where):
         for child in ast.iter_child_nodes(node):
             if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
                 visit(child, f"{where}.{child.name}")
                 continue
-            func = child.func if isinstance(child, ast.Call) else None
-            if (isinstance(func, ast.Name) and func.id == "WeightedGraph"
-                    or isinstance(func, ast.Attribute) and func.attr == "WeightedGraph"):
-                found.add(where)
+            if found(child):
+                hits.add(where)
             visit(child, where)
 
     for path in sorted(Path(plumbcalc.__file__).parent.glob("*.py")):
         visit(ast.parse(path.read_text(encoding="utf-8")), path.stem)
-    return found
+    return hits
+
+
+def calls_constructor(node) -> bool:
+    func = node.func if isinstance(node, ast.Call) else None
+    return (isinstance(func, ast.Name) and func.id == "WeightedGraph"
+            or isinstance(func, ast.Attribute) and func.attr == "WeightedGraph")
 
 
 def test_only_outside_data_and_whole_graph_maps_call_the_constructor():
     """A partial edit derives its graph from its parent (`_derive`); the
     constructor reads outside data and maps every element.  A new
     rebuild path fails here."""
-    assert constructor_callers() == {
-        "graphs.WeightedGraph.from_json_dict", "graphs.WeightedGraph.induced",
-        "family.build_boundary_graph", "family.build_by_blowups",
-        "plumbing.from_divisor_graph", "plumbing._negate",
+    assert library_functions(calls_constructor) == {
+        "graphs.WeightedGraph.from_json_dict", "family.build_boundary_graph",
+        "family.build_by_blowups", "plumbing.from_divisor_graph", "plumbing._negate",
     }
+
+
+INDEX_SLOTS = {"edges", "around", "loops"}
+
+
+def writes_index_slot(node) -> bool:
+    """An assignment or deletion of an edges, around or loops attribute,
+    or a setattr/delattr call that names one."""
+    if isinstance(node, ast.Attribute):
+        return node.attr in INDEX_SLOTS and isinstance(node.ctx, (ast.Store, ast.Del))
+    return (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id in ("setattr", "delattr") and len(node.args) > 1
+            and not (isinstance(node.args[1], ast.Constant)
+                     and node.args[1].value not in INDEX_SLOTS))
+
+
+def test_only_derive_builds_the_edges_and_the_index():
+    """Every graph's edges, around and loops are filled in by `_derive`,
+    the one builder of the edges, the incidence index and the divisor
+    rules; a second builder fails here."""
+    assert library_functions(writes_index_slot) == {"graphs.WeightedGraph._derive"}
 
 
 def library_imports():
