@@ -18,7 +18,7 @@ import json
 from bisect import bisect_left
 from collections import Counter, defaultdict, namedtuple
 from heapq import heappop, heappush
-from itertools import compress, islice
+from itertools import compress
 
 
 class DomainError(ValueError):
@@ -126,8 +126,9 @@ class WeightedGraph:
         """This graph with the vertices of drop removed with their edges,
         each vertex of put in place of its namesake, or appended when its
         id is new (a dropped id counts as new), one copy of each edge of
-        cut removed and the edges of add added, filled into out (a new
-        graph by default; the constructor passes itself).
+        cut, which meets no dropped vertex, removed and the edges of add
+        added, filled into out (a new graph by default; the constructor
+        passes itself).
 
         The maps are copied at C speed and the index is patched only at
         the ends of the edges removed or added and at the new vertices.
@@ -137,14 +138,14 @@ class WeightedGraph:
         a +1 copy goes in or out at its block's start, a -1 copy at its
         end, found by `bisect` with no key.  Once a dropped vertex's edges
         to kept vertices are cut, its loops and edges to larger ids are
-        one run of the edges from (d,), removed at once.  The divisor rules are checked on the added edges only.
-        A child that changes only weights or labels shares this graph's
-        edges and index."""
+        one run of the edges from (d,), removed at once.  The divisor
+        rules are checked on the added edges only.  A child that changes
+        only weights or labels shares this graph's edges and index."""
         vs = self.vertices.copy()
         for vid in drop:
             del vs[vid]
-        kept = len(vs)
-        vs.update({v.id: v for v in put})
+        for v in put:
+            vs[v.id] = v
         if out is None:
             out = object.__new__(WeightedGraph)
         out.kind, out.vertices = self.kind, vs
@@ -163,10 +164,11 @@ class WeightedGraph:
                 elif x > d:
                     run += 1
             runs.append((d, run))
-        shared = set(around)  # the vertices whose around list is the parent's
-        new = list(islice(vs, kept, None))  # the ids that were not kept come last
-        around.update({vid: [] for vid in new})
-        loops.update(dict.fromkeys(new, ()))
+        owned = set()  # the vertices whose around list is this graph's own
+        for v in put:
+            if v.id not in around:
+                around[v.id], loops[v.id] = [], ()
+                owned.add(v.id)
         for e in cut:
             u, v, s = e
             i = bisect_left(edges, (u, v)) if s == 1 else bisect_left(edges, (u, v, 2)) - 1
@@ -181,9 +183,9 @@ class WeightedGraph:
             for a, b in (u, v), (v, u):
                 if a in gone:
                     continue
-                if a in shared:
+                if a not in owned:
                     around[a] = around[a][:]  # the parent's stays
-                    shared.remove(a)
+                    owned.add(a)
                 around[a].remove((b, s))
         for d, run in runs:
             i = bisect_left(edges, (d,))
@@ -206,9 +208,9 @@ class WeightedGraph:
                 loops[u] = (s, *loops[u]) if s < 0 else (*loops[u], s)
                 continue
             for a, b in (u, v), (v, u):
-                if a in shared:
+                if a not in owned:
                     around[a] = around[a][:]
-                    shared.remove(a)
+                    owned.add(a)
                 ends = around[a]
                 ends.insert(bisect_left(ends, (b,)) if s == 1
                             else bisect_left(ends, (b, 2)), (b, s))

@@ -142,10 +142,15 @@ def test_record_fields_positions_and_keywords():
     (lambda: Vertex("a", -2, genus=-1), OutOfScopeError, "negative genus"),
     (lambda: Vertex("", -2), DomainError, "vertex id must be"),
     (lambda: Vertex("a", -2, boundary=-1), DomainError, "boundary count"),
-    (lambda: Vertex("a", 0)._replace(boundary=-1), DomainError, "boundary count"),
-    (lambda: Vertex("a", 0)._replace(genus=-2), OutOfScopeError, "negative genus"),
-    (lambda: Vertex("a", 0)._replace(id=""), DomainError, "vertex id must be"),
-    (lambda: Vertex._make(("a", 0, 0, -1, None)), DomainError, "boundary count"),
+    # namedtuple's copies go through the same checks
+    pytest.param(lambda: Vertex("a", 0)._replace(boundary=-1), DomainError,
+                 "boundary count", id="replace-boundary"),
+    pytest.param(lambda: Vertex("a", 0)._replace(genus=-2), OutOfScopeError,
+                 "negative genus", id="replace-genus"),
+    pytest.param(lambda: Vertex("a", 0)._replace(id=""), DomainError,
+                 "vertex id must be", id="replace-id"),
+    pytest.param(lambda: Vertex._make(("a", 0, 0, -1, None)), DomainError,
+                 "boundary count", id="make-boundary"),
     (lambda: FamilyParams((0, 2), (1,)), DomainError, r"p1 must be monic"),
     (lambda: FamilyParams((1,), ()), DomainError, "p2 must have at least one"),
     (lambda: GroupPresentation(("x",), ((2,),)), DomainError,
