@@ -17,7 +17,6 @@ from __future__ import annotations
 
 from collections import deque, namedtuple
 from fractions import Fraction
-from heapq import heappop, heappush
 
 from .graphs import (
     ChainType,
@@ -34,7 +33,7 @@ from .graphs import (
     isomorphism_key,
     reweighted,
 )
-from .plumbing import _contract, _insert, continued_fraction_eval, move_R1, move_R3
+from .plumbing import _contract, _insert, _reduce, continued_fraction_eval, move_R1, move_R3
 
 
 def _require_divisor(g: WeightedGraph, op: str) -> None:
@@ -117,33 +116,12 @@ def is_superfluous(g: WeightedGraph, vid: str) -> bool:
 
 def snc_minimalize(g: WeightedGraph) -> tuple[WeightedGraph, list]:
     """Contract superfluous (-1)-vertices until none remain, least id
-    first.
-
-    The candidates wait in a min-heap of ids, which starts with every
-    vertex and holds every superfluous vertex of the current graph.  Each
-    popped id is tested with `is_superfluous`, so the first that passes
-    is the least superfluous vertex, and it is blown down.  Whether x is
-    superfluous depends on x's weight and decorations, x's edges, and on
-    whether x's two neighbours are adjacent.  Blowing down v changes the
-    weights and edges of v's neighbours only, and it joins two vertices
-    only where both were v's neighbours; the only adjacency it removes is
-    to v.  So a vertex that is not v's neighbour can stop being
-    superfluous but cannot start, and only v's neighbours are pushed
-    again.  The log is the one a rescan of every id after each blowdown
-    gives.
+    first, as a rescan after each blowdown would: `plumbing._reduce` with
+    the one rule blowdown, tested by `is_superfluous`, and no budget,
+    since each blowdown removes a vertex (`_reduce` has the proof).
     """
     _require_divisor(g, "snc_minimalize")
-    log: list = []
-    cur = g
-    heap = cur.sorted_ids()  # a sorted list is a heap
-    while heap:
-        vid = heappop(heap)
-        if vid in cur.vertices and is_superfluous(cur, vid):
-            nbrs = [x for x, _ in cur.around[vid]]
-            cur = blow_down(cur, vid, log)
-            for x in nbrs:
-                heappush(heap, x)
-    return cur, log
+    return _reduce(g, "snc_minimalize", (("blowdown", is_superfluous, blow_down),))
 
 
 # ---------------------------------------------------------------------------

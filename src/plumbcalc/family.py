@@ -125,8 +125,8 @@ def build_by_blowups(params: FamilyParams) -> tuple[LabeledFamilyGraph, list]:
             g = divisor.blow_up(g, prev, log, new_id=vid)
             labels[vid], prev = label, vid
     # blow_up leaves the exceptional vertices unlabelled
-    g = g._derive([g.vertices[vid]._replace(label=label)
-                   for vid, label in labels.items()])
+    g = g._derive({vid: g.vertices[vid]._replace(label=label)
+                   for vid, label in labels.items()})
     return LabeledFamilyGraph(g, params.d1, params.d2), log
 
 

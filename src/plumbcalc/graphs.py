@@ -119,16 +119,16 @@ class WeightedGraph:
             vs[vid] = v
         # sorted, so a bad edge is reported in edge order and each edge
         # goes into the last block of the edges so far
-        WeightedGraph._derive(_EmptyGraph(kind, {}, (), {}, {}), vs.values(),
+        WeightedGraph._derive(_EmptyGraph(kind, {}, (), {}, {}), vs,
                               add=sorted(edges, key=_edge_key), out=self)
 
     def _derive(self, put=(), drop=(), cut=(), add=(), out=None) -> "WeightedGraph":
         """This graph with the vertices of drop removed with their edges,
-        each vertex of put in place of its namesake, or appended when its
-        id is new (a dropped id counts as new), one copy of each edge of
-        cut, which meets no dropped vertex, removed and the edges of add
-        added, filled into out (a new graph by default; the constructor
-        passes itself).
+        each vertex of put, a map from ids to vertices, in place of its
+        namesake or appended when its id is new (a dropped id counts as
+        new), one copy of each edge of cut, which meets no dropped vertex,
+        removed and the edges of add added, filled into out (a new graph
+        by default; the constructor passes itself).
 
         The maps are copied at C speed and the index is patched only at
         the ends of the edges removed or added and at the new vertices.
@@ -136,7 +136,9 @@ class WeightedGraph:
         copies first, so in tuple order the block runs from (u, v) to
         (u, v, 2), and the (b, s) pairs in around[a] from (b,) to (b, 2):
         a +1 copy goes in or out at its block's start, a -1 copy at its
-        end, found by `bisect` with no key.  Once a dropped vertex's edges
+        end, found by `bisect` with no key; an added edge whose (u, v)
+        sorts after the last edge's is appended to all three lists, as
+        each of the constructor's is.  Once a dropped vertex's edges
         to kept vertices are cut, its loops and edges to larger ids are
         one run of the edges from (d,), removed at once.  The divisor
         rules are checked on the added edges only.  A child that changes
@@ -144,8 +146,7 @@ class WeightedGraph:
         vs = self.vertices.copy()
         for vid in drop:
             del vs[vid]
-        for v in put:
-            vs[v.id] = v
+        vs.update(put)
         if out is None:
             out = object.__new__(WeightedGraph)
         out.kind, out.vertices = self.kind, vs
@@ -165,10 +166,10 @@ class WeightedGraph:
                     run += 1
             runs.append((d, run))
         owned = set()  # the vertices whose around list is this graph's own
-        for v in put:
-            if v.id not in around:
-                around[v.id], loops[v.id] = [], ()
-                owned.add(v.id)
+        for vid in put:
+            if vid not in around:
+                around[vid], loops[vid] = [], ()
+                owned.add(vid)
         for e in cut:
             u, v, s = e
             i = bisect_left(edges, (u, v)) if s == 1 else bisect_left(edges, (u, v, 2)) - 1
@@ -191,29 +192,37 @@ class WeightedGraph:
             i = bisect_left(edges, (d,))
             del edges[i:i + run]
         divisor = self.kind == "divisor"
+        lu, lv = edges[-1][:2] if edges else ("", "")  # the last edge's ends
         for e in add:
             u, v, s = e
             if u not in vs or v not in vs:
                 raise DomainError(f"edge ({u!r},{v!r}) references missing vertex")
-            if divisor:
-                if u == v:
-                    raise DomainError("divisor graphs cannot carry loops")
-                if s != 1:
-                    raise DomainError("divisor graphs have only +1 edges")
-                if (v, s) in around[u]:
-                    raise DomainError(f"divisor graphs cannot carry multi-edges ({u!r},{v!r})")
-            edges.insert(bisect_left(edges, (u, v)) if s == 1
-                         else bisect_left(edges, (u, v, 2)), e)
+            if divisor and (u == v or s != 1):
+                raise DomainError("divisor graphs cannot carry loops" if u == v
+                                  else "divisor graphs have only +1 edges")
+            if tail := u > lu or u == lu and v > lv:  # (u, v) past the last block
+                edges.append(e)
+                lu, lv = u, v
+            elif divisor and (v, s) in around[u]:
+                raise DomainError(f"divisor graphs cannot carry multi-edges ({u!r},{v!r})")
+            else:
+                edges.insert(bisect_left(edges, (u, v) if s == 1 else (u, v, 2)), e)
             if u == v:
                 loops[u] = (s, *loops[u]) if s < 0 else (*loops[u], s)
                 continue
-            for a, b in (u, v), (v, u):
-                if a not in owned:
-                    around[a] = around[a][:]
-                    owned.add(a)
-                ends = around[a]
-                ends.insert(bisect_left(ends, (b,)) if s == 1
-                            else bisect_left(ends, (b, 2)), (b, s))
+            if u not in owned:
+                around[u] = around[u][:]
+                owned.add(u)
+            if v not in owned:
+                around[v] = around[v][:]
+                owned.add(v)
+            if tail:
+                around[u].append((v, s))
+                around[v].append((u, s))
+            else:
+                for a, b in (u, v), (v, u):
+                    ends = around[a]
+                    ends.insert(bisect_left(ends, (b,) if s == 1 else (b, 2)), (b, s))
         out.edges, out.around, out.loops = tuple(edges), around, loops
         return out
 
@@ -361,15 +370,15 @@ def canonical_json(obj) -> str:
 # elementary graph quantities
 
 
-def reweighted(vertices, deltas: dict) -> list[Vertex]:
-    """The vertices in order, each weight raised by its entry in deltas.
+def reweighted(vertices, deltas: dict) -> dict[str, Vertex]:
+    """The vertices by id, each weight raised by its entry in deltas.
 
     Moves use this to build the vertices whose weight they change."""
-    return [
-        Vertex(v.id, v.weight + deltas[v.id], v.genus, v.boundary, v.label)
+    return {
+        v.id: Vertex(v.id, v.weight + deltas[v.id], v.genus, v.boundary, v.label)
         if v.id in deltas else v
         for v in vertices
-    ]
+    }
 
 
 def fresh_id(taken, prefix: str = "E") -> str:

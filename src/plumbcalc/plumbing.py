@@ -1,12 +1,14 @@
 """Plumbing calculus on signed graphs of 3-manifolds.
 
 Moves implemented: R1 (blow-down of a +-1 vertex) and R3 (absorption of a
-0-weighted beta=2 vertex).  normalize() drives them to a fixed point and
-either certifies a normal form or recognizes one of the two small Seifert
-graphs that need a special normal form; everything else fails loudly.
-R1's blow-down and its inverse are built by `_contract` and `_insert`,
-which keep the graph's kind: the divisor blowdowns and blowups are the
-eps = -1 case on a graph whose signs are all +1, and build through them.
+0-weighted beta=2 vertex).  normalize() runs the rule list R1, R3 through
+`_reduce`, the one reduction loop (`divisor.snc_minimalize` runs the
+blowdown rule through it), and either certifies a normal form or
+recognizes one of the two small Seifert graphs that need a special
+normal form; everything else fails loudly.  R1's blow-down and its
+inverse are built by `_contract` and `_insert`, which keep the graph's
+kind: the divisor blowdowns and blowups are the eps = -1 case on a graph
+whose signs are all +1, and build through them.
 
 Conventions used throughout:
 - kind="plumbing" graphs; vertex weight is the Euler number, edges carry
@@ -146,7 +148,7 @@ def _insert(g: WeightedGraph, at, eps: int, new_id: str, s1: int = 1) -> Weighte
         cut, add, ends = (), (Edge(at, new_id, s1),), (at,)
     deltas = {x: eps * ends.count(x) for x in ends}
     put = reweighted(map(g.vertices.get, deltas), deltas)
-    return g._derive([*put, Vertex(new_id, eps)], cut=cut, add=add)
+    return g._derive({**put, new_id: Vertex(new_id, eps)}, cut=cut, add=add)
 
 
 def _r3_obstruction(g: WeightedGraph, vid: str) -> str | None:
@@ -207,7 +209,7 @@ def move_R3(g: WeightedGraph, vid: str, log: list | None = None) -> WeightedGrap
     moved = [Edge(keep if x == gone else x, keep, s * mult)
              for x, s in g.around[gone] if x != vid]
     moved += [Edge(keep, keep, s) for s in g.loops[gone]]
-    out = g._derive([merged], drop=(vid, gone), add=moved)
+    out = g._derive({keep: merged}, drop=(vid, gone), add=moved)
     if log is not None:
         log.append({"move": "R3", "vertex": vid})
     return out
@@ -435,30 +437,62 @@ def _seifert_special(g: WeightedGraph) -> SeifertData | None:
     return _SEIFERT_CATALOG.get((v.weight, e.sign))
 
 
+def _reduce(g: WeightedGraph, name, rules, budget=None) -> tuple[WeightedGraph, list]:
+    """Apply the rules until none applies; return the graph and move log.
+
+    A rule is (log name, applies, move): move(g, x, log) applies the move
+    at the vertex x where applies(g, x) and logs one entry of that name.
+    Each step takes the first rule, in list order, that applies
+    somewhere, at the least id where it does.  A move past budget raises
+    DomainError, which counts the moves of each rule.  Callers build
+    their rules at call time from module globals, so a move rebound on
+    its module is the one applied.
+
+    Each rule keeps a lazy min-heap of ids, which starts with every vertex
+    and holds every vertex where the rule applies: the top is dropped
+    while the rule does not apply there, so the top of the first heap
+    that keeps one is what a rescan of every id would pick.  After a move
+    at v, v's former neighbours are pushed onto every heap.  Lemma: that
+    is enough.  A move at v (a blow-down of v, or R3's merge of v's two
+    neighbours) changes weights, decorations, loops and edge-end counts
+    only at v's neighbours, and joins vertices only where both were v's
+    neighbours: a blow-down adds an edge between them, R3 moves the ends
+    at the dropped one to the kept one.  Elsewhere it can only make two
+    neighbours of a vertex adjacent or equal.  A rule counts ends (R1),
+    needs them at distinct vertices (R3) or at non-adjacent ones
+    (blowdown), so there it can stop applying but cannot start.
+    """
+    heaps, log = [g.sorted_ids() for _ in rules], []  # a sorted list is a heap
+    while True:
+        for heap, (_, applies, move) in zip(heaps, rules):
+            while heap and not (heap[0] in g.vertices and applies(g, heap[0])):
+                heappop(heap)
+            if heap:
+                break
+        else:
+            return g, log
+        if len(log) == budget:
+            moves = " and ".join(f"{sum(e['move'] == r for e in log)} {r}"
+                                 for r, _, _ in rules)
+            raise DomainError(f"{name}: move budget {budget} exceeded after {moves}"
+                              f" moves, {len(g.vertices)} vertices left")
+        vid = heappop(heap)
+        nbrs = [x for x, _ in g.around[vid]]
+        g = move(g, vid, log)
+        for heap in heaps:
+            for x in nbrs:
+                heappush(heap, x)
+
+
 def normalize(g: WeightedGraph) -> NormalForm:
     """Reduce to a normal form, or fail loudly.
 
-    Applies R1 then R3 (lowest eligible id first) until neither applies,
-    canonicalizes the gauge, and checks is_normal.  Terminal graphs that
-    fail it are matched against the small-Seifert catalog; anything else
-    raises OutOfScopeError because finishing it needs plumbing moves this
-    module does not implement (R2, R4-R6, R8, non-orientable handling).
-    More than MOVE_BUDGET moves raise DomainError.
-
-    Each rule keeps a min-heap of candidate ids, which starts with every
-    vertex and holds every vertex where the rule applies.  A candidate is
-    tested when it reaches the top of its heap and dropped when the rule
-    does not apply there, so the top of the first heap that keeps one is
-    the move a rescan of every id would pick.  Whether R1 or R3 applies at
-    x depends only on x's weight, decorations and edge ends.  R1 at v
-    changes those only at v's neighbours, which are pushed onto both
-    heaps after the move.  R3 at v changes them at the merged vertex,
-    which is pushed, and moves the other ends of the dropped vertex's
-    edges to it.  Such an end keeps its vertex's weight, loops and number
-    of edge ends, so R1 applies there as before; R3 may stop applying (a
-    vertex joined to both merged vertices then has two edges to one) but
-    cannot start, since no two of its edges that reached one vertex come
-    apart.  The test at the top of the heap drops it then.
+    `_reduce` applies the rules R1, then R3, with MOVE_BUDGET; it has the
+    proof.  The empty graph is S^3's normal form.  Otherwise the gauge is
+    canonicalized and is_normal checked.  Terminal graphs that fail it
+    are matched against the small-Seifert catalog; anything else raises
+    OutOfScopeError because finishing it needs plumbing moves this module
+    does not implement (R2, R4-R6, R8, non-orientable handling).
     """
     if g.kind == "divisor":
         g = from_divisor_graph(g)
@@ -469,37 +503,11 @@ def normalize(g: WeightedGraph) -> NormalForm:
     if len(connected_components(g)) != 1:
         raise DomainError("normalize: graph must be connected")
 
-    log: list = []
-    cur = g
-    ids = cur.sorted_ids()  # a sorted list is a heap
-    rules = ((move_R1, _r1_obstruction, ids), (move_R3, _r3_obstruction, ids[:]))
-    while True:
-        step = None
-        for move, blocked, heap in rules:
-            while heap and blocked(cur, heap[0]) is not None:
-                heappop(heap)
-            if heap:
-                step = move, heappop(heap)
-                break
-        if step is None:
-            break
-        if len(log) == MOVE_BUDGET:
-            r1 = sum(e["move"] == "R1" for e in log)
-            raise DomainError(
-                f"normalize: move budget {MOVE_BUDGET} exceeded after {r1} R1"
-                f" and {len(log) - r1} R3 moves, {len(cur.vertices)} vertices"
-                " left"
-            )
-        move, vid = step
-        ends = [x for x, _ in cur.around[vid]]
-        touched = ends if move is move_R1 else [min(ends)]  # R3 keeps the least
-        cur = move(cur, vid, log)
-        if not cur.vertices:
-            # the manifold was S^3; its normal form is the empty graph
-            return NormalForm(cur, (), "generic", None, tuple(log))
-        for _, _, heap in rules:
-            for x in touched:
-                heappush(heap, x)
+    rules = (("R1", lambda h, x: _r1_obstruction(h, x) is None, move_R1),
+             ("R3", lambda h, x: _r3_obstruction(h, x) is None, move_R3))
+    cur, log = _reduce(g, "normalize", rules, MOVE_BUDGET)
+    if not cur.vertices:
+        return NormalForm(cur, (), "generic", None, tuple(log))
 
     cur = gauge_canonicalize(cur)
     report = is_normal(cur)
@@ -557,7 +565,7 @@ def _dualize_positive_twigs(g: WeightedGraph, log: list) -> WeightedGraph:
             new_ids.append(fresh_id(taken, "Z"))
             taken.add(new_ids[-1])
         put = reweighted([cur.vertices[att]], {att: -1})
-        put += [Vertex(nid, -a) for nid, a in zip(new_ids, dual.entries)]
+        put |= {nid: Vertex(nid, -a) for nid, a in zip(new_ids, dual.entries)}
         chain = [Edge(a, b, 1) for a, b in zip([att, *new_ids], new_ids)]
         cur = cur._derive(put, drop=seg.vertices, add=chain)
         log.append(
@@ -591,6 +599,8 @@ def reverse_orientation(nf: NormalForm) -> NormalForm:
                 raise AssertionError(
                     f"seifert reversal mismatch: {out.seifert} vs {expected}"
                 )
+    elif not flipped.vertices:  # S^3 is its own reversal
+        out = nf._replace(log=())
     else:
         out = normalize(_dualize_positive_twigs(flipped, log))
     result = NormalForm(
@@ -725,8 +735,8 @@ def _cut_torus(graph: WeightedGraph) -> WeightedGraph:
         a, b = doubles[0]
         cut_edges = [Edge(a, b, s) for x, s in graph.around[a] if x == b]
     ends = Counter(x for e in cut_edges for x in (e.u, e.v))  # a loop's twice
-    bumped = [v._replace(boundary=v.boundary + ends[v.id])
-              for v in map(graph.vertices.get, ends)]
+    bumped = {v.id: v._replace(boundary=v.boundary + ends[v.id])
+              for v in map(graph.vertices.get, ends)}
     return graph._derive(bumped, cut=cut_edges)
 
 

@@ -5,7 +5,7 @@ import ast
 import json
 import random
 import string
-from collections import deque
+from collections import Counter, deque
 from fractions import Fraction
 from pathlib import Path
 
@@ -488,6 +488,13 @@ def assert_same_minimalization(g):
 
 @settings(max_examples=300, deadline=None)
 @given(st.one_of(minus_one_graphs(), divisor_graphs_with_cycles(), divisor_trees()))
+# the full boundary graphs standardize minimalizes first: 2, 5, 17 and 97
+# blowdowns; the (1,1) D-part: 1
+@example(build_boundary_graph(1, 1).graph)
+@example(build_boundary_graph(2, 3).graph)
+@example(build_boundary_graph(8, 9).graph)
+@example(build_boundary_graph(48, 49).graph)
+@example(build_boundary_graph(1, 1).d_part())
 def test_snc_minimalize_matches_the_rescan(g):
     assert_same_minimalization(g)
 
@@ -500,6 +507,45 @@ def test_snc_minimalize_matches_the_rescan_on_a_long_chain(minus_one_first):
     g = chain(*(weights if minus_one_first else reversed(weights)))
     assert_same_minimalization(g)
     assert len(snc_minimalize(g)[1]) == 999
+
+
+def test_only_reduce_runs_a_heap():
+    """`plumbing._reduce` is the one reduction loop of `divisor` and
+    `plumbing`: no other code there pushes or pops a heap."""
+    callers = set()
+    for mod in divisor, plumbing:
+        for top in ast.parse(Path(mod.__file__).read_text(encoding="utf-8")).body:
+            for node in ast.walk(top):
+                func = node.func if isinstance(node, ast.Call) else None
+                name = getattr(func, "id", getattr(func, "attr", None))
+                if name in ("heappop", "heappush"):
+                    where = getattr(top, "name", "<module>")
+                    callers.add(f"{mod.__name__.split('.')[-1]}.{where}")
+    assert callers == {"plumbing._reduce"}
+
+
+def test_the_reductions_apply_the_moves_rebound_on_their_modules(monkeypatch):
+    """snc_minimalize and normalize look their moves up on their modules
+    when called, so a wrapper rebound there, as `perfbench/tracing.py`
+    rebinds them, sees each move once per log entry it makes."""
+    calls = Counter()
+    for mod, name, move in ((divisor, "blow_down", "blowdown"),
+                            (plumbing, "move_R1", "R1"), (plumbing, "move_R3", "R3")):
+        def counted(*args, _move=getattr(mod, name), _name=move, **kwargs):
+            calls[_name] += 1
+            return _move(*args, **kwargs)
+        monkeypatch.setattr(mod, name, counted)
+    r1_then_r3 = WeightedGraph(
+        "plumbing", [Vertex("u", -2), Vertex("z", 0), Vertex("w", -3), Vertex("a", -1)],
+        [Edge("u", "z"), Edge("z", "w"), Edge("w", "a")])
+    runs = [lambda g=build_boundary_graph(*pair).graph: snc_minimalize(g)[1]
+            for pair in ((1, 1), (2, 3), (8, 9))]
+    runs += [lambda: normalize(build_boundary_graph(2, 3).d_part()).log,
+             lambda: normalize(r1_then_r3).log]
+    for run in runs:
+        calls.clear()
+        log = run()
+        assert log and calls == Counter(entry["move"] for entry in log)
 
 
 def assert_matches_oracle_under_tight_caps(g, slack):

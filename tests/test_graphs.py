@@ -1348,10 +1348,8 @@ def test_graphs_isomorphic_matches_networkx_vf2(g, other, rng, data):
 
     h = relabeled(g, rng)
     vid = data.draw(st.sampled_from(sorted(h.vertices)))
-    bumped = WeightedGraph(
-        h.kind, reweighted(h.vertices.values(), {vid: data.draw(st.sampled_from([-1, 1]))}),
-        h.edges,
-    )
+    bump = {vid: data.draw(st.sampled_from([-1, 1]))}
+    bumped = WeightedGraph(h.kind, reweighted(h.vertices.values(), bump).values(), h.edges)
     for b in (h, bumped, other):
         assert graphs_isomorphic(g, b)[0] == vf2(g, b)
 
@@ -1539,10 +1537,10 @@ def pes(*triples):
     # a put that re-adds a dropped id goes last, with only the added edges
     (WeightedGraph("plumbing", pvs("Z1", "a", "Z2"),
                    pes(("a", "Z1", 1), ("Z1", "Z2", -1), ("Z1", "Z1", 1))),
-     {"drop": ("Z1", "Z2"), "put": [Vertex("Z1", -3)], "add": pes(("a", "Z1", -1))},
+     {"drop": ("Z1", "Z2"), "put": {"Z1": Vertex("Z1", -3)}, "add": pes(("a", "Z1", -1))},
      [Vertex("a", -2), Vertex("Z1", -3)], pes(("a", "Z1", -1))),
     (WeightedGraph("divisor", pvs("Z1", "a", "b"), pes(("a", "Z1", 1), ("b", "Z1", 1))),
-     {"drop": ("Z1",), "put": [Vertex("Z1", -3)], "add": pes(("a", "Z1", 1))},
+     {"drop": ("Z1",), "put": {"Z1": Vertex("Z1", -3)}, "add": pes(("a", "Z1", 1))},
      [*pvs("a", "b"), Vertex("Z1", -3)], pes(("a", "Z1", 1))),
 ])
 def test_derive_drops_several_vertices_like_the_constructor(g, edit, vertices, edges):

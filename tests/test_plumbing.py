@@ -628,6 +628,24 @@ def test_reverse_two_vertex_double_edge_graphs():
                 assert h1_from_graph(rev.graph) == h1_from_graph(g)
 
 
+def test_reverse_of_the_sphere_is_the_empty_form(tmp_path, capsys):
+    """S^3, here one (-1)-vertex, normalizes to the empty graph, which is
+    its own reversal; `plumbcalc reverse` exits 0 on it, as `normalize`
+    does."""
+    nf = normalize(pchain(-1))
+    rev = reverse_orientation(nf)
+    expected = {"certificate": "generic",
+                "graph": {"edges": [], "kind": "plumbing", "vertices": []},
+                "log": [{"move": "negate"}], "ordering": [], "seifert": None}
+    assert rev.to_json_dict() == expected
+    assert h1_from_graph(rev) == h1_from_graph(nf) == AbelianGroup(0, ())
+    path = tmp_path / "s3.json"
+    path.write_text(canonical_json(pchain(-1).to_json_dict()))
+    assert main(["reverse", str(path), "--json"]) == 0
+    out, err = capsys.readouterr()
+    assert json.loads(out) == expected and err == ""
+
+
 # -- continued fractions ------------------------------------------------------------
 
 
