@@ -273,70 +273,139 @@ class _SearchCaps:
         return all(abs(w) <= self.max_abs_weight for w in weights)
 
 
-def _search_moves(g: WeightedGraph):
-    """Deterministic move enumeration for the standardization search, as
-    log entries; a blowup entry names no new_id, so the move picks
-    `fresh_id`."""
+def _move_sites(g: WeightedGraph) -> tuple:
+    """Where the search's moves apply on g, found once per expanded state,
+    as (ids, blowdowns, flows): g's ids in order, its superfluous vertices,
+    and its rational 0-vertices with two neighbours, each with those
+    neighbours in order.  `_search_moves`, `_move_count` and `_candidates`
+    all read this one list."""
     ids = g.sorted_ids()
-    for vid in ids:
-        if is_superfluous(g, vid):
-            yield {"move": "blowdown", "vertex": vid}
+    blowdowns, flows = [], []
     for vid in ids:
         v = g.vertices[vid]
-        if v.weight == 0 and v.genus == 0 and v.boundary == 0:
-            if branching_number(g, vid) == 2 and len(g.neighbors(vid)) == 2:
-                for n in g.neighbors(vid):
-                    yield {"move": "flow", "vertex": vid, "toward": n}
+        if is_superfluous(g, vid):
+            blowdowns.append(vid)
+        elif v.weight == 0 and v.genus == 0 and v.boundary == 0:
+            nbrs = g.neighbors(vid)
+            if branching_number(g, vid) == 2 and len(nbrs) == 2:
+                flows.append((vid, nbrs))
+    return ids, blowdowns, flows
+
+
+def _search_moves(g: WeightedGraph, sites=None):
+    """Deterministic move enumeration for the standardization search, as
+    log entries, read off g's `_move_sites` (found here unless given): the
+    blowdowns, the flows toward each neighbour, the inner blowups in edge
+    order, then the outer blowups in id order.  A blowup entry names no
+    new_id, so the move picks `fresh_id`."""
+    ids, blowdowns, flows = _move_sites(g) if sites is None else sites
+    for vid in blowdowns:
+        yield {"move": "blowdown", "vertex": vid}
+    for vid, nbrs in flows:
+        for n in nbrs:
+            yield {"move": "flow", "vertex": vid, "toward": n}
     for e in g.edges:
         yield {"move": "blowup", "center": {"edge": [e.u, e.v]}}
     for vid in ids:
         yield {"move": "blowup", "center": {"vertex": vid}}
 
 
+def _move_count(g: WeightedGraph, sites: tuple) -> int:
+    """The number of `_search_moves` entries on g, read off its sites."""
+    ids, blowdowns, flows = sites
+    return len(blowdowns) + 2 * len(flows) + len(g.edges) + len(ids)
+
+
 def _survey(g: WeightedGraph, starts=None) -> tuple:
     """One walk over the chains of g minus its branching set, as
-    (circular, nonstandard): the set of vertices on circular chains, and
-    the vertex set of each chain that is not standard.  g is standard
-    exactly when nonstandard is empty.  With starts, only the chains
-    through those of its vertices that are in g are walked.
-    `_linear_standard` and `_circular_standard` try every orientation and
-    rotation, so the chains need no orienting."""
+    (circular, nonstandard, cycles): the vertex set of each circular
+    chain (cycles) and their union (circular), and the vertex set of each
+    chain that is not standard.  g is standard exactly when nonstandard is
+    empty.  With starts, only the chains through those of its vertices
+    that are in g are walked; `_child_survey` adds the rest of a child's
+    chains from its parent's survey.  `_linear_standard` and
+    `_circular_standard` try every orientation and rotation, so the chains
+    need no orienting."""
     starts = g.vertices if starts is None else [x for x in starts if x in g.vertices]
-    circular: set = set()
-    nonstandard = []
+    cycles, nonstandard = [], []
     for order, is_circular in _chains_through(g, branching_set(g), starts):
-        if is_circular:
-            circular.update(order)
         entries = _entries(g, order)
-        if not (_circular_standard if is_circular else _linear_standard)(entries):
+        if is_circular:
+            cycles.append(frozenset(order))
+            if not _circular_standard(entries):
+                nonstandard.append(cycles[-1])
+        elif not _linear_standard(entries):
             nonstandard.append(frozenset(order))
-    return circular, nonstandard
+    return set().union(*cycles), nonstandard, cycles
+
+
+def _touched(g: WeightedGraph, entry: dict) -> set:
+    """The touched set T of a `_search_moves` entry on g: the vertices
+    whose weight, edges or branching the move may change, a blowup's new
+    vertex (the `fresh_id` the move picks), and the neighbours of a vertex
+    whose branching may change.  `standardize` has the lemma."""
+    around = g.around
+    kind = entry["move"]
+    if kind == "flow":
+        return {x for x, _ in around[entry["vertex"]]}
+    if kind == "blowdown":
+        v = entry["vertex"]
+        touched = {v, *(x for x, _ in around[v])}
+        if len(around[v]) == 1:
+            touched.update(x for x, _ in around[around[v][0][0]])
+        return touched
+    new, center = fresh_id(g.vertices), entry["center"]
+    if "edge" in center:
+        return {*center["edge"], new}
+    v = center["vertex"]
+    return {v, new, *(x for x, _ in around[v])}
+
+
+def _child_survey(survey: tuple, touched: set, child: WeightedGraph) -> tuple:
+    """The `_survey` of a child, read off its parent's survey and the
+    move's touched set: the parent's cycles and non-standard chains that
+    miss the touched set, and the chains of the child walked from it."""
+    _, nonstandard, cycles = survey
+    _, walked_nonstandard, walked_cycles = _survey(child, touched)
+    cycles = [c for c in cycles if c.isdisjoint(touched)] + walked_cycles
+    nonstandard = [c for c in nonstandard if c.isdisjoint(touched)]
+    return set().union(*cycles), nonstandard + walked_nonstandard, cycles
 
 
 def _could_be_standard(g: WeightedGraph, entry: dict, survey: tuple):
     """For a `_search_moves` entry on g, whose `_survey` this is, read off
-    g and the survey without building the child: the move's touched set T
+    g and the survey without building the child: the move's touched set
     when the child could be standard, else None."""
-    around = g.around
-    circular, nonstandard = survey
-    kind = entry["move"]
-    if kind == "blowup":
-        touched = entry["center"].get("edge")
-        if touched is None or not circular.issuperset(touched):
+    circular, nonstandard, _ = survey
+    if entry["move"] == "blowup":
+        edge = entry["center"].get("edge")
+        if edge is None or not circular.issuperset(edge):
             return None
-    elif kind == "flow":
-        t = entry["toward"]
-        (a, _), (b, _) = around[entry["vertex"]]
-        touched = (t, b if a == t else a)
-    else:
-        v = entry["vertex"]
-        nbrs = [x for x, _ in around[v]]
-        touched = {v, *nbrs}
-        if len(nbrs) == 1:
-            touched.update(x for x, _ in around[nbrs[0]])
+    touched = _touched(g, entry)
     if any(chain.isdisjoint(touched) for chain in nonstandard):
         return None
     return touched
+
+
+def _candidates(g: WeightedGraph, sites: tuple, survey: tuple):
+    """Yield (index, entry, touched set) for each `_search_moves` entry on
+    g that `_could_be_standard` admits, in order, making no other entry:
+    no outer blowup is admitted, nor an inner one off the circular
+    chains."""
+    _, blowdowns, flows = sites
+    entries = [{"move": "blowdown", "vertex": vid} for vid in blowdowns]
+    entries += [{"move": "flow", "vertex": vid, "toward": n}
+                for vid, nbrs in flows for n in nbrs]
+    circular = survey[0]
+    if circular:
+        entries += [{"move": "blowup", "center": {"edge": [e.u, e.v]}}
+                    if e.u in circular and e.v in circular else None
+                    for e in g.edges]
+    for i, entry in enumerate(entries):
+        if entry is not None:
+            touched = _could_be_standard(g, entry, survey)
+            if touched is not None:
+                yield i, entry, touched
 
 
 def _is_revisit(seen: dict, state: WeightedGraph) -> bool:
@@ -372,6 +441,24 @@ def _build(state: WeightedGraph, state_log: tuple, move: dict,
     return child, (*state_log, *sub)
 
 
+def _children(state: WeightedGraph, state_log: tuple, survey: tuple,
+              sites: tuple, built: dict, caps: _SearchCaps, seen: dict):
+    """Take the children of an expanded state from its queue entry, in
+    `_search_moves` order, as (child, log, survey): a candidate built when
+    the state was expanded is reused, any other child is built now and
+    its survey inherited.  A child outside the caps or a revisit
+    (`_is_revisit`) is skipped."""
+    for i, move in enumerate(_search_moves(state, sites)):
+        if i in built:
+            child = built[i]
+            if child is not None and not _is_revisit(seen, child[0]):
+                yield child
+            continue
+        made = _build(state, state_log, move, caps)
+        if made is not None and not _is_revisit(seen, made[0]):
+            yield (*made, _child_survey(survey, _touched(state, move), made[0]))
+
+
 _STRATEGY = (
     "(strategy: minimalize, then BFS over blowdowns, flows and bounded "
     "blowups); this indicates a strategy gap, not a certified negative"
@@ -393,75 +480,88 @@ def standardize(g: WeightedGraph) -> tuple[WeightedGraph, list]:
     standard graph after two moves (a blowdown of L1_0, then an inner
     blowup on L1_inf-L2_inf) rather than unchanged with an empty log.
 
-    Work on a child is paid only when the child is taken from the queue,
-    except the test of whether it could be standard (`_could_be_standard`),
-    read off the parent and its survey.  Each expanded state is surveyed
-    once (`_survey`): its circular-chain vertices and its chains that are
-    not standard.
+    Lazy child lists.  The queue holds one entry per expanded state: the
+    state, its log, its survey (`_survey`), its move sites (`_move_sites`)
+    and the children built while it was expanded, by `_search_moves`
+    index.  Expanding a state builds only its candidates (`_candidates`),
+    the children that `_could_be_standard` admits, in `_search_moves`
+    order.  Each is built (`_build`: the move is applied and the child
+    checked against the caps on its vertex count and all of its weights)
+    and goal-tested, and the first standard one is returned.  Taking an
+    entry from the queue takes its children in `_search_moves` order
+    (`_children`): a candidate is reused, any other child is built then.
+    A child outside the caps, or a revisit, is dropped; every other child
+    is expanded at once, and its entry goes to the end of the queue.  A
+    search that queued every child of a state, in `_search_moves` order,
+    held them side by side and expanded them in that order when it took
+    them; so taking a state's entry expands the same children in the same
+    order, and each expansion appends its entry where that search
+    appended the expanded state's children.  Every child is built at most
+    once, and only a candidate is built before its turn.
 
-    A child is built in one way (`_build`): the move is applied, and the
-    built child is checked against the caps on its vertex count and all
-    of its weights; a child outside the caps is dropped before it is
-    encoded.  Most children cannot be standard.  Such a child is queued
-    as its parent, the parent's log and its move-log entry, not as a
-    graph, and built when it is taken from the queue.  A child that could
-    be standard is built at once and given the goal test, and the first
-    standard child is returned.  Any other is queued as its built graph
-    and log, so it is never built twice.
+    The budget.  A state's move count n (`_move_count`) is the number of
+    its `_search_moves` entries, all of which count as tried when it is
+    expanded.  With room the budget less the moves tried before, only
+    the candidates with index below room are built, and the search raises
+    when n > room: a search that tried the moves one by one raised at the
+    move with index room, after building and testing the candidates
+    before it.
 
-    Blowups: a standard form has (-1)-vertices only on circular chains,
-    since `_linear_standard` admits no entry 1.  The new vertex of a
-    blowup is undecorated with one or two neighbours, so it is never
-    branching, and divisor graphs have no loops or multi-edges, so a
-    blowup changes no other vertex's branching.  After an outer blowup
-    the new vertex is the tip of a linear chain; after an inner blowup on
-    the edge u-v it lies on a circular chain exactly when u-v does in the
-    parent.  So every outer blowup child, and every inner one off the
-    circular chains, is not standard.
+    Which children could be standard.  A standard form has
+    (-1)-vertices only on circular chains, since `_linear_standard`
+    admits no entry 1.  The new vertex of a blowup is undecorated with
+    one or two neighbours, so it is never branching.  After an outer
+    blowup the new vertex is the tip of a linear chain; after an inner
+    blowup on the edge u-v it lies on a circular chain exactly when u-v
+    does in the parent.  So every outer blowup child, and every inner one
+    off the circular chains, is not standard.
 
-    Flows, blowdowns and the remaining inner blowups: a chain of the
-    parent that contains no vertex of the move's touched set T is a
-    maximal chain of the child, with the same entries.  So if some
-    non-standard chain of the parent is disjoint from T, the child is not
-    standard.  T holds every vertex whose weight, edges or branching the
-    move changes, and their neighbours where a chain could grow through
-    them:
+    The touched set T of a move (`_touched`) holds every vertex whose
+    weight, edges or branching the move may change, the new vertex of a
+    blowup, and the neighbours of a vertex whose branching may change:
 
-    - flow on z toward t: T = {t, o}, o the other neighbour of z; the
+    - flow on z: T = the two neighbours of z, which change weight; the
       edges stay as they are;
     - blowdown of v: T = {v} and the neighbours of v, plus the
       neighbours of a when v is a tip on a, since a loses an edge end
       and may stop branching; when v has two neighbours, each keeps its
       number of edge ends;
-    - inner blowup on u-v: T = {u, v}.
+    - inner blowup on u-v: T = {u, v, new}; u and v keep their numbers
+      of edge ends, and when both are branching the new vertex is a
+      one-vertex chain no walk from u or v reaches;
+    - outer blowup at v: T = {v, new} and the neighbours of v, since v
+      gains an edge end and may start branching.
 
-    Conversely, a chain of the child with no vertex in T is a chain of
-    the parent with the same entries.  Outside T no vertex changes its
-    weight, its edges or its decorations.  No move whose child could be
-    standard gives a vertex more edge ends, so a vertex branching in the
-    child is branching in the parent.  And the new vertex of an inner
-    blowup on a circular chain lies on the chain of u and v.  When the
-    child could be standard, every non-standard chain of the parent meets
-    T, so such a chain is standard.  The goal test, `_survey` of the
-    child from T, therefore walks only the chains through T.
+    Lemma: a maximal chain of the child that misses T is a maximal chain
+    of the parent with the same entries, and conversely.  Every edge a
+    move adds or removes joins two vertices of T, so outside T no vertex
+    changes its weight, edges or decorations, nor whether it branches.  A
+    chain vertex next to a vertex whose branching may change, or next to
+    the new vertex, is in T, so a chain that misses T also stops where it
+    did.
+
+    So if a non-standard chain of the parent misses T, the child is not
+    standard, which `_could_be_standard` reads off the parent's survey.
+    When no such chain does, every chain of the child that misses T is
+    standard, and the goal test walks only the chains through T.  And
+    every child's survey is inherited (`_child_survey`): the parent's
+    cycles and non-standard chains that miss T, and the chains walked in
+    the child from T.  Only the input is surveyed whole.
 
     `_search_moves` yields only blowups, blowdowns of superfluous
     vertices and flows on 0-vertices with two neighbours, which
     `apply_move` always accepts, so building a child never fails.  The
-    moves tried, the states queued and expanded, the result and its log,
-    and both errors are therefore the same as when every child was built
-    and tested.
+    moves tried, the states expanded, the result and its log, and both
+    errors are therefore the same as when every child was built and
+    tested as it was made.
 
-    Revisits are pruned when a state is taken from the queue: its graph
-    is built if it was queued unbuilt, and it is expanded only if no
-    isomorphic state was expanded before (`_is_revisit`).  Dropping a
-    child outside the caps when it is taken from the queue, not when it
-    is made, leaves the other entries in the same order.
-    Standardness is invariant under isomorphism, and only non-standard
-    states are ever recorded, so no standard child is pruned as a revisit.
-    A search that pruned each child as it was made therefore expands the
-    same states in the same order, returns the same first standard child
-    with the same log, and runs out of budget or states at the same move.
+    Revisits are pruned when a child is taken: it is expanded only if no
+    isomorphic state was expanded before (`_is_revisit`).  Standardness
+    is invariant under isomorphism, and only non-standard states are ever
+    recorded, so no standard child is pruned as a revisit.  A search that
+    pruned each child as it was made therefore expands the same states in
+    the same order, returns the same first standard child with the same
+    log, and runs out of budget or states at the same move.
 
     The revisit test files the expanded states by `isomorphism_key`, a
     cheap isomorphism invariant, and canonically encodes a state only
@@ -470,57 +570,52 @@ def standardize(g: WeightedGraph) -> tuple[WeightedGraph, list]:
     equal keys, so a state whose key is new is isomorphic to no state
     expanded before.  Canonical encodings are equal exactly for
     isomorphic graphs, so a state whose key is not new is pruned exactly
-    when an isomorphic state was expanded.  The test therefore prunes the
-    same states as encoding every state did: the search expands the same
-    states in the same order, tries the same moves, returns the same
-    graph and log, and raises the same errors with the same counts.
+    when an isomorphic state was expanded, as when every state was
+    encoded.
     """
     _require_divisor(g, "standardize")
     cur, log = snc_minimalize(g)
-    if not _survey(cur)[1]:
+    survey = _survey(cur)
+    if not survey[1]:
         return cur, log
 
     caps = _SearchCaps(cur)
-    seen: dict = {}
-    # (graph, log, None) for a built state; (parent, parent's log, move)
-    # for a child queued unbuilt
-    queue = deque([(cur, tuple(log), None)])
+    seen: dict = {isomorphism_key(cur): cur}
+    # (state, log, survey, move sites, {move index: candidate child or None})
+    queue: deque = deque()
     tried = expanded = 0
-    while queue:
-        state, state_log, move = queue.popleft()
-        if move is not None:
-            built = _build(state, state_log, move, caps)
-            if built is None:
-                continue
-            state, state_log = built
-        if _is_revisit(seen, state):
-            continue
-        expanded += 1
-        survey = _survey(state)
-        for move in _search_moves(state):
-            tried += 1
-            if tried > caps.budget:
+    children = [(cur, tuple(log), survey)]  # the input, taken as a child
+    while True:
+        for state, state_log, survey in children:
+            expanded += 1
+            sites = _move_sites(state)
+            n = _move_count(state, sites)
+            room = caps.budget - tried
+            tried += n
+            built: dict = {}
+            for i, move, touched in _candidates(state, sites, survey):
+                if i >= room:
+                    break
+                child = _build(state, state_log, move, caps)
+                if child is not None:
+                    child = (*child, _child_survey(survey, touched, child[0]))
+                    if not child[2][1]:
+                        return child[0], list(child[1])
+                built[i] = child
+            if n > room:
                 raise DomainError(
                     "standardize: move budget exhausted after "
                     f"{caps.budget} of {caps.budget} moves tried, "
                     f"{expanded} states expanded {_STRATEGY}"
                 )
-            touched = _could_be_standard(state, move, survey)
-            if touched is None:
-                queue.append((state, state_log, move))
-                continue
-            built = _build(state, state_log, move, caps)
-            if built is None:
-                continue
-            nxt, nxt_log = built
-            if not _survey(nxt, touched)[1]:
-                return nxt, list(nxt_log)
-            queue.append((nxt, nxt_log, None))
-    raise DomainError(
-        "standardize: search space exhausted under caps after "
-        f"{tried} of {caps.budget} moves tried, {expanded} states expanded "
-        f"{_STRATEGY}"
-    )
+            queue.append((state, state_log, survey, sites, built))
+        if not queue:
+            raise DomainError(
+                "standardize: search space exhausted under caps after "
+                f"{tried} of {caps.budget} moves tried, {expanded} states "
+                f"expanded {_STRATEGY}"
+            )
+        children = _children(*queue.popleft(), caps, seen)
 
 
 # ---------------------------------------------------------------------------

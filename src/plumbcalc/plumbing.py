@@ -449,10 +449,12 @@ def _reduce(g: WeightedGraph, name, rules, budget=None) -> tuple[WeightedGraph, 
     its module is the one applied.
 
     Each rule keeps a lazy min-heap of ids, which starts with every vertex
-    and holds every vertex where the rule applies: the top is dropped
-    while the rule does not apply there, so the top of the first heap
-    that keeps one is what a rescan of every id would pick.  After a move
-    at v, v's former neighbours are pushed onto every heap.  Lemma: that
+    and holds every vertex where the rule applies.  Ids are popped from
+    the first rule's heap until the rule applies at one; a heap that runs
+    dry passes on to the next rule, and each move starts again at the
+    first.  So the id found is what a rescan of every id would pick.
+    After a move at v, v's former neighbours are pushed onto every heap,
+    since ids where a rule did not apply were popped.  Lemma: that
     is enough.  A move at v (a blow-down of v, or R3's merge of v's two
     neighbours) changes weights, decorations, loops and edge-end counts
     only at v's neighbours, and joins vertices only where both were v's
@@ -463,25 +465,29 @@ def _reduce(g: WeightedGraph, name, rules, budget=None) -> tuple[WeightedGraph, 
     (blowdown), so there it can stop applying but cannot start.
     """
     heaps, log = [g.sorted_ids() for _ in rules], []  # a sorted list is a heap
-    while True:
-        for heap, (_, applies, move) in zip(heaps, rules):
-            while heap and not (heap[0] in g.vertices and applies(g, heap[0])):
-                heappop(heap)
-            if heap:
+    k = 0  # the rule whose heap is drained; each move starts again at 0
+    while k < len(rules):
+        heap, (_, applies, move) = heaps[k], rules[k]
+        while heap:
+            vid = heappop(heap)
+            if vid not in g.vertices or not applies(g, vid):
+                continue
+            if len(log) == budget:
+                moves = " and ".join(f"{sum(e['move'] == r for e in log)} {r}"
+                                     for r, _, _ in rules)
+                raise DomainError(f"{name}: move budget {budget} exceeded after "
+                                  f"{moves} moves, {len(g.vertices)} vertices left")
+            nbrs = [x for x, _ in g.around[vid]]
+            g = move(g, vid, log)
+            for h in heaps:
+                for x in nbrs:
+                    heappush(h, x)
+            if k:
+                k = 0
                 break
         else:
-            return g, log
-        if len(log) == budget:
-            moves = " and ".join(f"{sum(e['move'] == r for e in log)} {r}"
-                                 for r, _, _ in rules)
-            raise DomainError(f"{name}: move budget {budget} exceeded after {moves}"
-                              f" moves, {len(g.vertices)} vertices left")
-        vid = heappop(heap)
-        nbrs = [x for x, _ in g.around[vid]]
-        g = move(g, vid, log)
-        for heap in heaps:
-            for x in nbrs:
-                heappush(heap, x)
+            k += 1
+    return g, log
 
 
 def normalize(g: WeightedGraph) -> NormalForm:

@@ -18,7 +18,13 @@ import plumbcalc.plumbing as plumbing
 from plumbcalc.cli import main
 from plumbcalc.divisor import (
     MOVES,
+    _STRATEGY,
     _SearchCaps,
+    _build,
+    _circular_standard,
+    _is_revisit,
+    _linear_standard,
+    _move_sites,
     _require_divisor,
     _search_moves,
     apply_move,
@@ -42,6 +48,9 @@ from plumbcalc.graphs import (
     Edge,
     Vertex,
     WeightedGraph,
+    _chains_through,
+    _entries,
+    branching_set,
     canonical_encoding,
     canonical_json,
     graphs_isomorphic,
@@ -703,6 +712,49 @@ def test_flows_and_blowdowns_the_search_leaves_unbuilt_cannot_be_standard(g):
     assert_unbuilt_children_are_not_standard(g, {"flow", "blowdown"})
 
 
+def same_survey(got, want):
+    """Surveys compared as sets of chains: the circular union, the
+    non-standard chains and the cycles."""
+    assert got[0] == want[0]
+    assert set(got[1]) == set(want[1]) and len(got[1]) == len(want[1])
+    assert set(got[2]) == set(want[2]) and len(got[2]) == len(want[2])
+
+
+@settings(max_examples=300, deadline=None)
+@given(ANY_DIVISOR_GRAPH)
+@example(build_boundary_graph(1, 1).d_part())  # a 4-cycle
+@example(cycle(0, -2, -3))
+@example(flowed_dpart(2, 3, "L1_inf", "L2_0", 2))
+def test_child_survey_inherited_from_the_parent_is_the_whole_survey(g):
+    """For every search move, the parent's chains that miss the touched
+    set plus the child's chains through it are the child's chains: only
+    the input of a search is surveyed whole."""
+    survey = divisor._survey(g)
+    for entry in _search_moves(g):
+        child = apply_move(g, entry)
+        touched = divisor._touched(g, entry)
+        same_survey(divisor._child_survey(survey, touched, child),
+                    divisor._survey(child))
+
+
+@settings(max_examples=300, deadline=None)
+@given(ANY_DIVISOR_GRAPH)
+@example(build_boundary_graph(1, 1).d_part())  # a 4-cycle
+@example(cycle(0, -2, -3))
+@example(flowed_dpart(2, 3, "L1_inf", "L2_0", 2))
+def test_candidates_are_the_moves_that_could_be_standard(g):
+    """The candidate scan makes exactly the `_search_moves` entries that
+    `_could_be_standard` admits, at their indices, with their touched
+    sets, and the move count counts every entry."""
+    survey, sites = divisor._survey(g), _move_sites(g)
+    moves = list(_search_moves(g))
+    assert list(_search_moves(g, sites)) == moves
+    assert divisor._move_count(g, sites) == len(moves)
+    want = [(i, entry, touched) for i, entry in enumerate(moves)
+            if (touched := divisor._could_be_standard(g, entry, survey)) is not None]
+    assert list(divisor._candidates(g, sites, survey)) == want
+
+
 def test_standardize_encodes_only_states_whose_key_was_expanded(monkeypatch):
     """A state is canonically encoded only when a state expanded before it
     has the same `isomorphism_key`: either the state taken from the queue,
@@ -712,14 +764,14 @@ def test_standardize_encodes_only_states_whose_key_was_expanded(monkeypatch):
     def expanding(h):
         expanded.append(h)
         expanded_keys.add(isomorphism_key(h))
-        return _search_moves(h)
+        return _move_sites(h)
 
     def encoding(h):
         encoded_keys.append(isomorphism_key(h))
         assert encoded_keys[-1] in expanded_keys
         return canonical_encoding(h)
 
-    monkeypatch.setattr(divisor, "_search_moves", expanding)
+    monkeypatch.setattr(divisor, "_move_sites", expanding)
     monkeypatch.setattr(divisor, "canonical_encoding", encoding)
     standardize(flowed_dpart(3, 4, "L1_inf", "L2_0", 3))
     # 43 encodings, one per state taken from the queue, when every state
@@ -749,8 +801,8 @@ def test_standardize_expands_non_isomorphic_states_that_share_a_key(monkeypatch)
     assert isomorphism_key(a) == isomorphism_key(b)
     assert graphs_isomorphic(a, b) == (False, None)
     expanded = []
-    monkeypatch.setattr(divisor, "_search_moves",
-                        lambda h: expanded.append(h) or _search_moves(h))
+    monkeypatch.setattr(divisor, "_move_sites",
+                        lambda h: expanded.append(h) or _move_sites(h))
     standardize(chain(-2, 1, -3))
     encodings = [canonical_encoding(h) for h in expanded]
     assert canonical_encoding(a) in encodings
@@ -787,8 +839,8 @@ def test_standardize_with_a_constant_key_matches_the_real_key(monkeypatch):
         out = []
         for g in inputs:
             expanded = []
-            monkeypatch.setattr(divisor, "_search_moves",
-                                lambda h: expanded.append(h) or _search_moves(h))
+            monkeypatch.setattr(divisor, "_move_sites",
+                                lambda h: expanded.append(h) or _move_sites(h))
             std, log = standardize(g)
             out.append((canonical_json(std.to_json_dict()), canonical_json(log),
                         len(expanded)))
@@ -800,15 +852,16 @@ def test_standardize_with_a_constant_key_matches_the_real_key(monkeypatch):
 
 
 def test_standardize_pays_only_for_the_children_it_pops(monkeypatch):
-    """A child that cannot be standard is checked against the caps only
-    when it is taken from the queue, and a child that could be standard
-    is built once, not again when it is taken from the queue."""
-    pops, checks, candidates, builds = [], [], [], []
+    """A child that cannot be standard is built and checked against the
+    caps only when it is taken from its parent's queue entry, and a child
+    that could be standard is built once, when its parent is expanded,
+    not again when it is taken."""
+    taken, checks, candidates, builds = [], [], [], []
 
-    class CountingDeque(deque):
-        def popleft(self):
-            pops.append(1)
-            return super().popleft()
+    def taking(*a):
+        for entry in _search_moves(*a):
+            taken.append(entry)
+            yield entry
 
     admits, could_be_standard = _SearchCaps.admits, divisor._could_be_standard
 
@@ -818,7 +871,7 @@ def test_standardize_pays_only_for_the_children_it_pops(monkeypatch):
             candidates.append(touched)
         return touched
 
-    monkeypatch.setattr(divisor, "deque", CountingDeque)
+    monkeypatch.setattr(divisor, "_search_moves", taking)
     monkeypatch.setattr(_SearchCaps, "admits",
                         lambda caps, *a: checks.append(a) or admits(caps, *a))
     monkeypatch.setattr(divisor, "_could_be_standard", noting_candidates)
@@ -826,8 +879,9 @@ def test_standardize_pays_only_for_the_children_it_pops(monkeypatch):
                         lambda *a: builds.append(a) or apply_move(*a))
     standardize(flowed_dpart(4, 5, "L1_inf", "L2_0", 3))
     # 1 253 caps checks, one per move tried, and 81 builds when every
-    # child was checked as it was made and rebuilt when taken
-    assert 0 < len(checks) <= len(pops) + len(candidates)
+    # child was checked as it was made and rebuilt when taken; 75 checks
+    # against 50 children taken and 31 candidates now
+    assert 0 < len(checks) <= len(taken) + len(candidates)
     assert 0 < len(builds) < 81
 
 
@@ -838,8 +892,8 @@ def test_standardize_builds_few_blowup_children(monkeypatch):
     blowups, expanded = [], []
     real = divisor.blow_up
     monkeypatch.setattr(divisor, "blow_up", lambda *a: blowups.append(a) or real(*a))
-    monkeypatch.setattr(divisor, "_search_moves",
-                        lambda h: expanded.append(h) or _search_moves(h))
+    monkeypatch.setattr(divisor, "_move_sites",
+                        lambda h: expanded.append(h) or _move_sites(h))
     standardize(flowed_dpart(4, 5, "L1_inf", "L2_0", 3))
     # 1 164 blowups against 48 expanded states when all were built; 44 now
     assert 0 < len(blowups) <= len(expanded)
@@ -855,22 +909,19 @@ def test_standardize_builds_few_flow_and_blowdown_children(monkeypatch):
         real = getattr(divisor, name)
         monkeypatch.setattr(divisor, name,
                             lambda *a, real=real: built.append(a) or real(*a))
-    monkeypatch.setattr(divisor, "_search_moves",
-                        lambda h: expanded.append(h) or _search_moves(h))
+    monkeypatch.setattr(divisor, "_move_sites",
+                        lambda h: expanded.append(h) or _move_sites(h))
     standardize(flowed_dpart(4, 5, "L1_inf", "L2_0", 3))
     # 92 flows + 47 blowdowns against 48 expanded states when all were
-    # built; 20 + 17 now
+    # built; 14 + 17 now
     assert 0 < len(built) <= len(expanded) + 1
 
 
 def test_standardize_errors_say_how_far_the_search_got(monkeypatch):
     expanded = []
 
-    def counting(h):
-        expanded.append(h)
-        return _search_moves(h)
-
-    monkeypatch.setattr(divisor, "_search_moves", counting)
+    monkeypatch.setattr(divisor, "_move_sites",
+                        lambda h: expanded.append(h) or _move_sites(h))
     monkeypatch.setattr(_SearchCaps, "budget", 50)
     with pytest.raises(DomainError) as e:
         standardize(chain(0, 0, 2))
@@ -882,10 +933,11 @@ def test_standardize_errors_say_how_far_the_search_got(monkeypatch):
     monkeypatch.setattr(_SearchCaps, "admits", lambda caps, n, weights: n <= 2)
     with pytest.raises(DomainError) as e:
         standardize(chain(1, 1))
+    states = list(expanded)  # _search_moves below finds sites through the spy
     assert str(e.value).startswith(
         f"standardize: search space exhausted under caps after "
-        f"{sum(len(list(_search_moves(h))) for h in expanded)} of 50 moves "
-        f"tried, {len(expanded)} states expanded (strategy: ")
+        f"{sum(len(list(_search_moves(h))) for h in states)} of 50 moves "
+        f"tried, {len(states)} states expanded (strategy: ")
 
 
 # flowed_dpart arguments -> {lowered budget: states expanded when it ran out}
@@ -917,6 +969,183 @@ def test_standardize_search_path_pins(monkeypatch, flowed, budget, expanded):
         "over blowdowns, flows and bounded blowups); this indicates a "
         "strategy gap, not a certified negative"
     )
+
+
+# The search before its child lists were lazy, kept verbatim with the survey
+# and candidate test it used: every child is made when its parent is
+# expanded, and the ones that cannot be standard are queued unbuilt.
+def parent_survey(g: WeightedGraph, starts=None) -> tuple:
+    starts = g.vertices if starts is None else [x for x in starts if x in g.vertices]
+    circular: set = set()
+    nonstandard = []
+    for order, is_circular in _chains_through(g, branching_set(g), starts):
+        if is_circular:
+            circular.update(order)
+        entries = _entries(g, order)
+        if not (_circular_standard if is_circular else _linear_standard)(entries):
+            nonstandard.append(frozenset(order))
+    return circular, nonstandard
+
+
+def parent_could_be_standard(g: WeightedGraph, entry: dict, survey: tuple):
+    around = g.around
+    circular, nonstandard = survey
+    kind = entry["move"]
+    if kind == "blowup":
+        touched = entry["center"].get("edge")
+        if touched is None or not circular.issuperset(touched):
+            return None
+    elif kind == "flow":
+        t = entry["toward"]
+        (a, _), (b, _) = around[entry["vertex"]]
+        touched = (t, b if a == t else a)
+    else:
+        v = entry["vertex"]
+        nbrs = [x for x, _ in around[v]]
+        touched = {v, *nbrs}
+        if len(nbrs) == 1:
+            touched.update(x for x, _ in around[nbrs[0]])
+    if any(chain.isdisjoint(touched) for chain in nonstandard):
+        return None
+    return touched
+
+
+def parent_standardize(g: WeightedGraph) -> tuple[WeightedGraph, list]:
+    _require_divisor(g, "standardize")
+    cur, log = snc_minimalize(g)
+    if not parent_survey(cur)[1]:
+        return cur, log
+
+    caps = _SearchCaps(cur)
+    seen: dict = {}
+    # (graph, log, None) for a built state; (parent, parent's log, move)
+    # for a child queued unbuilt
+    queue = deque([(cur, tuple(log), None)])
+    tried = expanded = 0
+    while queue:
+        state, state_log, move = queue.popleft()
+        if move is not None:
+            built = _build(state, state_log, move, caps)
+            if built is None:
+                continue
+            state, state_log = built
+        if _is_revisit(seen, state):
+            continue
+        expanded += 1
+        survey = parent_survey(state)
+        for move in _search_moves(state):
+            tried += 1
+            if tried > caps.budget:
+                raise DomainError(
+                    "standardize: move budget exhausted after "
+                    f"{caps.budget} of {caps.budget} moves tried, "
+                    f"{expanded} states expanded {_STRATEGY}"
+                )
+            touched = parent_could_be_standard(state, move, survey)
+            if touched is None:
+                queue.append((state, state_log, move))
+                continue
+            built = _build(state, state_log, move, caps)
+            if built is None:
+                continue
+            nxt, nxt_log = built
+            if not parent_survey(nxt, touched)[1]:
+                return nxt, list(nxt_log)
+            queue.append((nxt, nxt_log, None))
+    raise DomainError(
+        "standardize: search space exhausted under caps after "
+        f"{tried} of {caps.budget} moves tried, {expanded} states expanded "
+        f"{_STRATEGY}"
+    )
+
+
+def outcome(search, g):
+    """(graph bytes, log bytes), or the error string."""
+    try:
+        out, log = search(g)
+    except DomainError as e:
+        return str(e)
+    return canonical_json(out.to_json_dict()), canonical_json(log)
+
+
+def least_budget(g: WeightedGraph) -> int:
+    """The least budget with which the eager search finds a standard form
+    of g: one less, and it runs out at the move that finds it."""
+    lo, hi = 1, _SearchCaps.budget
+    with pytest.MonkeyPatch.context() as mp:
+        while lo < hi:
+            mid = (lo + hi) // 2
+            mp.setattr(_SearchCaps, "budget", mid)
+            if isinstance(outcome(parent_standardize, g), str):
+                lo = mid + 1
+            else:
+                hi = mid
+    return lo
+
+
+@pytest.mark.parametrize("d1, d2", [(2, 3), (3, 4), (4, 5)])
+@pytest.mark.parametrize("zero, toward", PIN_FLOWS)
+def test_standardize_matches_the_eager_search_at_every_budget(monkeypatch, d1, d2,
+                                                              zero, toward):
+    """With the budget anywhere from 1 to 400 moves, and at the least
+    budget that finds a standard form and one less, the lazy child lists
+    give the graph, log or error string of the search that made every
+    child when it expanded the parent: the budget is counted per expanded
+    state, and only candidates below the remaining room are built."""
+    g = flowed_dpart(d1, d2, zero, toward, 3)
+    least = least_budget(g)
+    for budget in [*range(1, 401, 7), least - 1, least]:
+        monkeypatch.setattr(_SearchCaps, "budget", budget)
+        assert outcome(standardize, g) == outcome(parent_standardize, g), budget
+
+
+SEARCH_GUARD_INPUTS = [flowed_dpart(d1, d2, zero, toward, 3)
+                       for d1, d2 in ((1, 1), (2, 3), (3, 4), (4, 5))
+                       for zero, toward in PIN_FLOWS] + [chain(-3, 0, -5), chain(0, 0, 2)]
+
+
+def test_standardize_surveys_only_its_input_whole(monkeypatch):
+    """Each call walks the whole graph once, on its snc-minimalized input;
+    every other survey is of the chains through a move's touched set."""
+    whole = []
+    survey = divisor._survey
+    monkeypatch.setattr(divisor, "_survey", lambda h, starts=None: (
+        starts is None and whole.append(h)) or survey(h, starts))
+    monkeypatch.setattr(_SearchCaps, "budget", 2_000)
+    for g in SEARCH_GUARD_INPUTS:
+        whole.clear()
+        try:
+            standardize(g)
+        except DomainError:
+            pass
+        assert whole == [snc_minimalize(g)[0]]
+
+
+def test_standardize_enumerates_the_moves_once_per_entry_taken(monkeypatch):
+    """`_search_moves` runs only when a queue entry is taken, to make its
+    children; expanding a state makes only its candidates."""
+    pops, enumerations = [], []
+
+    class CountingDeque(deque):
+        def popleft(self):
+            pops.append(1)
+            return super().popleft()
+
+    monkeypatch.setattr(divisor, "deque", CountingDeque)
+    monkeypatch.setattr(divisor, "_search_moves",
+                        lambda *a: enumerations.append(a) or _search_moves(*a))
+    monkeypatch.setattr(_SearchCaps, "budget", 2_000)
+    taken = 0
+    for g in SEARCH_GUARD_INPUTS:
+        pops.clear()
+        enumerations.clear()
+        try:
+            standardize(g)
+        except DomainError:
+            pass
+        assert len(enumerations) <= len(pops)
+        taken += len(pops)
+    assert taken > 0
 
 
 def test_cli_standardize_budget_exhausted_exits_1(monkeypatch, tmp_path, capsys):
