@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from collections import deque, namedtuple
 from fractions import Fraction
+from itertools import chain
 
 from .graphs import (
     ChainType,
@@ -193,8 +194,6 @@ def _linear_standard(entries: tuple) -> bool:
 
 def _circular_standard(entries: tuple) -> bool:
     n = len(entries)
-    if n == 0:
-        return True
     rotations = []
     for seq in (entries, tuple(reversed(entries))):
         for r in range(n):
@@ -273,47 +272,32 @@ class _SearchCaps:
         return all(abs(w) <= self.max_abs_weight for w in weights)
 
 
-def _move_sites(g: WeightedGraph) -> tuple:
-    """Where the search's moves apply on g, found once per expanded state,
-    as (ids, blowdowns, flows): g's ids in order, its superfluous vertices,
-    and its rational 0-vertices with two neighbours, each with those
-    neighbours in order.  `_search_moves`, `_move_count` and `_candidates`
-    all read this one list."""
-    ids = g.sorted_ids()
+def _site_moves(g: WeightedGraph) -> list:
+    """The blowdowns and flows the search tries on g, as log entries, made
+    once per expanded state: a blowdown of each superfluous vertex in id
+    order, then a flow toward each neighbour, in order, on each rational
+    0-vertex with two neighbours, in id order.  The search moves on g are
+    these followed by `_blowups(g)`."""
     blowdowns, flows = [], []
-    for vid in ids:
+    for vid in g.sorted_ids():
         v = g.vertices[vid]
         if is_superfluous(g, vid):
-            blowdowns.append(vid)
+            blowdowns.append({"move": "blowdown", "vertex": vid})
         elif v.weight == 0 and v.genus == 0 and v.boundary == 0:
             nbrs = g.neighbors(vid)
             if branching_number(g, vid) == 2 and len(nbrs) == 2:
-                flows.append((vid, nbrs))
-    return ids, blowdowns, flows
+                flows += [{"move": "flow", "vertex": vid, "toward": n} for n in nbrs]
+    return blowdowns + flows
 
 
-def _search_moves(g: WeightedGraph, sites=None):
-    """Deterministic move enumeration for the standardization search, as
-    log entries, read off g's `_move_sites` (found here unless given): the
-    blowdowns, the flows toward each neighbour, the inner blowups in edge
-    order, then the outer blowups in id order.  A blowup entry names no
-    new_id, so the move picks `fresh_id`."""
-    ids, blowdowns, flows = _move_sites(g) if sites is None else sites
-    for vid in blowdowns:
-        yield {"move": "blowdown", "vertex": vid}
-    for vid, nbrs in flows:
-        for n in nbrs:
-            yield {"move": "flow", "vertex": vid, "toward": n}
+def _blowups(g: WeightedGraph):
+    """The search's blowups on g, as log entries: the inner blowups in
+    edge order, then the outer blowups in id order.  A blowup entry names
+    no new_id, so the move picks `fresh_id`."""
     for e in g.edges:
         yield {"move": "blowup", "center": {"edge": [e.u, e.v]}}
-    for vid in ids:
+    for vid in g.sorted_ids():
         yield {"move": "blowup", "center": {"vertex": vid}}
-
-
-def _move_count(g: WeightedGraph, sites: tuple) -> int:
-    """The number of `_search_moves` entries on g, read off its sites."""
-    ids, blowdowns, flows = sites
-    return len(blowdowns) + 2 * len(flows) + len(g.edges) + len(ids)
 
 
 def _survey(g: WeightedGraph, starts=None) -> tuple:
@@ -340,10 +324,10 @@ def _survey(g: WeightedGraph, starts=None) -> tuple:
 
 
 def _touched(g: WeightedGraph, entry: dict) -> set:
-    """The touched set T of a `_search_moves` entry on g: the vertices
-    whose weight, edges or branching the move may change, a blowup's new
-    vertex (the `fresh_id` the move picks), and the neighbours of a vertex
-    whose branching may change.  `standardize` has the lemma."""
+    """The touched set T of a search move on g: the vertices whose weight,
+    edges or branching the move may change, a blowup's new vertex (the
+    `fresh_id` the move picks), and the neighbours of a vertex whose
+    branching may change.  `standardize` has the lemma."""
     around = g.around
     kind = entry["move"]
     if kind == "flow":
@@ -373,34 +357,31 @@ def _child_survey(survey: tuple, touched: set, child: WeightedGraph) -> tuple:
 
 
 def _could_be_standard(g: WeightedGraph, entry: dict, survey: tuple):
-    """For a `_search_moves` entry on g, whose `_survey` this is, read off
-    g and the survey without building the child: the move's touched set
-    when the child could be standard, else None."""
+    """For a search move on g, whose `_survey` this is, read off g and the
+    survey without building the child: the move's touched set when the
+    child could be standard, else None."""
     circular, nonstandard, _ = survey
     if entry["move"] == "blowup":
         edge = entry["center"].get("edge")
         if edge is None or not circular.issuperset(edge):
             return None
     touched = _touched(g, entry)
-    if any(chain.isdisjoint(touched) for chain in nonstandard):
+    if any(c.isdisjoint(touched) for c in nonstandard):
         return None
     return touched
 
 
-def _candidates(g: WeightedGraph, sites: tuple, survey: tuple):
-    """Yield (index, entry, touched set) for each `_search_moves` entry on
-    g that `_could_be_standard` admits, in order, making no other entry:
-    no outer blowup is admitted, nor an inner one off the circular
-    chains."""
-    _, blowdowns, flows = sites
-    entries = [{"move": "blowdown", "vertex": vid} for vid in blowdowns]
-    entries += [{"move": "flow", "vertex": vid, "toward": n}
-                for vid, nbrs in flows for n in nbrs]
+def _candidates(g: WeightedGraph, moves: list, survey: tuple):
+    """Yield (index, entry, touched set) for each search move on g that
+    `_could_be_standard` admits, in order, given moves, g's `_site_moves`
+    list, and making no blowup entry it need not test: no outer blowup is
+    admitted, nor an inner one off the circular chains."""
+    entries = moves
     circular = survey[0]
     if circular:
-        entries += [{"move": "blowup", "center": {"edge": [e.u, e.v]}}
-                    if e.u in circular and e.v in circular else None
-                    for e in g.edges]
+        entries = moves + [{"move": "blowup", "center": {"edge": [e.u, e.v]}}
+                           if e.u in circular and e.v in circular else None
+                           for e in g.edges]
     for i, entry in enumerate(entries):
         if entry is not None:
             touched = _could_be_standard(g, entry, survey)
@@ -431,8 +412,8 @@ def _is_revisit(seen: dict, state: WeightedGraph) -> bool:
 
 def _build(state: WeightedGraph, state_log: tuple, move: dict,
            caps: _SearchCaps):
-    """Apply a `_search_moves` entry to a state of the search: the child
-    and its log, or None when the child is outside the caps."""
+    """Apply a search move to a state of the search: the child and its
+    log, or None when the child is outside the caps."""
     sub: list = []
     child = apply_move(state, move, sub)
     if not caps.admits(len(child.vertices),
@@ -442,13 +423,13 @@ def _build(state: WeightedGraph, state_log: tuple, move: dict,
 
 
 def _children(state: WeightedGraph, state_log: tuple, survey: tuple,
-              sites: tuple, built: dict, caps: _SearchCaps, seen: dict):
+              moves: list, built: dict, caps: _SearchCaps, seen: dict):
     """Take the children of an expanded state from its queue entry, in
-    `_search_moves` order, as (child, log, survey): a candidate built when
-    the state was expanded is reused, any other child is built now and
-    its survey inherited.  A child outside the caps or a revisit
-    (`_is_revisit`) is skipped."""
-    for i, move in enumerate(_search_moves(state, sites)):
+    move order, its `_site_moves` list moves and then its `_blowups`, as
+    (child, log, survey): a candidate built when the state was expanded
+    is reused, any other child is built now and its survey inherited.  A
+    child outside the caps or a revisit (`_is_revisit`) is skipped."""
+    for i, move in enumerate(chain(moves, _blowups(state))):
         if i in built:
             child = built[i]
             if child is not None and not _is_revisit(seen, child[0]):
@@ -480,32 +461,34 @@ def standardize(g: WeightedGraph) -> tuple[WeightedGraph, list]:
     standard graph after two moves (a blowdown of L1_0, then an inner
     blowup on L1_inf-L2_inf) rather than unchanged with an empty log.
 
-    Lazy child lists.  The queue holds one entry per expanded state: the
-    state, its log, its survey (`_survey`), its move sites (`_move_sites`)
-    and the children built while it was expanded, by `_search_moves`
-    index.  Expanding a state builds only its candidates (`_candidates`),
-    the children that `_could_be_standard` admits, in `_search_moves`
-    order.  Each is built (`_build`: the move is applied and the child
-    checked against the caps on its vertex count and all of its weights)
-    and goal-tested, and the first standard one is returned.  Taking an
-    entry from the queue takes its children in `_search_moves` order
-    (`_children`): a candidate is reused, any other child is built then.
-    A child outside the caps, or a revisit, is dropped; every other child
-    is expanded at once, and its entry goes to the end of the queue.  A
-    search that queued every child of a state, in `_search_moves` order,
-    held them side by side and expanded them in that order when it took
-    them; so taking a state's entry expands the same children in the same
-    order, and each expansion appends its entry where that search
-    appended the expanded state's children.  Every child is built at most
-    once, and only a candidate is built before its turn.
+    Lazy child lists.  The search moves on a state are its blowdowns and
+    flows, the list `_site_moves` makes once when the state is expanded,
+    followed by its blowups, which the generator `_blowups` makes when
+    they are needed.  The queue holds one entry per expanded state: the
+    state, its log, its survey (`_survey`), its `_site_moves` list and the
+    children built while it was expanded, by move index.  Expanding a
+    state builds only its candidates (`_candidates`), the children that
+    `_could_be_standard` admits, in move order.  Each is built (`_build`:
+    the move is applied and the child checked against the caps on its
+    vertex count and all of its weights) and goal-tested, and the first
+    standard one is returned.  Taking an entry from the queue takes its
+    children in move order (`_children`): a candidate is reused, any other
+    child is built then.  A child outside the caps, or a revisit, is
+    dropped; every other child is expanded at once, and its entry goes to
+    the end of the queue.  A search that queued every child of a state, in
+    move order, held them side by side and expanded them in that order
+    when it took them; so taking a state's entry expands the same children
+    in the same order, and each expansion appends its entry where that
+    search appended the expanded state's children.  Every child is built
+    at most once, and only a candidate is built before its turn.
 
-    The budget.  A state's move count n (`_move_count`) is the number of
-    its `_search_moves` entries, all of which count as tried when it is
-    expanded.  With room the budget less the moves tried before, only
-    the candidates with index below room are built, and the search raises
-    when n > room: a search that tried the moves one by one raised at the
-    move with index room, after building and testing the candidates
-    before it.
+    The budget.  A state's move count is
+    n = len(`_site_moves` list) + |E| + |V|, one inner blowup per edge and
+    one outer per vertex, and all n count as tried when it is expanded.
+    With room the budget less the moves tried before, only the candidates
+    with index below room are built, and the search raises when n > room:
+    a search that tried the moves one by one raised at the move with index
+    room, after building and testing the candidates before it.
 
     Which children could be standard.  A standard form has
     (-1)-vertices only on circular chains, since `_linear_standard`
@@ -548,7 +531,7 @@ def standardize(g: WeightedGraph) -> tuple[WeightedGraph, list]:
     cycles and non-standard chains that miss T, and the chains walked in
     the child from T.  Only the input is surveyed whole.
 
-    `_search_moves` yields only blowups, blowdowns of superfluous
+    The search moves are only blowups, blowdowns of superfluous
     vertices and flows on 0-vertices with two neighbours, which
     `apply_move` always accepts, so building a child never fails.  The
     moves tried, the states expanded, the result and its log, and both
@@ -581,19 +564,19 @@ def standardize(g: WeightedGraph) -> tuple[WeightedGraph, list]:
 
     caps = _SearchCaps(cur)
     seen: dict = {isomorphism_key(cur): cur}
-    # (state, log, survey, move sites, {move index: candidate child or None})
+    # (state, log, survey, site moves, {move index: candidate child or None})
     queue: deque = deque()
     tried = expanded = 0
     children = [(cur, tuple(log), survey)]  # the input, taken as a child
     while True:
         for state, state_log, survey in children:
             expanded += 1
-            sites = _move_sites(state)
-            n = _move_count(state, sites)
+            moves = _site_moves(state)
+            n = len(moves) + len(state.edges) + len(state.vertices)
             room = caps.budget - tried
             tried += n
             built: dict = {}
-            for i, move, touched in _candidates(state, sites, survey):
+            for i, move, touched in _candidates(state, moves, survey):
                 if i >= room:
                     break
                 child = _build(state, state_log, move, caps)
@@ -608,7 +591,7 @@ def standardize(g: WeightedGraph) -> tuple[WeightedGraph, list]:
                     f"{caps.budget} of {caps.budget} moves tried, "
                     f"{expanded} states expanded {_STRATEGY}"
                 )
-            queue.append((state, state_log, survey, sites, built))
+            queue.append((state, state_log, survey, moves, built))
         if not queue:
             raise DomainError(
                 "standardize: search space exhausted under caps after "

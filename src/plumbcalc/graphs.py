@@ -592,20 +592,22 @@ def smith_normal_form(matrix) -> tuple:
     entries, non-negative, each dividing the next, zeros last.
 
     The elimination keeps only nonzero entries: each row is a dict and
-    `cols` holds the rows that are nonzero in each column.  Every pivot is an
-    entry of least absolute value, ties going to the least product of its
-    row's and its column's nonzero counts (the Markowitz rule, which
+    `cols` holds the rows that are nonzero in each column.  Every pivot is
+    an entry of least absolute value, ties going to the least product of
+    its row's and its column's nonzero counts (the Markowitz rule, which
     limits fill-in), then to the least row and column indices.  The
     entries wait in a heap keyed by (|entry|, product, row, column).  The
     diagonal is unique, so the order of the pivots decides only the
-    transforms.  A row or column operation marks the rows and columns
-    whose entries or counts it changed, and before the next pivot only
-    their entries are pushed again; an entry popped with a key it no
-    longer has is dropped.  Nothing is swapped during elimination: the
-    pivot positions are recorded, and once at the end they pair the
-    sparse columns of U^-1 and rows of V^-1 that the operations built,
-    with which `_check_snf` proves the diagonal before it is returned.
-    Entries must be integers (DomainError names the first that is not).
+    transforms.  Row operations clear the pivot's column first, so a
+    column operation then touches only the pivot row.  A row or column
+    operation marks the rows and columns whose entries or counts it
+    changed, and before the next pivot only their entries are pushed
+    again; an entry popped with a key it no longer has is dropped.
+    Nothing is swapped during elimination: the pivot positions are
+    recorded, and once at the end they pair the sparse columns of U^-1 and
+    rows of V^-1 that the operations built, with which `_check_snf` proves
+    the diagonal before it is returned.  Entries must be integers
+    (DomainError names the first that is not).
     """
     m = len(matrix)
     n = len(matrix[0]) if m else 0
@@ -638,19 +640,15 @@ def smith_normal_form(matrix) -> tuple:
         dirty_rows.add(i)
         _axpy(u_inv[p], u_inv[i], -f)
 
-    def col_op(j, q, f):  # col j -= f * col q, so row q of V^-1 += f * row j
-        for r in cols[q]:
-            rr = rows[r]
-            y = rr.get(j, 0) - f * rr[q]
-            if y:
-                if j not in rr:
-                    cols[j].add(r)
-                    dirty_rows.add(r)
-                rr[j] = y
-            else:
-                del rr[j]
-                cols[j].discard(r)
-                dirty_rows.add(r)
+    def col_op(p, j, q, f):  # col j -= f * col q, so row q of V^-1 += f * row j
+        rp = rows[p]  # column q is zero off the pivot row p
+        y = rp[j] - f * rp[q]
+        if y:
+            rp[j] = y
+        else:
+            del rp[j]
+            cols[j].discard(p)
+            dirty_rows.add(p)
         dirty_cols.add(j)
         _axpy(v_inv[q], v_inv[j], -f)
 
@@ -695,7 +693,7 @@ def smith_normal_form(matrix) -> tuple:
             for j in [j for j in rows[p] if j != q]:
                 f = rows[p][j] // piv
                 if f:
-                    col_op(j, q, f)
+                    col_op(p, j, q, f)
             rest = [j for j in rows[p] if j != q]
             if rest:
                 q = min(rest, key=lambda j: abs(rows[p][j]))
@@ -783,8 +781,6 @@ def cokernel(matrix) -> AbelianGroup:
     off the Smith diagonal: each of the m rows without a nonzero diagonal
     entry gives a Z, each entry above 1 a torsion summand."""
     m = len(matrix)
-    if m == 0:
-        return AbelianGroup(0)
     diag = smith_normal_form(matrix)
     torsion = tuple(sorted(d for d in diag if d > 1))
     rank = m - sum(1 for d in diag if d != 0)
@@ -879,23 +875,6 @@ def _chains_through(g: WeightedGraph, b: frozenset, starts):
         yield order, circular
 
 
-def _chains(g: WeightedGraph, b: frozenset):
-    """Yield (vertex order, circular) for each maximal chain of the graph
-    minus the branching set b.
-
-    Chains come in the id order of their least vertex, each walked once
-    from that vertex.  A path is oriented from its least tip.  A cycle
-    runs from its least vertex toward that vertex's least neighbour,
-    which `_chain_at` takes first: edges are in id order, and every other
-    vertex of the cycle has a larger id, so the cycle edges at the least
-    vertex come in the order of their other ends.
-    """
-    for order, circular in _chains_through(g, b, g.sorted_ids()):
-        if not circular and order[-1] < order[0]:
-            order.reverse()
-        yield order, circular
-
-
 def classify_segments(g: WeightedGraph) -> SegmentReport:
     """Split the graph into its branching set and maximal chains.
 
@@ -905,11 +884,18 @@ def classify_segments(g: WeightedGraph) -> SegmentReport:
     neighbours: a vertex joined to the branching set by two parallel
     edges has two attachments, and two vertices joined by two parallel
     edges form a circular chain.
+
+    Each chain is walked once from its least vertex.  So a cycle, whose
+    vertex order reaches `StandardReport.to_json_dict`, runs from its
+    least vertex toward that vertex's least neighbour, which `_chain_at`
+    takes first: edges are in id order, and every other vertex of the
+    cycle has a larger id, so the cycle edges at the least vertex come in
+    the order of their other ends.
     """
     around = g.around
     b = branching_set(g)
     segments = []
-    for order, circular in _chains(g, b):
+    for order, circular in _chains_through(g, b, g.sorted_ids()):
         if circular:
             canon = _canonical_cycle(_entries(g, order))
             segments.append(
@@ -1114,8 +1100,6 @@ def _canonical_search(g: WeightedGraph) -> tuple:
     needs more levels than the interpreter's recursion limit allows raises
     OutOfScopeError.
     """
-    if not g.vertices:
-        return (), encode_with_order(g, ())
     best: dict = {"enc": None, "order": None, "path": None}
     try:
         _search_below(g, best, [], _refine(g, _initial_colors(g)), [])

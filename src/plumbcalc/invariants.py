@@ -99,8 +99,6 @@ def pi1_presentation(d1: int, d2: int) -> GroupPresentation:
 def abelianization(p: GroupPresentation) -> AbelianGroup:
     """Z^generators / (span of the relators' exponent rows): the cokernel
     of the transposed exponent matrix, one row per generator."""
-    if not p.generators:
-        return AbelianGroup(0, ())
     if not p.relators:
         return AbelianGroup(len(p.generators), ())
     return cokernel([list(col) for col in zip(*p.exponent_matrix())])

@@ -779,7 +779,5 @@ def h1_from_graph(g) -> AbelianGroup:
     if any(v.boundary != 0 for v in graph.vertices.values()):
         raise DomainError("h1_from_graph needs a closed manifold (boundary 0)")
     b1 = first_betti(graph)
-    if not graph.vertices:
-        return AbelianGroup(0, ())
     coker = cokernel(intersection_matrix(graph))
     return AbelianGroup(b1 + coker.rank, coker.torsion)

@@ -511,6 +511,20 @@ def test_negative_leading_coefficient_is_attached_to_its_flag(capsys, argv):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("construct", "--d1", "2", "--d2", "1", "--by-blowups"),
+    ("verify-chart", "--case", "aa", "--p2", "1"),
+])
+@pytest.mark.parametrize("p1, message", [
+    ("1,,1", "empty coefficient in '1,,1'"),
+    ("x", "bad coefficient 'x': Invalid literal for Fraction: 'x'"),
+    ("1/0", "bad coefficient '1/0': Fraction(1, 0)"),
+])
+def test_malformed_coefficient_list_is_a_usage_error(capsys, argv, p1, message):
+    code, out, err = run(capsys, *argv, f"--p1={p1}", "--json")
+    assert (code, out, err) == (2, "", f"usage error: --p1: {message}\n")
+
+
 LAURENT_PINS = Path(__file__).parent / "data" / "laurent_cli_pins.json"
 CHART_ARGS = (
     ("aa", "1", "1"), ("aa", "0,1", "0,0,1"), ("aa", "1/2,1", "-3,2/3,1"),
@@ -762,6 +776,21 @@ def test_dot_prints_graphviz_source(capsys, dpart_file):
     code, out, err = run(capsys, "dot", dpart_file)
     assert code == 0, err
     assert out.startswith("graph") and "L1_0" in out
+
+
+def test_text_output_shows_genus_and_boundary(capsys, tmp_path):
+    """`minimalize` prints a vertex's genus and boundary count, and `dot`
+    labels them g= and r=."""
+    g = WeightedGraph("divisor", [Vertex("a", -2, genus=1), Vertex("b", -3, boundary=2),
+                                  Vertex("c", -1)], [Edge("a", "c"), Edge("b", "c")])
+    path = tmp_path / "g.json"
+    path.write_text(canonical_json(g.to_json_dict()))
+    code, out, err = run(capsys, "minimalize", str(path))
+    assert code == 0, err
+    assert "  a: weight -1, genus 1\n  b: weight -2, boundary 2\n" in out
+    code, out, err = run(capsys, "dot", str(path))
+    assert code == 0, err
+    assert '"a" [label="a\\n-2 g=1"];' in out and '"b" [label="b\\n-3 r=2"];' in out
 
 
 def test_missing_file_is_a_usage_error(capsys, tmp_path):

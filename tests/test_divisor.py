@@ -20,13 +20,13 @@ from plumbcalc.divisor import (
     MOVES,
     _STRATEGY,
     _SearchCaps,
+    _blowups,
     _build,
     _circular_standard,
     _is_revisit,
     _linear_standard,
-    _move_sites,
     _require_divisor,
-    _search_moves,
+    _site_moves,
     apply_move,
     bark,
     blow_down,
@@ -86,6 +86,12 @@ def tree(weights, edges):
     """Vertices v0, v1, ... with these weights, joined by the index pairs."""
     return WeightedGraph("divisor", [Vertex(f"v{i}", w) for i, w in enumerate(weights)],
                          [Edge(f"v{a}", f"v{b}") for a, b in edges])
+
+
+def search_moves(g: WeightedGraph) -> list:
+    """Every move the standardization search tries on g, in its order: the
+    `_site_moves` list followed by the `_blowups`."""
+    return [*_site_moves(g), *_blowups(g)]
 
 
 # -- blowups -------------------------------------------------------------------
@@ -301,6 +307,37 @@ def test_standard_circular_shapes():
     assert not is_standard(cycle(0, -1, -1)).standard    # 1-entries need (0)_2k
 
 
+def segment(vertices, chain_type, circular=False):
+    return {"vertices": vertices, "type": chain_type, "circular": circular,
+            "standard": True}
+
+
+@pytest.mark.parametrize("d1, d2, want", [
+    # one cycle, from its least vertex toward that vertex's least neighbour
+    (1, 1, {"standard": True, "branching": [], "segments": [
+        segment(["L1_0", "L2_0", "L1_inf", "L2_inf"], "(0,0,1,1)", True)]}),
+    # a bridge, and two twigs run tip first, in the order of their vertices
+    (2, 3, {"standard": True, "branching": ["L1_0", "L2_0"], "segments": [
+        segment(["L1_inf", "L2_inf"], "[0,0]"), segment(["T1_01"], "[2]"),
+        segment(["T2_02", "T2_01"], "[2,2]")]}),
+])
+def test_standard_report_json_of_the_boundary_d_parts(d1, d2, want):
+    report = is_standard(build_boundary_graph(d1, d2).d_part())
+    assert report.to_json_dict() == want
+    assert json.dumps(report.to_json_dict()) == json.dumps(want)
+
+
+def test_search_caps_admit_up_to_their_bounds():
+    """The real caps, for the (2,3) D-part's 7 vertices and largest |weight|
+    2: at most 11 vertices and |weight| at most 8."""
+    caps = _SearchCaps(build_boundary_graph(2, 3).d_part())
+    assert (caps.max_vertices, caps.max_abs_weight) == (11, 8)
+    assert caps.admits(11, [-8, 8, 0])
+    assert not caps.admits(12, [0])
+    assert not caps.admits(11, [-9])
+    assert not caps.admits(1, [9])
+
+
 def test_standardize_zero_chain():
     g = chain(-3, 0, -5)
     out, log = standardize(g)
@@ -377,7 +414,7 @@ def oracle_standardize(g: WeightedGraph) -> tuple[WeightedGraph, list]:
     expansions = 0
     while queue:
         state, state_log = queue.popleft()
-        for move in _search_moves(state):
+        for move in search_moves(state):
             expansions += 1
             if expansions > caps.budget:
                 raise DomainError(
@@ -533,6 +570,25 @@ def test_only_reduce_runs_a_heap():
     assert callers == {"plumbing._reduce"}
 
 
+def test_only_site_moves_makes_blowdown_and_flow_entries():
+    """`_site_moves` is the one place in `divisor` that makes the search's
+    blowdown and flow entries: no other code there builds such a dict,
+    apart from the moves' own `log.append` calls."""
+    module = ast.parse(Path(divisor.__file__).read_text(encoding="utf-8"))
+    logged = {id(arg) for node in ast.walk(module) if isinstance(node, ast.Call)
+              and isinstance(node.func, ast.Attribute) and node.func.attr == "append"
+              and getattr(node.func.value, "id", None) == "log" for arg in node.args}
+    builders = set()
+    for top in module.body:
+        for node in ast.walk(top):
+            if isinstance(node, ast.Dict) and id(node) not in logged and any(
+                    getattr(k, "value", None) == "move"
+                    and getattr(v, "value", None) in ("blowdown", "flow")
+                    for k, v in zip(node.keys, node.values)):
+                builders.add(getattr(top, "name", "<module>"))
+    assert builders == {"_site_moves"}
+
+
 def test_the_reductions_apply_the_moves_rebound_on_their_modules(monkeypatch):
     """snc_minimalize and normalize look their moves up on their modules
     when called, so a wrapper rebound there, as `perfbench/tracing.py`
@@ -636,7 +692,7 @@ def assert_unbuilt_children_are_not_standard(g, kinds):
     test on a child it builds is `is_standard`."""
     survey = divisor._survey(g)
     assert (not survey[1]) == is_standard(g).standard
-    for entry in _search_moves(g):
+    for entry in search_moves(g):
         if entry["move"] not in kinds:
             continue
         touched = divisor._could_be_standard(g, entry, survey)
@@ -659,7 +715,7 @@ ANY_DIVISOR_GRAPH = (divisor_trees() | divisor_graphs_with_cycles()
 def test_apply_move_accepts_every_search_move(g):
     """`standardize` builds children with no DomainError handler: every
     move the search tries on a divisor graph is one `apply_move` accepts."""
-    for entry in _search_moves(g):
+    for entry in search_moves(g):
         log = []
         child = apply_move(g, entry, log)
         assert child.kind == "divisor" and replay(g, log) == child
@@ -730,7 +786,7 @@ def test_child_survey_inherited_from_the_parent_is_the_whole_survey(g):
     set plus the child's chains through it are the child's chains: only
     the input of a search is surveyed whole."""
     survey = divisor._survey(g)
-    for entry in _search_moves(g):
+    for entry in search_moves(g):
         child = apply_move(g, entry)
         touched = divisor._touched(g, entry)
         same_survey(divisor._child_survey(survey, touched, child),
@@ -743,16 +799,30 @@ def test_child_survey_inherited_from_the_parent_is_the_whole_survey(g):
 @example(cycle(0, -2, -3))
 @example(flowed_dpart(2, 3, "L1_inf", "L2_0", 2))
 def test_candidates_are_the_moves_that_could_be_standard(g):
-    """The candidate scan makes exactly the `_search_moves` entries that
+    """The candidate scan makes exactly the search moves, the
+    `_site_moves` list followed by the `_blowups`, that
     `_could_be_standard` admits, at their indices, with their touched
-    sets, and the move count counts every entry."""
-    survey, sites = divisor._survey(g), _move_sites(g)
-    moves = list(_search_moves(g))
-    assert list(_search_moves(g, sites)) == moves
-    assert divisor._move_count(g, sites) == len(moves)
-    want = [(i, entry, touched) for i, entry in enumerate(moves)
+    sets, and the move count len(list) + |E| + |V| counts every move."""
+    survey, moves = divisor._survey(g), _site_moves(g)
+    order = search_moves(g)
+    assert len(moves) + len(g.edges) + len(g.vertices) == len(order)
+    want = [(i, entry, touched) for i, entry in enumerate(order)
             if (touched := divisor._could_be_standard(g, entry, survey)) is not None]
-    assert list(divisor._candidates(g, sites, survey)) == want
+    assert list(divisor._candidates(g, moves, survey)) == want
+
+
+def test_search_moves_come_in_a_fixed_order():
+    """The blowdowns come before the flows, whatever the ids, and the flow
+    on a 0-vertex runs toward each neighbour in order; a 0-vertex at a tip
+    has none.  Then the inner blowups in edge order, the outer ones in id
+    order."""
+    g = chain(-2, 0, -3, -1, -2, 0)
+    assert _site_moves(g) == [{"move": "blowdown", "vertex": "v3"},
+                              {"move": "flow", "vertex": "v1", "toward": "v0"},
+                              {"move": "flow", "vertex": "v1", "toward": "v2"}]
+    assert list(_blowups(g)) == [
+        *({"move": "blowup", "center": {"edge": [f"v{i}", f"v{i + 1}"]}} for i in range(5)),
+        *({"move": "blowup", "center": {"vertex": f"v{i}"}} for i in range(6))]
 
 
 def test_standardize_encodes_only_states_whose_key_was_expanded(monkeypatch):
@@ -764,14 +834,14 @@ def test_standardize_encodes_only_states_whose_key_was_expanded(monkeypatch):
     def expanding(h):
         expanded.append(h)
         expanded_keys.add(isomorphism_key(h))
-        return _move_sites(h)
+        return _site_moves(h)
 
     def encoding(h):
         encoded_keys.append(isomorphism_key(h))
         assert encoded_keys[-1] in expanded_keys
         return canonical_encoding(h)
 
-    monkeypatch.setattr(divisor, "_move_sites", expanding)
+    monkeypatch.setattr(divisor, "_site_moves", expanding)
     monkeypatch.setattr(divisor, "canonical_encoding", encoding)
     standardize(flowed_dpart(3, 4, "L1_inf", "L2_0", 3))
     # 43 encodings, one per state taken from the queue, when every state
@@ -801,8 +871,8 @@ def test_standardize_expands_non_isomorphic_states_that_share_a_key(monkeypatch)
     assert isomorphism_key(a) == isomorphism_key(b)
     assert graphs_isomorphic(a, b) == (False, None)
     expanded = []
-    monkeypatch.setattr(divisor, "_move_sites",
-                        lambda h: expanded.append(h) or _move_sites(h))
+    monkeypatch.setattr(divisor, "_site_moves",
+                        lambda h: expanded.append(h) or _site_moves(h))
     standardize(chain(-2, 1, -3))
     encodings = [canonical_encoding(h) for h in expanded]
     assert canonical_encoding(a) in encodings
@@ -839,8 +909,8 @@ def test_standardize_with_a_constant_key_matches_the_real_key(monkeypatch):
         out = []
         for g in inputs:
             expanded = []
-            monkeypatch.setattr(divisor, "_move_sites",
-                                lambda h: expanded.append(h) or _move_sites(h))
+            monkeypatch.setattr(divisor, "_site_moves",
+                                lambda h: expanded.append(h) or _site_moves(h))
             std, log = standardize(g)
             out.append((canonical_json(std.to_json_dict()), canonical_json(log),
                         len(expanded)))
@@ -858,10 +928,14 @@ def test_standardize_pays_only_for_the_children_it_pops(monkeypatch):
     not again when it is taken."""
     taken, checks, candidates, builds = [], [], [], []
 
-    def taking(*a):
-        for entry in _search_moves(*a):
+    def walking(h):
+        for entry in _blowups(h):
             taken.append(entry)
             yield entry
+
+    def taking(h):  # called as an entry is taken, before its list is walked
+        taken.extend(_site_moves(h))
+        return walking(h)
 
     admits, could_be_standard = _SearchCaps.admits, divisor._could_be_standard
 
@@ -871,7 +945,7 @@ def test_standardize_pays_only_for_the_children_it_pops(monkeypatch):
             candidates.append(touched)
         return touched
 
-    monkeypatch.setattr(divisor, "_search_moves", taking)
+    monkeypatch.setattr(divisor, "_blowups", taking)
     monkeypatch.setattr(_SearchCaps, "admits",
                         lambda caps, *a: checks.append(a) or admits(caps, *a))
     monkeypatch.setattr(divisor, "_could_be_standard", noting_candidates)
@@ -892,8 +966,8 @@ def test_standardize_builds_few_blowup_children(monkeypatch):
     blowups, expanded = [], []
     real = divisor.blow_up
     monkeypatch.setattr(divisor, "blow_up", lambda *a: blowups.append(a) or real(*a))
-    monkeypatch.setattr(divisor, "_move_sites",
-                        lambda h: expanded.append(h) or _move_sites(h))
+    monkeypatch.setattr(divisor, "_site_moves",
+                        lambda h: expanded.append(h) or _site_moves(h))
     standardize(flowed_dpart(4, 5, "L1_inf", "L2_0", 3))
     # 1 164 blowups against 48 expanded states when all were built; 44 now
     assert 0 < len(blowups) <= len(expanded)
@@ -909,8 +983,8 @@ def test_standardize_builds_few_flow_and_blowdown_children(monkeypatch):
         real = getattr(divisor, name)
         monkeypatch.setattr(divisor, name,
                             lambda *a, real=real: built.append(a) or real(*a))
-    monkeypatch.setattr(divisor, "_move_sites",
-                        lambda h: expanded.append(h) or _move_sites(h))
+    monkeypatch.setattr(divisor, "_site_moves",
+                        lambda h: expanded.append(h) or _site_moves(h))
     standardize(flowed_dpart(4, 5, "L1_inf", "L2_0", 3))
     # 92 flows + 47 blowdowns against 48 expanded states when all were
     # built; 14 + 17 now
@@ -920,8 +994,8 @@ def test_standardize_builds_few_flow_and_blowdown_children(monkeypatch):
 def test_standardize_errors_say_how_far_the_search_got(monkeypatch):
     expanded = []
 
-    monkeypatch.setattr(divisor, "_move_sites",
-                        lambda h: expanded.append(h) or _move_sites(h))
+    monkeypatch.setattr(divisor, "_site_moves",
+                        lambda h: expanded.append(h) or _site_moves(h))
     monkeypatch.setattr(_SearchCaps, "budget", 50)
     with pytest.raises(DomainError) as e:
         standardize(chain(0, 0, 2))
@@ -933,11 +1007,10 @@ def test_standardize_errors_say_how_far_the_search_got(monkeypatch):
     monkeypatch.setattr(_SearchCaps, "admits", lambda caps, n, weights: n <= 2)
     with pytest.raises(DomainError) as e:
         standardize(chain(1, 1))
-    states = list(expanded)  # _search_moves below finds sites through the spy
     assert str(e.value).startswith(
         f"standardize: search space exhausted under caps after "
-        f"{sum(len(list(_search_moves(h))) for h in states)} of 50 moves "
-        f"tried, {len(states)} states expanded (strategy: ")
+        f"{sum(len(search_moves(h)) for h in expanded)} of 50 moves "
+        f"tried, {len(expanded)} states expanded (strategy: ")
 
 
 # flowed_dpart arguments -> {lowered budget: states expanded when it ran out}
@@ -1033,7 +1106,7 @@ def parent_standardize(g: WeightedGraph) -> tuple[WeightedGraph, list]:
             continue
         expanded += 1
         survey = parent_survey(state)
-        for move in _search_moves(state):
+        for move in search_moves(state):
             tried += 1
             if tried > caps.budget:
                 raise DomainError(
@@ -1122,18 +1195,21 @@ def test_standardize_surveys_only_its_input_whole(monkeypatch):
 
 
 def test_standardize_enumerates_the_moves_once_per_entry_taken(monkeypatch):
-    """`_search_moves` runs only when a queue entry is taken, to make its
-    children; expanding a state makes only its candidates."""
+    """The move order is finished, by `_blowups` after the entry's list,
+    once for each queue entry taken, to make its children, and never when
+    a state is expanded: expanding a state makes only its `_site_moves`
+    list and its candidates."""
     pops, enumerations = [], []
 
     class CountingDeque(deque):
         def popleft(self):
-            pops.append(1)
-            return super().popleft()
+            entry = super().popleft()
+            pops.append(entry[0])
+            return entry
 
     monkeypatch.setattr(divisor, "deque", CountingDeque)
-    monkeypatch.setattr(divisor, "_search_moves",
-                        lambda *a: enumerations.append(a) or _search_moves(*a))
+    monkeypatch.setattr(divisor, "_blowups",
+                        lambda h: enumerations.append(h) or _blowups(h))
     monkeypatch.setattr(_SearchCaps, "budget", 2_000)
     taken = 0
     for g in SEARCH_GUARD_INPUTS:
@@ -1143,7 +1219,7 @@ def test_standardize_enumerates_the_moves_once_per_entry_taken(monkeypatch):
             standardize(g)
         except DomainError:
             pass
-        assert len(enumerations) <= len(pops)
+        assert list(map(id, enumerations)) == list(map(id, pops))
         taken += len(pops)
     assert taken > 0
 
@@ -1224,7 +1300,7 @@ def test_search_moves_are_log_entries_replay_accepts():
     it fails, if at all, in the move itself, never in the entry check."""
     for g in (flowed_dpart(3, 4, "L1_inf", "L2_0", 2), cycle(0, -1, -2),
               chain(-1, 0, -3, 2)):
-        for entry in _search_moves(g):
+        for entry in search_moves(g):
             assert "new_id" not in entry
             try:
                 out = replay(g, [entry])

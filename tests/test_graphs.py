@@ -40,6 +40,7 @@ from plumbcalc.graphs import (
     branching_number,
     canonical_encoding,
     canonical_json,
+    canonical_ordering,
     classify_segments,
     cokernel,
     connected_components,
@@ -54,7 +55,7 @@ from plumbcalc.graphs import (
     spanning_forest,
 )
 from plumbcalc.family import FamilyParams, build_boundary_graph, build_by_blowups
-from plumbcalc.invariants import abelianization, pi1_presentation
+from plumbcalc.invariants import GroupPresentation, abelianization, pi1_presentation
 from plumbcalc.plumbing import (
     _contract,
     _cut_torus,
@@ -900,8 +901,9 @@ def tie_heavy_matrices(draw, entries=(-2, -1, 1, 2)):
 # a remainder takes over as pivot row, so the row operations made before
 # it changed counts of columns that no column operation then clears
 @example([[4, 2, 0, 0, 0], [4, 0, 2, 9, 3], [2, 0, 0, 3, 0], [4, -6, 9, 0, 0]])
-# a column operation fills in row 0 at column 0, after column 1 in the
-# row's dict; the two entries then tie, and the lesser column, 0, wins
+# a row operation fills in row 0 at column 0, after column 1 in the row's
+# dict: the pivot is (0, 2), row 1 takes over, and then row 0 -= 2 * row
+# 1; the two entries then tie, and the lesser column, 0, wins
 @example([[0, 6, 2], [6, 3, 3]])
 def test_pivot_queue_matches_the_scan(a):
     assert snf_proof(a) == scan_smith_normal_form(a)
@@ -925,6 +927,20 @@ def test_cokernel_examples():
     assert cokernel([[2, 0], [0, 4]]) == AbelianGroup(0, (2, 4))
     assert cokernel([[0, 0]]) == AbelianGroup(1, ())
     assert cokernel([[1]]) == AbelianGroup(0, ())
+
+
+def test_empty_inputs_take_the_general_path():
+    """The empty matrix, graph and presentation get their answers from
+    the general code, with no branch of their own: the trivial group, and
+    the empty order and encoding."""
+    assert cokernel([]) == AbelianGroup(0, ())
+    assert h1_from_graph(WeightedGraph("plumbing", [], [])) == AbelianGroup(0, ())
+    assert abelianization(GroupPresentation((), ())) == AbelianGroup(0, ())
+    for kind in ("divisor", "plumbing"):
+        empty = WeightedGraph(kind, [], [])
+        assert canonical_ordering(empty) == ()
+        assert canonical_encoding(empty) == (kind, (), ())
+        assert graphs_isomorphic(empty, WeightedGraph(kind, [], [])) == (True, {})
 
 
 def test_smith_normal_form_calls_per_caller(monkeypatch):
@@ -1049,7 +1065,7 @@ def test_one_branching_rule(g):
         assert (vid in b) == bool(v.genus or v.boundary or loop or ends >= 3)
 
 
-# `_chains` as it was before it walked each chain once: a DFS over a
+# The chain walk as it was before it walked each chain once: a DFS over a
 # sorted sub-adjacency finds each chain and a second walk orders it.  Kept
 # verbatim as the reference the one-walk version must match.
 def oracle_chains(g: WeightedGraph, around: dict, b: frozenset):
@@ -1143,10 +1159,17 @@ def chain_graphs(draw):
 @example(build_boundary_graph(3, 4).d_part())
 @example(from_divisor_graph(build_boundary_graph(1, 1).d_part()))
 def test_chains_match_the_dfs_oracle(g):
-    """The one-walk `_chains` yields the same chains, in the same order,
-    each with the same vertex order and circular flag."""
+    """The one walk over the sorted ids, the one `classify_segments`
+    makes, yields the same chains, in the same order, each with the same
+    circular flag and, once a path is turned to start at its least tip,
+    the same vertex order."""
     b = graphs.branching_set(g)
-    assert list(graphs._chains(g, b)) == list(oracle_chains(g, g.around, b))
+    walked = []
+    for order, circular in graphs._chains_through(g, b, g.sorted_ids()):
+        if not circular and order[-1] < order[0]:
+            order.reverse()
+        walked.append((order, circular))
+    assert walked == list(oracle_chains(g, g.around, b))
 
 
 # -- isomorphism ----------------------------------------------------------------
